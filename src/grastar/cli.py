@@ -3,7 +3,8 @@
 Every subcommand writes a single JSON document to stdout and diagnostics
 to stderr.  Exact rationals cross the boundary as "numerator/denominator"
 strings, never as floats.  Exit codes: 0 success, 1 verification failure,
-2 usage or input error, 3 coefficient pole, 4 numeric failure.
+2 usage or input error, 3 coefficient pole, 4 numeric failure, 5 out of
+memory.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_POLE = 3
 EXIT_NUMERIC = 4
+EXIT_MEMORY = 5
 
 
 def _frac(text: str) -> Fraction:
@@ -266,6 +268,10 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        message = " ".join(str(exc).split()) or "allocation failed"
+        print(f"out of memory: {message}", file=sys.stderr)
+        return EXIT_MEMORY
     except (RangeError, GrastarError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

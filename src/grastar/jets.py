@@ -62,6 +62,7 @@ class JetRing:
         self.dfact = fact
         self._index_cache: dict[tuple[int, ...], int] = {}
         self._table = None
+        self._work = None
         self._embed_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def _gen_monomials(self):
@@ -100,32 +101,61 @@ class JetRing:
         return pos
 
     def _mult_table(self):
+        """Pairs (i, j) of monomials whose product lies in the truncation, and its index k.
+
+        A monomial of degree d is paired only with the prefix of the
+        degree-sorted monomials of degree at most ``order - d``.  Within
+        that bound no key digit carries, so a key sum names a monomial
+        exactly when it is one of ``keys``; that filter also enforces the
+        group caps.  Time and memory follow the candidate pairs, not
+        ``size**2``.
+        """
         if self._table is None:
             keys = self.keys
-            sums = keys[:, None] + keys[None, :]
-            pos = np.searchsorted(keys, sums.ravel())
-            pos = np.minimum(pos, self.size - 1)
-            valid = keys[pos] == sums.ravel()
-            idx = np.nonzero(valid)[0]
-            ti, tj = np.divmod(idx, self.size)
-            self._table = (
-                ti.astype(np.int32),
-                tj.astype(np.int32),
-                pos[idx].astype(np.int32),
-            )
+            by_degree = np.argsort(self.degree, kind="stable")
+            # below[d]: the number of monomials of degree at most d
+            below = np.cumsum(np.bincount(self.degree, minlength=self.order + 1))
+            parts = []
+            for d in range(self.order + 1):
+                rows = np.flatnonzero(self.degree == d)
+                cols = by_degree[: below[self.order - d]]
+                sums = (keys[rows][:, None] + keys[cols][None, :]).ravel()
+                pos = np.minimum(np.searchsorted(keys, sums), self.size - 1)
+                hit = np.flatnonzero(keys[pos] == sums)
+                ri, ci = np.divmod(hit, len(cols))
+                parts.append((rows[ri], cols[ci], pos[hit]))
+            ti, tj, tk = (np.concatenate(a).astype(np.intp) for a in zip(*parts))
+            self._table = (ti, tj, tk)
+            # work buffers of the table product, one complex entry per pair, and
+            # the bincount targets 2k, 2k+1 that sum the real and imaginary
+            # halves of the interleaved float64 view of a product into output k
+            targets = np.empty(2 * len(tk), dtype=np.intp)
+            targets[0::2] = 2 * tk
+            targets[1::2] = 2 * tk + 1
+            products = np.empty(len(tk), dtype=complex)
+            self._work = (products, np.empty_like(products), targets)
         return self._table
 
+    def _multiply_table(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """Product through the table; allocates nothing but its result."""
+        ti, tj, _ = self._mult_table()
+        a, b, targets = self._work
+        # mode="clip" writes straight into ``out``; "raise" would buffer
+        np.take(np.asarray(c1, dtype=complex), ti, out=a, mode="clip")
+        np.take(np.asarray(c2, dtype=complex), tj, out=b, mode="clip")
+        np.multiply(a, b, out=a)
+        out = np.bincount(targets, weights=a.view(np.float64), minlength=2 * self.size)
+        return out.view(complex)
+
     def multiply(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        if self._table is not None:
+            return self._multiply_table(c1, c2)
         nz1 = np.nonzero(c1)[0]
         nz2 = np.nonzero(c2)[0]
         if len(nz1) == 0 or len(nz2) == 0:
             return np.zeros(self.size, dtype=complex)
-        if self._table is not None or len(nz1) * len(nz2) > self.size * 8:
-            ti, tj, tk = self._mult_table()
-            prod = c1[ti] * c2[tj]
-            out = np.bincount(tk, weights=prod.real, minlength=self.size).astype(complex)
-            out += 1j * np.bincount(tk, weights=prod.imag, minlength=self.size)
-            return out
+        if len(nz1) * len(nz2) > self.size * 8:
+            return self._multiply_table(c1, c2)
         sums = (self.keys[nz1][:, None] + self.keys[nz2][None, :]).ravel()
         prod = (c1[nz1][:, None] * c2[nz2][None, :]).ravel()
         pos = np.searchsorted(self.keys, sums)

@@ -18,7 +18,6 @@ are expanded by ``lambda_coefficient_series``.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -105,45 +104,51 @@ def _frame_projectors(r: int, p: int):
 
 
 @cache
-def _slot_tables(n: int, p: int, r: int):
-    """Row/column tensor indices for every r-tuple of matrix slots.
+def _slot_tables(n: int, p: int, r: int) -> np.ndarray:
+    """The slots of every r-tuple of matrix slots, as an (r, (n*p)^r) array.
 
-    Slot A*p + i refers to matrix entry (row A, column i); the k-th
-    returned arrays give, for the k-th tuple in lexicographic order, the
-    flat row-tuple index (base n) and flat column-tuple index (base p).
+    Slot A*p + i refers to matrix entry (row A, column i); column k holds
+    the k-th tuple in lexicographic order.
     """
-    count = (n * p) ** r
-    a_idx = np.zeros(count, dtype=np.int64)
-    i_idx = np.zeros(count, dtype=np.int64)
-    tuples = []
-    for k, tup in enumerate(itertools.product(range(n * p), repeat=r)):
-        a = 0
-        ii = 0
-        for s in tup:
-            A, i = divmod(s, p)
-            a = a * n + A
-            ii = ii * p + i
-        a_idx[k] = a
-        i_idx[k] = ii
-        tuples.append(tup)
-    return a_idx, i_idx, tuples
+    # an explicit count, since np.indices(()) cannot be reshaped to (0, -1)
+    return np.indices((n * p,) * r).reshape(r, (n * p) ** r)
+
+
+def _row_col(vals: np.ndarray, n: int, p: int, r: int) -> np.ndarray:
+    """Regroup a leading slot-tuple axis into (row tuple, column tuple) axes.
+
+    Slot tuples are lexicographic in slots A*p + i, so the leading axis
+    splits into r interleaved (A, i) digit pairs; gathering the A digits
+    in front of the i digits gives the flat row-tuple index (base n) and
+    the flat column-tuple index (base p).
+    """
+    rest = vals.shape[1:]
+    split = vals.reshape((n, p) * r + rest)
+    axes = tuple(range(0, 2 * r, 2)) + tuple(range(1, 2 * r, 2))
+    axes += tuple(range(2 * r, split.ndim))
+    return split.transpose(axes).reshape((n**r, p**r) + rest)
 
 
 def _ring_tuple_indices(ring: JetRing, r: int, n: int, p: int) -> np.ndarray:
-    """Monomial index in ``ring`` for each slot tuple of length r (cached)."""
+    """Monomial index in ``ring`` for each slot tuple of length r (cached).
+
+    Raises ``KeyError`` if some tuple's monomial is not in the truncation.
+    """
     cache_attr = getattr(ring, "_slot_index_cache", None)
     if cache_attr is None:
         cache_attr = {}
         ring._slot_index_cache = cache_attr
     key = (r, n, p)
     if key not in cache_attr:
-        _, _, tuples = _slot_tables(n, p, r)
-        idx = np.zeros(len(tuples), dtype=np.int64)
-        for k, tup in enumerate(tuples):
-            md = [0] * ring.nvars
-            for s in tup:
-                md[s] += 1
-            idx[k] = ring.index_of(tuple(md))
+        digits = _slot_tables(n, p, r)
+        keys = ring._weights[digits].sum(axis=0)
+        idx = np.minimum(np.searchsorted(ring.keys, keys), ring.size - 1)
+        # keys of degree-r monomials carry only when r > 2*order, and a
+        # carry lowers the digit sum, so equal key and degree name one monomial
+        bad = (ring.keys[idx] != keys) | (ring.degree[idx] != r)
+        if np.any(bad):
+            md = np.bincount(digits[:, np.argmax(bad)], minlength=ring.nvars)
+            raise KeyError(f"multidegree {tuple(int(d) for d in md)} not in truncation")
         cache_attr[key] = idx
     return cache_attr[key]
 
@@ -155,12 +160,8 @@ def derivative_tensor(jet: Jet, n: int, p: int, r: int) -> np.ndarray:
     the derivative with respect to the corresponding r slots.
     """
     ring = jet.ring
-    a_idx, i_idx, _ = _slot_tables(n, p, r)
     ridx = _ring_tuple_indices(ring, r, n, p)
-    vals = jet.coeffs[ridx] * ring.dfact[ridx]
-    out = np.zeros((n**r, p**r), dtype=complex)
-    out[a_idx, i_idx] = vals
-    return out
+    return _row_col(jet.coeffs[ridx] * ring.dfact[ridx], n, p, r)
 
 
 def _pairing_series(DFs, DGs, p: int, mu, order: int) -> LambdaSeries:
@@ -431,29 +432,19 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     )
     jg = eval_function(g, zeta, Zbg) if isinstance(g, FunctionExpr) else g(zeta, Zbg)
 
-    # outer monomial positions inside the total ring
-    emap = R_out.embed_map(total, 0)
-    outer_keys = total.keys[emap]
+    # outer and inner monomial positions inside the total ring
+    outer_keys = total.keys[R_out.embed_map(total, 0)]
+    inner_keys = total.keys[R_out.embed_map(total, nz)]
 
     out = [R_out.zero() for _ in range(order + 1)]
     for r in range(order + 1):
-        a_idx, i_idx, tuples = _slot_tables(n, p, r)
-        inner_weights = total._weights[nz : 2 * nz]
-        # per slot tuple: outer-jet coefficient vectors of the r-th partials
-        DF = {}
-        DG = {}
-        for k, tup in enumerate(tuples):
-            key = 0
-            w_in = 1
-            counts = {}
-            for s in tup:
-                key += int(inner_weights[s])
-                counts[s] = counts.get(s, 0) + 1
-            for cnt in counts.values():
-                w_in *= factorial(cnt)
-            tidx = np.searchsorted(total.keys, outer_keys + key)
-            DF[(int(a_idx[k]), int(i_idx[k]))] = jf.coeffs[tidx] * w_in
-            DG[(int(a_idx[k]), int(i_idx[k]))] = jg.coeffs[tidx] * w_in
+        # per slot tuple: outer-jet coefficient vectors of the r-th partials,
+        # regrouped as DF[row tuple, column tuple, outer monomial]
+        ridx = _ring_tuple_indices(R_out, r, n, p)
+        tidx = np.searchsorted(total.keys, inner_keys[ridx][:, None] + outer_keys[None, :])
+        w_in = R_out.dfact[ridx][:, None]
+        DF = _row_col(jf.coeffs[tidx] * w_in, n, p, r)
+        DG = _row_col(jg.coeffs[tidx] * w_in, n, p, r)
         inv_rfact = 1.0 / factorial(r)
         pr = p**r
         nr = n**r
@@ -466,7 +457,7 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
                         continue
                     acc = np.zeros(R_out.size, dtype=complex)
                     for a in range(nr):
-                        acc += R_out.multiply(DF[(a, icol)], DG[(a, jcol)])
+                        acc += R_out.multiply(DF[a, icol], DG[a, jcol])
                     scal += w * acc
             ser = lambda_coefficient_series(frame, mu, p, order)
             for t in range(r, order + 1):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import grastar.cli
 from grastar.cli import main
 from grastar.geometry import FunctionExpr, SpaceConfig, random_function_expr
 
@@ -189,3 +190,17 @@ def test_point_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["point"]["z"] == z
+
+
+def test_memory_error_exit(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.52 GiB for an array\nwith shape (27225, 27225)")
+
+    monkeypatch.setattr(grastar.cli, "verify_suite", out_of_memory)
+    code, out, err = run_cli(capsys, "verify", "--p", "2", "--q", "2", "--order", "3")
+    assert code == 5
+    assert out == ""
+    # one line, newlines in the message folded, no traceback
+    assert err == (
+        "out of memory: Unable to allocate 5.52 GiB for an array with shape (27225, 27225)\n"
+    )

@@ -1,5 +1,7 @@
 """Jet arithmetic: truncated Taylor expansions and matrix routines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,56 @@ def test_sparse_and_table_paths_agree():
     c1[rng.choice(ring_a.size, 4, replace=False)] = rng.standard_normal(4)
     c2[rng.choice(ring_a.size, 4, replace=False)] = rng.standard_normal(4)
     assert np.allclose(ring_a.multiply(c1, c2), ring_b.multiply(c1, c2))
+
+
+def _brute_force_table(ring):
+    """Every (i, j, k) with monos[i] + monos[j] == monos[k], over all size^2 pairs."""
+    index = {tuple(int(d) for d in m): k for k, m in enumerate(ring.monos)}
+    return {
+        (i, j, index[tuple(int(d) for d in mi + mj)])
+        for i, mi in enumerate(ring.monos)
+        for j, mj in enumerate(ring.monos)
+        if tuple(int(d) for d in mi + mj) in index
+    }
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [JetRing(3, 3), JetRing(4, 4, caps=((0, 2, 2), (2, 4, 2))), JetRing(2, 0), JetRing(0, 2)],
+    ids=repr,
+)
+def test_mult_table_matches_brute_force(ring):
+    ti, tj, tk = ring.warm()._table
+    triples = set(zip(ti.tolist(), tj.tolist(), tk.tolist()))
+    assert len(triples) == len(ti)
+    assert triples == _brute_force_table(ring)
+
+
+def test_mult_table_of_associativity_ring():
+    # the (p, q, N) = (2, 2, 3) associativity ring is R(8, 3) x R(8, 3), so
+    # its valid pairs are the pairs of pairs of the factor ring
+    factor_pairs = len(JetRing(8, 3).warm()._table[0])
+    ring = JetRing(16, 6, caps=((0, 8, 3), (8, 16, 3))).warm()
+    assert ring.size == 165**2
+    assert len(ring._table[0]) == factor_pairs**2 == 938_961
+
+
+def test_table_multiply_allocates_only_its_result():
+    ring = JetRing(6, 6).warm()
+    rng = np.random.default_rng(6)
+    c1 = rng.standard_normal(ring.size) + 1j * rng.standard_normal(ring.size)
+    c2 = rng.standard_normal(ring.size) + 1j * rng.standard_normal(ring.size)
+    expect = ring.multiply(c1, c2)
+    tracemalloc.start()
+    try:
+        got = ring.multiply(c1, c2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expect)
+    # the result is 16 bytes per monomial; one product per pair would be 16 per pair
+    assert len(ring._table[0]) > 10 * ring.size
+    assert peak < 2 * 16 * ring.size
 
 
 def test_var_out_of_range():

@@ -1,5 +1,6 @@
 """The reduced star product: coefficients, evaluation, identities."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,14 @@ from grastar.geometry import (
     FunctionExpr,
     SpaceConfig,
     eval_function,
+    holomorphic_jet_point,
     level_representative,
     poisson_bracket,
     random_function_expr,
     sample_point,
     wick_product,
 )
+from grastar.jets import extract_partial
 from grastar.partitions import Frame
 from grastar.star import (
     associativity_residuals,
@@ -75,6 +78,40 @@ def test_derivative_tensor_on_polynomial():
         minus = eval_function(f, dz, z.zbar)
         fd = (plus - minus) / (2 * h)
         assert abs(DF1[A, 0] - fd) < 1e-6
+
+
+def _derivative_tensor_reference(jet, n, p, r):
+    """One extract_partial per slot tuple; slot A*p + i is matrix entry (A, i)."""
+    out = np.zeros((n**r, p**r), dtype=complex)
+    for tup in itertools.product(range(n * p), repeat=r):
+        md = [0] * jet.ring.nvars
+        a = i = 0
+        for s in tup:
+            md[s] += 1
+            a = a * n + s // p
+            i = i * p + s % p
+        out[a, i] = extract_partial(jet, md)
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 1)])
+def test_derivative_tensor_matches_per_tuple_reference(p, q):
+    cfg = SpaceConfig(p, q, Fraction(1))
+    z = sample_point(cfg, 3)
+    f = random_function_expr(cfg, np.random.default_rng(3))
+    _, Z, Zbar = holomorphic_jet_point(z, 3)
+    jf = eval_function(f, Z, Zbar)
+    for r in range(4):
+        D = derivative_tensor(jf, cfg.n, p, r)
+        assert D.shape == (cfg.n**r, p**r)
+        assert np.array_equal(D, _derivative_tensor_reference(jf, cfg.n, p, r))
+    assert D.any()
+    # beyond the truncation, including r > 2 * order where packed keys carry
+    _, Z1, Zbar1 = holomorphic_jet_point(z, 1)
+    j1 = eval_function(f, Z1, Zbar1)
+    for r in (2, 3):
+        with pytest.raises(KeyError):
+            derivative_tensor(j1, cfg.n, p, r)
 
 
 def test_unit_element():
