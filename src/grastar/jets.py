@@ -45,11 +45,10 @@ class JetRing:
                 f"jet ring with {nvars} variables at order {order} is too large"
             )
         self._base = base
-        monos = sorted(self._gen_monomials())
-        self.monos = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+        self.monos = self._gen_monomials()
         weights = base ** np.arange(nvars, dtype=np.int64) if nvars else np.zeros(0, dtype=np.int64)
         self._weights = weights
-        keys = self.monos @ weights if nvars else np.zeros(len(monos), dtype=np.int64)
+        keys = self.monos @ weights if nvars else np.zeros(len(self.monos), dtype=np.int64)
         sort = np.argsort(keys, kind="stable")
         self.monos = self.monos[sort]
         self.keys = keys[sort]
@@ -65,29 +64,24 @@ class JetRing:
         self._work = None
         self._embed_cache: dict[tuple[int, int], np.ndarray] = {}
 
-    def _gen_monomials(self):
-        caps = self.caps
-        out = []
+    def _gen_monomials(self) -> np.ndarray:
+        """Every exponent vector within the order and the group caps, one per row.
 
-        def rec(v, remaining, groupleft, current):
-            if v == self.nvars:
-                out.append(tuple(current))
-                return
-            gl = list(groupleft)
-            limit = remaining
-            for gi, (a, b, c) in enumerate(caps):
+        Built one variable at a time, without recursion: a recursive closure
+        would reference itself and ``self``, and that cycle would keep the
+        ring with its table and buffers alive until a cyclic collection.
+        """
+        monos = np.zeros((1, 0), dtype=np.int64)
+        for v in range(self.nvars):
+            limit = self.order - monos.sum(axis=1)
+            for a, b, c in self.caps:
                 if a <= v < b:
-                    limit = min(limit, gl[gi])
-            for d in range(limit + 1):
-                for gi, (a, b, c) in enumerate(caps):
-                    if a <= v < b:
-                        gl[gi] = groupleft[gi] - d
-                current.append(d)
-                rec(v + 1, remaining - d, gl, current)
-                current.pop()
-
-        rec(0, self.order, [c for _, _, c in caps], [])
-        return out
+                    limit = np.minimum(limit, c - monos[:, a:v].sum(axis=1))
+            counts = limit + 1
+            starts = np.cumsum(counts) - counts
+            degree = np.arange(counts.sum()) - np.repeat(starts, counts)
+            monos = np.column_stack([np.repeat(monos, counts, axis=0), degree])
+        return monos
 
     def index_of(self, multidegree) -> int:
         multidegree = tuple(int(d) for d in multidegree)

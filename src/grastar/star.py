@@ -5,15 +5,27 @@ deformation parameter lambda.  Its coefficient of order r contracts the
 r-th holomorphic derivative tensor of one factor with the r-th
 antiholomorphic derivative tensor of the other, both taken at the level
 representative zeta, through a central element of the symmetric group
-algebra C[S_r] acting on the column slots.  In the frame (Young) basis the
-central element is diagonal: each frame [m] with at most p rows
-contributes its projector weighted by mu^r / t_[m](c), where
-t_[m](c) is one linear factor (c + column - row) per box and
-c = mu/lambda + p.
+algebra C[S_r] acting on the column slots.  In the frame (Young) basis that
+element is sum_[m] P_[m] mu^r / t_[m](c), with c = mu/lambda + p and
+t_[m](c) one linear factor (c + content) per box; frames with more than p
+rows act as zero on the column slots.
 
-Everything here works either with a fixed numeric lambda or with the
-formal truncated series in lambda; in the latter case the frame weights
-are expanded by ``lambda_coefficient_series``.
+Since the contents of the boxes are the joint eigenvalues of the
+Jucys-Murphy elements J_k = sum_{i<k} (i k), the same element is
+prod_k mu / (c + J_k).  Each J_k acts on (C^p)^{x r} as a sum of slot
+swaps, and its spectrum lies in the contents -(min(p,k)-1) ... k-1, so
+(c + J_k)^{-1} is a Lagrange interpolation over that spectrum: one
+spectral projector per content, built once per (k, p) without enumerating
+S_k or forming a Young projector.  For a fixed lambda the factors carry the
+weights mu / (c + content); for the formal series each factor is
+lambda sum_j (-(p + J_k)/mu)^j lambda^j.  The derivative tensors of one
+order meet once, in their Gram matrix over the column slots, which the
+coefficient matrix then weights entrywise.
+
+Poles are checked up front on the frame polynomials t_[m](c), so a
+``PoleError`` names the offending frame.  The exact projectors, class sums
+and characters of ``tensor_action``, ``center`` and ``characters`` stay
+out of the product and serve as its oracles.
 """
 
 from __future__ import annotations
@@ -24,13 +36,7 @@ from math import factorial
 
 import numpy as np
 
-from grastar.center import (
-    CentralElement,
-    LambdaSeries,
-    e_to_k,
-    lambda_coefficient_series,
-    s_coeffs,
-)
+from grastar.center import CentralElement, LambdaSeries, e_to_k, s_coeffs
 from grastar.errors import PoleError
 from grastar.geometry import (
     FunctionExpr,
@@ -48,7 +54,7 @@ from grastar.geometry import (
 )
 from grastar.jets import Jet, JetRing, MatrixJet
 from grastar.partitions import Frame, conj_classes_of, partitions_of
-from grastar.tensor_action import projector, rho_central
+from grastar.tensor_action import _check_dim, rho_central
 
 
 def t_value(frame: Frame, c):
@@ -92,26 +98,112 @@ def _admissible_frames(r: int, p: int) -> tuple[Frame, ...]:
     return tuple(f for f in partitions_of(r) if f.num_rows <= p)
 
 
-@cache
-def _frame_projectors(r: int, p: int):
-    """[(frame, complex projector matrix on column-slot tensors)]."""
-    if r == 0:
-        return ((Frame(()), np.ones((1, 1), dtype=complex)),)
-    return tuple(
-        (frame, projector(frame, p).to_complex().entries)
-        for frame in _admissible_frames(r, p)
-    )
+def _check_poles(p: int, c, orders) -> None:
+    """Raise ``PoleError`` for the first frame, by order, whose t_[m](c) vanishes.
 
-
-@cache
-def _slot_tables(n: int, p: int, r: int) -> np.ndarray:
-    """The slots of every r-tuple of matrix slots, as an (r, (n*p)^r) array.
-
-    Slot A*p + i refers to matrix entry (row A, column i); column k holds
-    the k-th tuple in lexicographic order.
+    Every content in a Jucys-Murphy spectrum up to order r is the content
+    of a box of some frame of weight r with at most p rows, so no pole of
+    the coefficient operators escapes this check.
     """
-    # an explicit count, since np.indices(()) cannot be reshaped to (0, -1)
-    return np.indices((n * p,) * r).reshape(r, (n * p) ** r)
+    for r in orders:
+        for frame in _admissible_frames(r, p):
+            if t_value(frame, c) == 0:
+                raise PoleError(frame, c)
+
+
+@cache
+def _jm_spectrum(r: int, p: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Spectral decomposition of J_r = sum_{i<r} (i r) on (C^p)^{x r}.
+
+    Returns (content e, projector E_e) for each eigenvalue, with E_e the
+    Lagrange basis polynomial prod_{e' != e} (J_r - e') / (e - e') over the
+    candidate contents -(min(p,r)-1) ... r-1.  The products have integer
+    entries, exact in float64 below 2^53; candidates that are not
+    eigenvalues give exactly zero and are dropped.
+    """
+    _check_dim(p, r)
+    dim = p**r
+    contents = range(1 - min(p, r), r)
+
+    def jm(X):
+        # the transposition (i r) swaps slot axes i and r-1 of the row index
+        T = X.reshape((p,) * r + (dim,))
+        out = np.zeros_like(X)
+        for i in range(r - 1):
+            out += T.swapaxes(i, r - 1).reshape(dim, dim)
+        return out
+
+    spectrum = []
+    for e in contents:
+        E = np.eye(dim)
+        denom = 1
+        for other in contents:
+            if other != e:
+                E = jm(E) - other * E
+                denom *= e - other
+        if E.any():
+            E /= denom
+            E.flags.writeable = False
+            spectrum.append((e, E))
+    return tuple(spectrum)
+
+
+def _extend(C: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(C x 1_p) @ A: C acts on the leading slots of A's row index."""
+    dim = A.shape[0]
+    return (C @ A.reshape(C.shape[1], -1)).reshape(dim, dim)
+
+
+def _fixed_coefficient_matrices(p: int, mu, c, order: int) -> list[np.ndarray]:
+    """[C_0, ..., C_order] with C_r = prod_{k<=r} mu / (c + J_k) on (C^p)^{x r}.
+
+    J_k acts on the first k slots only and the J_k commute, so
+    C_r = (C_{r-1} x 1) mu / (c + J_r).  c must not be a pole.
+    """
+    scalar = float if isinstance(c, Fraction) else complex
+    mats = [np.ones((1, 1))]
+    for r in range(1, order + 1):
+        factor = sum(scalar(mu / (c + e)) * E for e, E in _jm_spectrum(r, p))
+        mats.append(_extend(mats[-1], factor))
+    return mats
+
+
+@cache
+def _series_coefficient_matrices(r: int, p: int, mu: Fraction, order: int):
+    """Coefficients of lambda^r ... lambda^order of prod_k mu / (mu/lambda + p + J_k).
+
+    Each factor is lambda sum_j X_k^j lambda^j with X_k = -(p + J_k)/mu, whose
+    powers are read off the spectral projectors of J_k.
+    """
+    if r == 0:
+        out = [np.ones((1, 1))] + [np.zeros((1, 1)) for _ in range(order)]
+    else:
+        spectrum = _jm_spectrum(r, p)
+        powers = [
+            sum(float((-(p + e) / mu) ** j) * E for e, E in spectrum)
+            for j in range(order - r + 1)
+        ]
+        lower = _series_coefficient_matrices(r - 1, p, mu, order)
+        # lambda^t = lambda^s (from orders below r) * lambda^(j+1) (this factor)
+        out = [
+            sum(_extend(lower[s - r + 1], powers[t - s - 1]) for s in range(r - 1, t))
+            for t in range(r, order + 1)
+        ]
+    for M in out:
+        M.flags.writeable = False
+    return tuple(out)
+
+
+def _slot_tuple_keys(ring: JetRing, r: int, n: int, p: int) -> np.ndarray:
+    """Key of the monomial of every r-tuple of matrix slots, lexicographic.
+
+    Slot A*p + i refers to matrix entry (row A, column i); the first slot of
+    a tuple is the most significant.
+    """
+    keys = np.zeros(1, dtype=np.int64)
+    for _ in range(r):
+        keys = np.add.outer(keys, ring._weights[: n * p]).ravel()
+    return keys
 
 
 def _row_col(vals: np.ndarray, n: int, p: int, r: int) -> np.ndarray:
@@ -140,14 +232,14 @@ def _ring_tuple_indices(ring: JetRing, r: int, n: int, p: int) -> np.ndarray:
         ring._slot_index_cache = cache_attr
     key = (r, n, p)
     if key not in cache_attr:
-        digits = _slot_tables(n, p, r)
-        keys = ring._weights[digits].sum(axis=0)
+        keys = _slot_tuple_keys(ring, r, n, p)
         idx = np.minimum(np.searchsorted(ring.keys, keys), ring.size - 1)
         # keys of degree-r monomials carry only when r > 2*order, and a
         # carry lowers the digit sum, so equal key and degree name one monomial
         bad = (ring.keys[idx] != keys) | (ring.degree[idx] != r)
         if np.any(bad):
-            md = np.bincount(digits[:, np.argmax(bad)], minlength=ring.nvars)
+            slots = np.unravel_index(np.argmax(bad), (n * p,) * r)
+            md = np.bincount(np.array(slots, dtype=np.intp), minlength=ring.nvars)
             raise KeyError(f"multidegree {tuple(int(d) for d in md)} not in truncation")
         cache_attr[key] = idx
     return cache_attr[key]
@@ -166,18 +258,13 @@ def derivative_tensor(jet: Jet, n: int, p: int, r: int) -> np.ndarray:
 
 def _pairing_series(DFs, DGs, p: int, mu, order: int) -> LambdaSeries:
     """Contract derivative tensors into the formal product series."""
+    mu = Fraction(mu)
     out = LambdaSeries(order, [0j] * (order + 1))
     for r in range(order + 1):
-        B_f = DFs[r]
-        B_g = DGs[r]
+        gram = DFs[r].T @ DGs[r]
         inv_rfact = 1.0 / factorial(r)
-        for frame, P in _frame_projectors(r, p):
-            scal = complex(np.einsum("ij,ai,aj->", P, B_f, B_g))
-            ser = lambda_coefficient_series(frame, mu, p, order)
-            for t in range(r, order + 1):
-                w = ser.coeffs[t]
-                if w:
-                    out.coeffs[t] += float(w) * inv_rfact * scal
+        for t, M in enumerate(_series_coefficient_matrices(r, p, mu, order), start=r):
+            out.coeffs[t] += inv_rfact * complex(np.sum(M * gram))
     return out
 
 
@@ -194,14 +281,10 @@ def _pairing_fixed(DFs, DGs, p: int, mu, lam, order: int) -> complex:
         if lam == 0:
             return complex(DFs[0][0, 0] * DGs[0][0, 0])
         c = complex(mu) / lam + p
+    _check_poles(p, c, range(order + 1))
     total = 0j
-    for r in range(order + 1):
-        for frame, P in _frame_projectors(r, p):
-            t = t_value(frame, c)
-            if t == 0:
-                raise PoleError(frame, c)
-            scal = complex(np.einsum("ij,ai,aj->", P, DFs[r], DGs[r]))
-            total += float(mu) ** r / factorial(r) / complex(t) * scal
+    for r, C in enumerate(_fixed_coefficient_matrices(p, mu, c, order)):
+        total += complex(np.sum(C * (DFs[r].T @ DGs[r]))) / factorial(r)
     return total
 
 
@@ -216,6 +299,24 @@ def _derivative_tensors_at(f, zeta: PointZ, order: int, holomorphic: bool):
     return [derivative_tensor(jf, n, p, r) for r in range(order + 1)]
 
 
+def _check_shapes(f, g, cfg: SpaceConfig, z: PointZ) -> None:
+    """Raise ``ValueError`` unless z is n x p and every generator matrix n x n."""
+    n, p = cfg.n, cfg.p
+    if z.z.shape != (n, p):
+        raise ValueError(
+            f"point has shape {z.z.shape}, expected {(n, p)} for p = {p}, q = {cfg.q}"
+        )
+    for fn in (f, g):
+        if isinstance(fn, FunctionExpr):
+            for _, factors in fn.terms:
+                for B in factors:
+                    if B.shape != (n, n):
+                        raise ValueError(
+                            f"function matrix has shape {B.shape}, expected {(n, n)}"
+                            f" for p = {p}, q = {cfg.q}"
+                        )
+
+
 def star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
     """The deformed product of two invariant functions at a point.
 
@@ -223,8 +324,10 @@ def star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
     the deformation parameter (a ``LambdaSeries`` with complex
     coefficients); with a numeric ``lam`` the series coefficients are
     resummed exactly and a single complex value is returned (raising
-    ``PoleError`` if the parameter hits a coefficient pole).
+    ``PoleError`` if the parameter hits a coefficient pole).  Raises
+    ``ValueError`` if z or a matrix of f or g does not fit ``cfg``.
     """
+    _check_shapes(f, g, cfg, z)
     zeta = level_representative(z, cfg.mu)
     DFs = _derivative_tensors_at(f, zeta, order, holomorphic=True)
     DGs = _derivative_tensors_at(g, zeta, order, holomorphic=False)
@@ -242,6 +345,7 @@ def projective_star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None
     """
     if cfg.p != 1:
         raise ValueError("closed form only applies to p = 1")
+    _check_shapes(f, g, cfg, z)
     mu = Fraction(cfg.mu)
     zeta = level_representative(z, cfg.mu)
     n = cfg.n
@@ -319,17 +423,12 @@ def tensor_power(M: np.ndarray, r: int) -> np.ndarray:
 def slot_coefficient_matrix(r: int, p: int, c) -> np.ndarray:
     """Matrix of the coefficient central element on column-slot tensors.
 
-    Equals sum over frames with at most p rows of projector / t(c); the
-    frames with more rows act as zero on (C^p)^{x r}.
+    Equals sum over frames with at most p rows of projector / t(c), the
+    frames with more rows acting as zero on (C^p)^{x r}; it is built as
+    prod_k 1/(c + J_k) from the Jucys-Murphy elements.
     """
-    dim = p**r
-    out = np.zeros((dim, dim), dtype=complex)
-    for frame, P in _frame_projectors(r, p):
-        t = t_value(frame, c)
-        if t == 0:
-            raise PoleError(frame, c)
-        out += P / complex(t)
-    return out
+    _check_poles(p, c, (r,))
+    return _fixed_coefficient_matrices(p, 1, c, r)[r].astype(complex)
 
 
 def proj_sandwich_power(zeta: np.ndarray, mu, lam, r: int) -> np.ndarray:
@@ -446,24 +545,16 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
         DF = _row_col(jf.coeffs[tidx] * w_in, n, p, r)
         DG = _row_col(jg.coeffs[tidx] * w_in, n, p, r)
         inv_rfact = 1.0 / factorial(r)
-        pr = p**r
-        nr = n**r
-        for frame, P in _frame_projectors(r, p):
-            scal = np.zeros(R_out.size, dtype=complex)
-            for icol in range(pr):
-                for jcol in range(pr):
-                    w = P[icol, jcol]
-                    if w == 0:
-                        continue
-                    acc = np.zeros(R_out.size, dtype=complex)
-                    for a in range(nr):
-                        acc += R_out.multiply(DF[a, icol], DG[a, jcol])
-                    scal += w * acc
-            ser = lambda_coefficient_series(frame, mu, p, order)
-            for t in range(r, order + 1):
-                wt = ser.coeffs[t]
-                if wt:
-                    out[t] = out[t] + Jet(R_out, float(wt) * inv_rfact * scal)
+        for t, M in enumerate(_series_coefficient_matrices(r, p, mu, order), start=r):
+            if not M.any():  # r = 0 beyond lambda^0
+                continue
+            # contract the coefficients into DG first: n^r p^r jet products
+            MG = M @ DG
+            acc = np.zeros(R_out.size, dtype=complex)
+            for a in range(n**r):
+                for i in range(p**r):
+                    acc += R_out.multiply(DF[a, i], MG[a, i])
+            out[t] = out[t] + Jet(R_out, inv_rfact * acc)
     return R_out, out
 
 

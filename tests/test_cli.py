@@ -154,6 +154,40 @@ def test_star_fixed_lambda_value(tmp_path, capsys):
     assert "value" in json.loads(out)
 
 
+def test_star_order_nine(tmp_path, capsys):
+    cfg = SpaceConfig(1, 1, Fraction(1))
+    rng = np.random.default_rng(5)
+    fpath = _write_function(tmp_path, "f.json", random_function_expr(cfg, rng))
+    gpath = _write_function(tmp_path, "g.json", random_function_expr(cfg, rng))
+    code, out, err = run_cli(capsys, "star", fpath, gpath, "--p", "1", "--q", "1", "--order", "9")
+    assert code == 0, err
+    assert len(json.loads(out)["series"]) == 10
+
+
+def test_star_function_shape_mismatch(tmp_path, capsys):
+    # matrices made for n = 2, used at p = 2, q = 1 (n = 3)
+    f = random_function_expr(SpaceConfig(1, 1), np.random.default_rng(6))
+    fpath = _write_function(tmp_path, "f.json", f)
+    code, out, err = run_cli(capsys, "star", fpath, fpath, "--p", "2", "--q", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: function matrix has shape") and err.count("\n") == 1
+
+
+def test_star_point_shape_mismatch(tmp_path, capsys):
+    # a 3 x 2 point (p = 2) with --p 1 --q 1
+    f = random_function_expr(SpaceConfig(1, 1), np.random.default_rng(7))
+    fpath = _write_function(tmp_path, "f.json", f)
+    ppath = tmp_path / "point.json"
+    ppath.write_text(json.dumps({"z": [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [0, 1]]]}))
+    code, out, err = run_cli(
+        capsys, "star", fpath, fpath, "--p", "1", "--q", "1", "--point", str(ppath)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: point has shape") and err.count("\n") == 1
+
+
 def test_verify_default_passes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--p", "1", "--q", "1", "--mu", "2", "--order", "2", "--seed", "42"

@@ -1,6 +1,8 @@
 """Jet arithmetic: truncated Taylor expansions and matrix routines."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -210,3 +212,15 @@ def test_var_out_of_range():
     ring = JetRing(2, 2)
     with pytest.raises(RangeError):
         ring.var(2)
+
+
+def test_ring_freed_without_cyclic_gc():
+    # a ring, with its table and work buffers, must not wait for a cyclic collection
+    gc.disable()
+    try:
+        ring = JetRing(4, 3, caps=((0, 2, 2),)).warm()
+        ref = weakref.ref(ring)
+        del ring
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -2,11 +2,17 @@
 
 import itertools
 from fractions import Fraction
+from functools import cache
+from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from grastar.center import LambdaSeries, c_power_element
+import grastar.tensor_action
+from grastar.center import LambdaSeries, c_power_element, lambda_coefficient_series
+from grastar.characters import character
 from grastar.errors import PoleError
 from grastar.geometry import (
     FunctionExpr,
@@ -20,8 +26,16 @@ from grastar.geometry import (
     wick_product,
 )
 from grastar.jets import extract_partial
-from grastar.partitions import Frame
+from grastar.partitions import (
+    Frame,
+    Permutation,
+    conj_classes_of,
+    cycle_type,
+    dim_symmetric,
+    partitions_of,
+)
 from grastar.star import (
+    _series_coefficient_matrices,
     associativity_residuals,
     coefficient_operator,
     derivative_tensor,
@@ -36,7 +50,7 @@ from grastar.star import (
     unsandwich,
     verify_suite,
 )
-from grastar.tensor_action import rho_central
+from grastar.tensor_action import projector, rho_central
 
 
 def test_t_value_matches_box_description():
@@ -153,13 +167,38 @@ def test_fixed_lambda_consistent_with_series():
     assert abs(fixed - resummed) < 1e-9  # they differ by the lambda^5 tail
 
 
-def test_fixed_lambda_pole():
+def _assert_pole_first_at(order, lam, frame, c):
     cfg = SpaceConfig(2, 1, Fraction(1))
     z = sample_point(cfg, 3)
     f = FunctionExpr.one()
-    with pytest.raises(PoleError):
-        # lambda = -mu gives c = p - 1 = 1, killing the [1,1] polynomial
-        star_eval(f, f, cfg, z, 2, lam=Fraction(-1))
+    star_eval(f, f, cfg, z, order - 1, lam=lam)
+    with pytest.raises(PoleError) as exc:
+        star_eval(f, f, cfg, z, order, lam=lam)
+    assert (exc.value.frame, exc.value.c_value) == (frame, c)
+
+
+def test_fixed_lambda_pole():
+    # lambda = -mu gives c = p - 1 = 1, killing the [1,1] polynomial at order 2
+    _assert_pole_first_at(2, Fraction(-1), Frame((1, 1)), Fraction(1))
+
+
+def test_fixed_lambda_pole_first_at_order_three():
+    # c = -2 kills the box of content 2, first met in the frame [3]
+    _assert_pole_first_at(3, Fraction(-1, 4), Frame((3,)), Fraction(-2))
+
+
+def test_shape_mismatch_rejected():
+    cfg = SpaceConfig(2, 1, Fraction(1))
+    rng = np.random.default_rng(5)
+    f = random_function_expr(cfg, rng)
+    z = sample_point(cfg, 5)
+    wide = sample_point(SpaceConfig(1, 2), 5)
+    with pytest.raises(ValueError, match="point has shape"):
+        star_eval(f, f, cfg, wide, 1)
+    small = random_function_expr(SpaceConfig(1, 1), rng)
+    for left, right in ((small, f), (f, small)):
+        with pytest.raises(ValueError, match="function matrix has shape"):
+            star_eval(left, right, cfg, z, 1, lam=Fraction(1, 10))
 
 
 def test_first_order_is_wick_first_order():
@@ -232,6 +271,122 @@ def test_slot_coefficient_matrix_inverts_c_powers():
     U = slot_coefficient_matrix(r, p, c)
     big = rho_central(c_power_element(r, c), p).to_complex().entries
     assert np.max(np.abs(big @ U - np.eye(p**r))) < 1e-12
+
+
+@cache
+def _class_sums(r, p):
+    """rho(k_alpha) on (C^p)^{x r}, one integer matrix per class of S_r, by enumerating S_r."""
+    dim = p**r
+    flat = np.arange(dim).reshape((p,) * r)
+    cols = np.arange(dim)
+    classes = {alpha: i for i, alpha in enumerate(conj_classes_of(r))}
+    sums = np.zeros((len(classes), dim, dim), dtype=np.int32)
+    for images in itertools.permutations(range(r)):
+        sums[classes[cycle_type(Permutation(images))], flat.transpose(images).ravel(), cols] += 1
+    return sums
+
+
+@cache
+def _frame_projectors(r, p):
+    """(frame, Young projector) for each frame of weight r with at most p rows.
+
+    P_[m] = (n_[m] / r!) sum_alpha chi^[m]_alpha rho(k_alpha), the integer
+    sum scaled once, so every entry is the correctly rounded exact value.
+    """
+    if r == 0:
+        return ((Frame(()), np.ones((1, 1))),)
+    sums = _class_sums(r, p)
+    out = []
+    for frame in partitions_of(r):
+        if frame.num_rows <= p:
+            chi = np.array([character(frame, alpha) for alpha in conj_classes_of(r)])
+            P = np.tensordot(chi, sums, axes=1) * dim_symmetric(frame) / factorial(r)
+            out.append((frame, P))
+    return tuple(out)
+
+
+def _projector_sum(r, p, weight):
+    """The coefficient element built from frames: sum of weight(frame) * P_[m]."""
+    return sum(weight(frame) * P for frame, P in _frame_projectors(r, p))
+
+
+def _assert_matches_projector_sum(M, r, p, weight):
+    # no projector entry exceeds 1, so the largest weight bounds the entries
+    scale = max(abs(weight(frame)) for frame, _ in _frame_projectors(r, p))
+    assert np.max(np.abs(M - _projector_sum(r, p, weight))) <= 1e-12 * scale
+
+
+# every (r, p) with p <= 3 and p^r <= 729 whose S_r the oracle enumerates
+JM_SIZES = [(r, p) for p in (1, 2, 3) for r in range(1, 9) if p**r <= 729]
+
+
+@pytest.mark.parametrize("r,p", [(3, 2), (4, 2), (3, 3)])
+def test_oracle_projectors_are_exact(r, p):
+    for frame, P in _frame_projectors(r, p):
+        assert np.array_equal(P, projector(frame, p).to_complex().entries)
+
+
+@pytest.mark.parametrize("r,p", JM_SIZES)
+def test_slot_coefficient_matrix_matches_projector_sum(r, p):
+    for c in (Fraction(37, 7), Fraction(-23, 2)):
+        U = slot_coefficient_matrix(r, p, c)
+        _assert_matches_projector_sum(U, r, p, lambda frame: 1 / float(t_value(frame, c)))
+
+
+@pytest.mark.parametrize("r,p", JM_SIZES)
+def test_series_coefficient_matrices_match_projector_sum(r, p):
+    mu, order = Fraction(3, 2), r + 2
+    mats = _series_coefficient_matrices(r, p, mu, order)
+    assert len(mats) == order - r + 1
+    for t, M in enumerate(mats, start=r):
+        _assert_matches_projector_sum(
+            M, r, p,
+            lambda frame: float(lambda_coefficient_series(frame, mu, p, order).coeffs[t]),
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(1, 5),
+    p=st.integers(1, 3),
+    c=st.fractions(min_value=-12, max_value=12, max_denominator=12),
+)
+def test_slot_coefficient_matrix_property(r, p, c):
+    assume(all(t_value(frame, c) != 0 for frame, _ in _frame_projectors(r, p)))
+    U = slot_coefficient_matrix(r, p, c)
+    _assert_matches_projector_sum(U, r, p, lambda frame: 1 / float(t_value(frame, c)))
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("order", [9, 10])
+def test_high_order_matches_closed_form(order, q):
+    # mu = 3: at mu = 1 the order-10 formal coefficient cancels terms of
+    # size ~1e5 in both routes, and they agree only to ~1e-9
+    cfg = SpaceConfig(1, q, Fraction(3))
+    rng = np.random.default_rng(order + q)
+    z = sample_point(cfg, order)
+    f = random_function_expr(cfg, rng)
+    g = random_function_expr(cfg, rng)
+    a = star_eval(f, g, cfg, z, order)
+    b = projective_star_eval(f, g, cfg, z, order)
+    assert max(abs(x - y) for x, y in zip(a.coeffs, b.coeffs)) < 1e-11
+    lam = Fraction(1, 10)
+    fixed = star_eval(f, g, cfg, z, order, lam=lam)
+    assert abs(fixed - projective_star_eval(f, g, cfg, z, order, lam=lam)) < 1e-11
+
+
+def test_product_path_enumerates_no_permutations(monkeypatch):
+    def refuse(r):
+        raise AssertionError(f"S_{r} enumerated on the product path")
+
+    monkeypatch.setattr(grastar.tensor_action, "permutations_of", refuse)
+    cfg = SpaceConfig(2, 1, Fraction(2))
+    rng = np.random.default_rng(9)
+    z = sample_point(cfg, 9)
+    f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
+    star_eval(f, g, cfg, z, 3)
+    star_eval(f, g, cfg, z, 3, lam=Fraction(1, 3))
+    assert max(associativity_residuals(f, g, h, cfg, z, 2)) < 1e-10
 
 
 def test_associativity_small():
