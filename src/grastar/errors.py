@@ -25,4 +25,4 @@ class PoleError(GrastarError):
 
 
 class ConvergenceError(GrastarError):
-    """An iterative jet computation failed to reach its fixed point."""
+    """A jet matrix inverse met an ill-conditioned constant term or missed its residual bound."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from grastar.center import LambdaSeries
 from grastar.errors import GrastarError
-from grastar.jets import JetRing, MatrixJet, mat_inv_sqrt, mat_inverse
+from grastar.jets import JetRing, MatrixJet, mat_inverse
 
 RANK_THRESHOLD = 1e-6
 
@@ -109,20 +109,6 @@ def level_representative(z: PointZ, mu) -> PointZ:
     mu = float(Fraction(mu))
     zeta = z.z @ _inv_sqrt_hermitian(gram(z)) * np.sqrt(mu)
     return PointZ(zeta)
-
-
-def level_representative_jet(Z: MatrixJet, Zbar: MatrixJet, mu) -> tuple[MatrixJet, MatrixJet]:
-    """Jet version: (zeta, zetabar) with zetabar zeta = mu * identity.
-
-    Z and Zbar are independent jet arguments; the inverse square root of
-    the Gram jet is propagated through Denman-Beavers iteration.
-    """
-    mu = float(Fraction(mu))
-    root_mu = np.sqrt(mu)
-    R = mat_inv_sqrt(Zbar @ Z)
-    zeta = (Z @ R).scale(root_mu)
-    zetabar = (R @ Zbar).scale(root_mu)
-    return zeta, zetabar
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,8 @@ class JetRing:
         if not 0 <= index < self.nvars:
             raise RangeError(f"variable index {index} out of range 0..{self.nvars - 1}")
         out = self.const(base_value)
+        if self.order == 0:  # the linear term lies beyond the truncation
+            return out
         e = [0] * self.nvars
         e[index] = 1
         out.coeffs[self.index_of(tuple(e))] = 1.0
@@ -277,11 +279,6 @@ class Jet:
         return f"Jet({terms}{more})"
 
 
-def jet_var(index: int, base_value, nvars: int, order: int) -> Jet:
-    """Convenience constructor: base_value + eps_index in a fresh ring."""
-    return JetRing(nvars, order).var(index, base_value)
-
-
 def extract_partial(j: Jet, multidegree) -> complex:
     """The true mixed partial derivative: coefficient times factorials."""
     idx = j.ring.index_of(multidegree)
@@ -327,15 +324,6 @@ class MatrixJet:
             [[x.value() for x in row] for row in self.data], dtype=complex
         )
 
-    def __add__(self, other: "MatrixJet") -> "MatrixJet":
-        return MatrixJet(
-            self.ring,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
-
     def __sub__(self, other: "MatrixJet") -> "MatrixJet":
         return MatrixJet(
             self.ring,
@@ -377,74 +365,34 @@ class MatrixJet:
         return max(x.max_abs() for row in self.data for x in row)
 
 
-def _diff_norm(a: MatrixJet, b: MatrixJet) -> float:
-    return max(
-        float(np.max(np.abs(x.coeffs - y.coeffs)))
-        for rx, ry in zip(a.data, b.data)
-        for x, y in zip(rx, ry)
-    )
+_COND_THRESHOLD = 1e-8
 
 
-_FIXED_POINT_TOL = 1e-13
-
-
-def mat_inverse(M: MatrixJet, cond_threshold: float = 1e-8) -> MatrixJet:
+def mat_inverse(M: MatrixJet) -> MatrixJet:
     """Inverse of a square jet matrix.
 
     The constant term is inverted numerically, then Newton iteration
     X <- X (2 I - M X) lifts the inverse through the nilpotent orders.
+    I - M X starts at degree 1 and squares at each step, so
+    ``order.bit_length()`` steps are exact to the truncation.  The residual
+    bound is relative, because the inverse of a jet whose constant term is
+    small has coefficients far larger than 1.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
     ring = M.ring
     M0 = M.value()
     sv = np.linalg.svd(M0, compute_uv=False)
-    if sv[-1] <= cond_threshold * sv[0] or sv[0] == 0:
+    if sv[-1] <= _COND_THRESHOLD * sv[0] or sv[0] == 0:
         raise ConvergenceError(
             f"constant term is singular or ill-conditioned (cond {sv[0] / max(sv[-1], 1e-300):.2e})"
         )
     X = MatrixJet.from_numeric(ring, np.linalg.inv(M0))
-    two_I = MatrixJet.identity(ring, M.rows).scale(2.0)
-    for _ in range(ring.order + 2):
-        X_next = X @ (two_I - M @ X)
-        if _diff_norm(X_next, X) <= _FIXED_POINT_TOL:
-            return X_next
-        X = X_next
-    # one final check: residual of the last iterate
-    resid = (M @ X) - MatrixJet.identity(ring, M.rows)
-    if resid.max_abs() > 1e-10:
-        raise ConvergenceError("jet matrix inversion did not converge")
+    identity = MatrixJet.identity(ring, M.rows)
+    two_I = identity.scale(2.0)
+    for _ in range(ring.order.bit_length()):
+        X = X @ (two_I - M @ X)
+    resid = ((M @ X) - identity).max_abs()
+    if resid > 1e-10 * max(M.max_abs() * X.max_abs(), 1.0):
+        raise ConvergenceError(f"jet matrix inverse misses its residual bound ({resid:.2e})")
     return X
-
-
-def mat_inv_sqrt(M: MatrixJet, maxiter: int = 50) -> MatrixJet:
-    """Inverse principal square root of a jet matrix.
-
-    Requires a hermitian positive definite constant term.  Runs the
-    Denman-Beavers coupled iteration (Y -> sqrt, Z -> inverse sqrt) on
-    jets, after scaling the matrix so the constant spectrum sits near 1.
-    """
-    if M.rows != M.cols:
-        raise ValueError("matrix must be square")
-    ring = M.ring
-    M0 = M.value()
-    if np.max(np.abs(M0 - M0.conj().T)) > 1e-10 * max(np.max(np.abs(M0)), 1.0):
-        raise ConvergenceError("constant term is not hermitian")
-    eig = np.linalg.eigvalsh(M0)
-    if eig[0] <= 1e-12 * max(eig[-1], 1.0):
-        raise ConvergenceError("constant term is not positive definite")
-    scale = float(np.mean(eig))
-    Ms = M.scale(1.0 / scale)
-    Y = Ms
-    Z = MatrixJet.identity(ring, M.rows)
-    for _ in range(maxiter):
-        Y_next = (Y + mat_inverse(Z)).scale(0.5)
-        Z_next = (Z + mat_inverse(Y)).scale(0.5)
-        delta = max(_diff_norm(Y_next, Y), _diff_norm(Z_next, Z))
-        Y, Z = Y_next, Z_next
-        if delta <= _FIXED_POINT_TOL:
-            break
-    else:
-        raise ConvergenceError("Denman-Beavers iteration did not converge")
-    # Z is (M/scale)^(-1/2)
-    return Z.scale(1.0 / np.sqrt(scale))

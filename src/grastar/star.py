@@ -37,7 +37,7 @@ from math import factorial
 import numpy as np
 
 from grastar.center import CentralElement, LambdaSeries, e_to_k, s_coeffs
-from grastar.errors import PoleError
+from grastar.errors import PoleError, RangeError
 from grastar.geometry import (
     FunctionExpr,
     PointZ,
@@ -46,13 +46,12 @@ from grastar.geometry import (
     eval_function,
     holomorphic_jet_point,
     level_representative,
-    level_representative_jet,
     poisson_bracket,
     random_function_expr,
     sample_point,
     wick_product,
 )
-from grastar.jets import Jet, JetRing, MatrixJet
+from grastar.jets import Jet, JetRing, MatrixJet, mat_inverse
 from grastar.partitions import Frame, conj_classes_of, partitions_of
 from grastar.tensor_action import _check_dim, rho_central
 
@@ -487,9 +486,15 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     Returns (ring, [jet per lambda order]): the lambda^t coefficient of
     f*g as a truncated expansion in offsets of the base point, either in
     the holomorphic matrix entries (``outer_holomorphic=True``, conjugate
-    entries frozen) or in the antiholomorphic ones.  The base point must
-    already satisfy zetabar zeta = mu, so that it is its own level
-    representative.
+    entries frozen) or in the antiholomorphic ones.
+
+    Invariant functions depend on (Z, Zbar) only through
+    Pi = Z (Zbar Z)^-1 Zbar, which is unchanged by Zbar -> A Zbar.  So the
+    offset point is represented by the pair (Z, mu (Zbar Z)^-1 Zbar), whose
+    Gram matrix is mu to every jet order: one p x p jet inverse, no inverse
+    square root.  The base point must already satisfy zetabar zeta = mu,
+    because the outer pairing happens at zeta0, where that pair reduces to
+    (zeta0, zeta0^t).
     """
     n, p = cfg.n, cfg.p
     nz = n * p
@@ -501,18 +506,18 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     base = zeta0.z
     basebar = zeta0.zbar
     if outer_holomorphic:
-        Zpt = MatrixJet(
+        zeta = MatrixJet(
             total,
             [[total.var(A * p + i, base[A, i]) for i in range(p)] for A in range(n)],
         )
         Zbpt = MatrixJet.from_numeric(total, basebar)
     else:
-        Zpt = MatrixJet.from_numeric(total, base)
+        zeta = MatrixJet.from_numeric(total, base)
         Zbpt = MatrixJet(
             total,
             [[total.var(A * p + i, basebar[i, A]) for A in range(n)] for i in range(p)],
         )
-    zeta, zetabar = level_representative_jet(Zpt, Zbpt, mu)
+    zetabar = mat_inverse(Zbpt @ zeta).scale(float(mu)) @ Zbpt
     # factor f sees fresh holomorphic inner offsets, g antiholomorphic ones
     Zf = MatrixJet(
         total,
@@ -601,8 +606,14 @@ def verify_suite(
 
     Returns a JSON-serializable report; each entry records the check name,
     its parameters, the residual, the tolerance and a pass flag.  Fully
-    deterministic for a fixed seed.
+    deterministic for a fixed seed.  Raises ``RangeError`` for an order
+    below 1, which has no commutator to check, or a tolerance that is
+    negative or not finite.
     """
+    if order < 1:
+        raise RangeError(f"verification needs order >= 1, got {order}")
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise RangeError(f"tolerance must be finite and nonnegative, got {tolerance}")
     rng = np.random.default_rng(seed)
     checks = []
     params = {

@@ -8,6 +8,7 @@ import pytest
 
 import grastar.cli
 from grastar.cli import main
+from grastar.errors import ConvergenceError
 from grastar.geometry import FunctionExpr, SpaceConfig, random_function_expr
 
 
@@ -211,6 +212,16 @@ def test_verify_byte_identical(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "option, value", [("--order", "0"), ("--tolerance", "nan"), ("--tolerance", "-1")]
+)
+def test_verify_bad_parameter_exit(capsys, option, value):
+    code, out, err = run_cli(capsys, "verify", "--p", "1", "--q", "1", option, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_point_round_trip(tmp_path, capsys):
     # an explicitly supplied point is echoed back bit-exactly
     cfg = SpaceConfig(1, 1, Fraction(1))
@@ -238,3 +249,14 @@ def test_memory_error_exit(capsys, monkeypatch):
     assert err == (
         "out of memory: Unable to allocate 5.52 GiB for an array with shape (27225, 27225)\n"
     )
+
+
+def test_numeric_failure_exit(capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise ConvergenceError("jet matrix inversion did not converge")
+
+    monkeypatch.setattr(grastar.cli, "verify_suite", diverge)
+    code, out, err = run_cli(capsys, "verify", "--p", "2", "--q", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "numeric failure: jet matrix inversion did not converge\n"

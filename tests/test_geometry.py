@@ -17,14 +17,12 @@ from grastar.geometry import (
     gram,
     holomorphic_jet_point,
     level_representative,
-    level_representative_jet,
     momentum,
     poisson_bracket,
     random_function_expr,
     sample_point,
     wick_product,
 )
-from grastar.jets import JetRing, MatrixJet
 
 
 def _cfg(p=2, q=2, mu=Fraction(2)):
@@ -75,30 +73,6 @@ def test_level_representative_on_level_set():
     f = random_function_expr(cfg, rng)
     # same point on the quotient
     assert abs(eval_function(f, zeta) - eval_function(f, z)) < 1e-12
-
-
-def test_level_representative_jet_matches_numeric():
-    cfg = _cfg()
-    z = sample_point(cfg, 11)
-    ring = JetRing(8, 2)
-    p = cfg.p
-    Z = MatrixJet(
-        ring,
-        [[ring.var(A * p + i, z.z[A, i]) for i in range(p)] for A in range(cfg.n)],
-    )
-    Zbar = MatrixJet.from_numeric(ring, z.zbar)
-    zeta, zetabar = level_representative_jet(Z, Zbar, cfg.mu)
-    expect = level_representative(z, cfg.mu).z
-    assert np.max(np.abs(zeta.value() - expect)) < 1e-12
-    # the constraint holds to all computed jet orders
-    G = zetabar @ zeta
-    err = 0.0
-    for i in range(p):
-        for j in range(p):
-            c = G.data[i][j].coeffs.copy()
-            c[ring.index_of((0,) * 8)] -= float(cfg.mu) if i == j else 0.0
-            err = max(err, float(np.max(np.abs(c))))
-    assert err < 1e-11
 
 
 def test_function_json_round_trip_exact():

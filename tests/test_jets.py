@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from grastar.errors import ConvergenceError, RangeError
+from grastar.geometry import PointZ, SpaceConfig, holomorphic_jet_point, sample_point
 from grastar.jets import (
     Jet,
     JetRing,
     MatrixJet,
     extract_partial,
-    mat_inv_sqrt,
     mat_inverse,
 )
 
@@ -68,16 +68,6 @@ def test_partials_match_finite_differences():
     assert abs(extract_partial(f, (1, 1)) - fd_xy) < 1e-5
 
 
-def test_binomial_series():
-    # (4 + eps)^(-1/2) around eps = 0
-    ring = JetRing(1, 3)
-    M = MatrixJet(ring, [[ring.var(0, 4.0)]])
-    R = mat_inv_sqrt(M).data[0][0]
-    expect = [0.5, -0.0625, 0.01171875, -0.00244140625]
-    for k, e in enumerate(expect):
-        assert abs(R.coeffs[ring.index_of((k,))] - e) < 1e-13
-
-
 def test_mat_inverse_residual():
     rng = np.random.default_rng(3)
     ring = JetRing(4, 3)
@@ -94,29 +84,17 @@ def test_mat_inverse_residual():
     ) < 1e-12
 
 
-def test_mat_inv_sqrt_residual():
-    rng = np.random.default_rng(4)
-    ring = JetRing(3, 3)
-    A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    base = A @ A.conj().T + 2 * np.eye(2)
-    M = MatrixJet.from_numeric(ring, base)
-    for k in range(3):
-        M.data[k % 2][k % 2] = M.data[k % 2][k % 2] + ring.var(k, 0.0) * 0.3
-    R = mat_inv_sqrt(M)
-    X = R @ M @ R
-    I = MatrixJet.identity(ring, 2)
-    assert max(
-        np.max(np.abs(a.coeffs - b.coeffs))
-        for ra, rb in zip(X.data, I.data)
-        for a, b in zip(ra, rb)
-    ) < 1e-11
-
-
-def test_mat_inv_sqrt_rejects_indefinite():
-    ring = JetRing(1, 2)
-    M = MatrixJet.from_numeric(ring, np.diag([1.0, -1.0]))
-    with pytest.raises(ConvergenceError):
-        mat_inv_sqrt(M)
+@pytest.mark.parametrize("order", [3, 8])
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+def test_mat_inverse_of_gram_jet_at_any_scale(scale, order):
+    # at the point s z the Gram jet's constant term is ~s^2 and its linear
+    # terms ~s, so the inverse's order-k coefficients grow like s^-(k+2)
+    z = sample_point(SpaceConfig(2, 1), 13)
+    _, Z, Zbar = holomorphic_jet_point(PointZ(scale * z.z), order)
+    M = Zbar @ Z
+    X = mat_inverse(M)
+    resid = (M @ X - MatrixJet.identity(M.ring, 2)).max_abs()
+    assert resid / (M.max_abs() * X.max_abs()) < 1e-12
 
 
 def test_mat_inverse_rejects_singular():
@@ -206,6 +184,13 @@ def test_table_multiply_allocates_only_its_result():
     # the result is 16 bytes per monomial; one product per pair would be 16 per pair
     assert len(ring._table[0]) > 10 * ring.size
     assert peak < 2 * 16 * ring.size
+
+
+def test_var_at_order_zero_is_constant():
+    ring = JetRing(2, 0)
+    x = ring.var(1, 2.5)
+    assert ring.size == 1
+    assert x.value() == 2.5
 
 
 def test_var_out_of_range():

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import grastar.tensor_action
 from grastar.center import LambdaSeries, c_power_element, lambda_coefficient_series
 from grastar.characters import character
-from grastar.errors import PoleError
+from grastar.errors import PoleError, RangeError
 from grastar.geometry import (
     FunctionExpr,
+    PointZ,
     SpaceConfig,
     eval_function,
     holomorphic_jet_point,
@@ -45,6 +46,7 @@ from grastar.star import (
     projective_star_eval,
     slot_coefficient_matrix,
     star_eval,
+    star_jet_series,
     t_value,
     tensor_power,
     unsandwich,
@@ -152,6 +154,52 @@ def test_projective_closed_form_matches_engine():
         a = star_eval(f, g, cfg, z, 4)
         b = projective_star_eval(f, g, cfg, z, 4)
         assert max(abs(x - y) for x, y in zip(a.coeffs, b.coeffs)) < 1e-11
+
+
+def test_order_zero_is_pointwise_product():
+    cfg = SpaceConfig(2, 1, Fraction(2))
+    z = sample_point(cfg, 6)
+    rng = np.random.default_rng(6)
+    f = random_function_expr(cfg, rng)
+    g = random_function_expr(cfg, rng)
+    expect = eval_function(f, z) * eval_function(g, z)
+    series = star_eval(f, g, cfg, z, 0)
+    assert len(series.coeffs) == 1
+    assert abs(series.coeffs[0] - expect) < 1e-12
+    assert abs(star_eval(f, g, cfg, z, 0, lam=Fraction(1, 7)) - expect) < 1e-12
+
+
+def _well_conditioned(rng, p):
+    """U diag(s) V with unitary U, V and singular values s in [1/2, 2]."""
+    U, V = (
+        np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))[0]
+        for _ in range(2)
+    )
+    return U @ np.diag(rng.uniform(0.5, 2.0, p)) @ V
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(1, 2),
+    q=st.integers(1, 2),
+    order=st.integers(0, 3),
+    mu=st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=4),
+    seed=st.integers(0, 2**16),
+)
+def test_star_eval_invariant_under_gl(p, q, order, mu, seed):
+    # z and z g are the same point of the Grassmannian
+    cfg = SpaceConfig(p, q, mu)
+    rng = np.random.default_rng(seed)
+    z = sample_point(cfg, seed)
+    f = random_function_expr(cfg, rng)
+    g = random_function_expr(cfg, rng)
+    moved = PointZ(z.z @ _well_conditioned(rng, p))
+    a = star_eval(f, g, cfg, z, order).coeffs
+    b = star_eval(f, g, cfg, moved, order).coeffs
+    assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-10 * max(abs(x) for x in a)
+    lam = Fraction(1, 7)
+    fixed = star_eval(f, g, cfg, z, order, lam=lam)
+    assert abs(star_eval(f, g, cfg, moved, order, lam=lam) - fixed) <= 1e-10 * abs(fixed)
 
 
 def test_fixed_lambda_consistent_with_series():
@@ -389,6 +437,37 @@ def test_product_path_enumerates_no_permutations(monkeypatch):
     assert max(associativity_residuals(f, g, h, cfg, z, 2)) < 1e-10
 
 
+@pytest.mark.parametrize("outer_holomorphic", [True, False])
+@pytest.mark.parametrize("p, q, mu", [(2, 1, Fraction(2)), (1, 2, Fraction(1))])
+def test_star_jet_series_first_order_matches_finite_differences(p, q, mu, outer_holomorphic):
+    # the linear outer coefficients of each lambda-order jet are the
+    # Wirtinger derivatives d/dz or d/dzbar of star_eval at the base point
+    cfg = SpaceConfig(p, q, mu)
+    order = 2
+    rng = np.random.default_rng(p + 2 * q)
+    f = random_function_expr(cfg, rng)
+    g = random_function_expr(cfg, rng)
+    zeta0 = level_representative(sample_point(cfg, 14), mu)
+    ring, jets = star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic)
+    h = 1e-5
+    sign = -1 if outer_holomorphic else 1
+    for A in range(cfg.n):
+        for i in range(p):
+            E = np.zeros((cfg.n, p), dtype=complex)
+            E[A, i] = 1.0
+
+            def central(step):
+                up = star_eval(f, g, cfg, PointZ(zeta0.z + step * E), order).coeffs
+                down = star_eval(f, g, cfg, PointZ(zeta0.z - step * E), order).coeffs
+                return (np.array(up) - np.array(down)) / (2 * h)
+
+            expect = (central(h) + sign * 1j * central(1j * h)) / 2
+            md = [0] * ring.nvars
+            md[A * p + i] = 1
+            got = np.array([jet.coeff(md) for jet in jets])
+            assert np.max(np.abs(got - expect)) < 1e-8
+
+
 def test_associativity_small():
     cfg = SpaceConfig(2, 1, Fraction(2))
     z = sample_point(cfg, 8)
@@ -398,6 +477,14 @@ def test_associativity_small():
     h = random_function_expr(cfg, rng)
     res = associativity_residuals(f, g, h, cfg, z, 2)
     assert max(res) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"order": 0}, {"tolerance": float("nan")}, {"tolerance": float("inf")}, {"tolerance": -1e-7}]
+)
+def test_verify_suite_rejects_bad_parameters(kwargs):
+    with pytest.raises(RangeError):
+        verify_suite(SpaceConfig(1, 1), **kwargs)
 
 
 def test_verify_suite_passes_and_serializes():
