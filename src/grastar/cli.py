@@ -4,7 +4,8 @@ Every subcommand writes a single JSON document to stdout and diagnostics
 to stderr.  Exact rationals cross the boundary as "numerator/denominator"
 strings, never as floats.  Exit codes: 0 success, 1 verification failure,
 2 usage or input error, 3 coefficient pole, 4 numeric failure, 5 out of
-memory.
+memory, 6 internal error (any other exception: one stderr line
+``internal error: <Type>: <message>``, no traceback, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_USAGE = 2
 EXIT_POLE = 3
 EXIT_NUMERIC = 4
 EXIT_MEMORY = 5
+EXIT_INTERNAL = 6
 
 
 def _frac(text: str) -> Fraction:
@@ -269,12 +271,19 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:
-        message = " ".join(str(exc).split()) or "allocation failed"
-        print(f"out of memory: {message}", file=sys.stderr)
+        print(f"out of memory: {_one_line(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_MEMORY
     except (RangeError, GrastarError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a fault of the program, kept apart from exit 1 (verification failed)
+        print(f"internal error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _one_line(exc: BaseException) -> str:
+    return " ".join(str(exc).split())
 
 
 if __name__ == "__main__":

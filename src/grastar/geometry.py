@@ -22,7 +22,7 @@ import numpy as np
 
 from grastar.center import LambdaSeries
 from grastar.errors import GrastarError
-from grastar.jets import JetRing, MatrixJet, mat_inverse
+from grastar.jets import Jet, MatrixJet, mat_inverse, shared_ring
 
 RANK_THRESHOLD = 1e-6
 
@@ -218,18 +218,9 @@ def random_function_expr(cfg: SpaceConfig, rng, nterms: int = 2, maxdeg: int = 2
     return FunctionExpr(terms)
 
 
-def _trace_prod_jet(B: np.ndarray, Pi: MatrixJet):
-    """tr(B Pi) for a constant matrix B and a jet matrix Pi."""
-    acc = None
-    n = Pi.rows
-    for a in range(n):
-        for c in range(n):
-            coeff = B[a, c]
-            if coeff == 0:
-                continue
-            term = Pi.data[c][a] * coeff
-            acc = term if acc is None else acc + term
-    return acc if acc is not None else Pi.ring.const(0.0)
+def _trace_prod_jet(B: np.ndarray, Pi: MatrixJet) -> Jet:
+    """tr(B Pi) = sum_{a,c} B[a, c] Pi[c, a] for a constant matrix B and a jet matrix Pi."""
+    return Jet(Pi.ring, B.T.reshape(-1) @ Pi.coeffs.reshape(-1, Pi.ring.size))
 
 
 def eval_function(f: FunctionExpr, Z, Zbar=None):
@@ -245,16 +236,16 @@ def eval_function(f: FunctionExpr, Z, Zbar=None):
     if isinstance(Z, MatrixJet):
         x = Zbar @ Z
         Pi = Z @ mat_inverse(x) @ Zbar
-        total = Pi.ring.const(0.0)
+        total = Pi.ring.zero()
         cache = {}
         for coeff, factors in f.terms:
-            term = Pi.ring.const(coeff)
+            term = None
             for B in factors:
                 key = B.tobytes()
                 if key not in cache:
                     cache[key] = _trace_prod_jet(B, Pi)
-                term = term * cache[key]
-            total = total + term
+                term = cache[key] if term is None else term * cache[key]
+            total = total + (coeff if term is None else term * coeff)
         return total
     Z = np.asarray(Z, dtype=complex)
     if Zbar is None:
@@ -286,13 +277,14 @@ def _as_evaluator(f):
 
 
 def holomorphic_jet_point(z: PointZ, order: int):
-    """(Z, Zbar) with fresh holomorphic offsets; slot (A, i) is variable A*p + i."""
+    """(Z, Zbar) with fresh holomorphic offsets; slot (A, i) is variable A*p + i.
+
+    The ring is shared by every jet point of the same size and order.
+    """
     n, p = z.z.shape
-    ring = JetRing(n * p, order)
-    Z = MatrixJet(
-        ring,
-        [[ring.var(A * p + i, z.z[A, i]) for i in range(p)] for A in range(n)],
-    )
+    ring = shared_ring(n * p, order)
+    slots = np.arange(n * p).reshape(n, p)
+    Z = MatrixJet.from_numeric(ring, z.z) + MatrixJet.variables(ring, slots)
     Zbar = MatrixJet.from_numeric(ring, z.zbar)
     return ring, Z, Zbar
 
@@ -300,12 +292,10 @@ def holomorphic_jet_point(z: PointZ, order: int):
 def antiholomorphic_jet_point(z: PointZ, order: int):
     """(Z, Zbar) with fresh antiholomorphic offsets; slot (A, i) again A*p + i."""
     n, p = z.z.shape
-    ring = JetRing(n * p, order)
+    ring = shared_ring(n * p, order)
+    slots = np.arange(n * p).reshape(n, p)
     Z = MatrixJet.from_numeric(ring, z.z)
-    Zbar = MatrixJet(
-        ring,
-        [[ring.var(A * p + i, z.zbar[i, A]) for A in range(n)] for i in range(p)],
-    )
+    Zbar = MatrixJet.from_numeric(ring, z.zbar) + MatrixJet.variables(ring, slots.T)
     return ring, Z, Zbar
 
 

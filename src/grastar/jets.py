@@ -9,13 +9,27 @@ unrelated variables: nothing in here ever conjugates a jet.
 Coefficients live in dense numpy arrays over an explicit monomial basis.
 Each ``JetRing`` fixes the variable count, the truncation order and
 optional per-variable-group degree caps, and precomputes a multiplication
-table so that products are vectorized; this keeps the star-product engine
-fast enough for the verification suite.
+table of the monomial pairs whose product lies in the truncation.  The
+table is ordered in blocks (a, b), the pairs whose first monomial has
+degree a and whose second has degree b, so the pairs that can meet in a
+product are a few contiguous ranges of it: a product reads the lowest and
+highest degree its factors occupy and uses only the blocks in that
+rectangle.  A constant factor then costs one pair per monomial, and an
+affine one only the blocks with a <= 1.  ``MatrixJet`` keeps a matrix of
+jets as one (rows, cols, size) coefficient array, and its product sums
+the m products of each entry in work buffers before one scatter.
+``mat_inverse`` solves M X = I one degree at a time, which for an affine
+M touches only the blocks (1, d - 1).
+
+Jet points share their rings through ``shared_ring``, a small bounded
+cache, so a ring's table and the index maps cached on it are built once.
+All rings share one set of work buffers: products are not thread-safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -24,6 +38,30 @@ from grastar.errors import ConvergenceError, RangeError
 
 _SCALARS = (int, float, complex, Fraction, np.integer, np.floating, np.complexfloating)
 
+# pairs per scatter of a product: bounds a large ring's work buffers
+_CHUNK = 1 << 18
+
+
+class _Workspace:
+    """Work buffers of table products, grown on demand to the largest chunk.
+
+    Two factors and a running sum, one complex entry per pair.
+    """
+
+    def __init__(self):
+        self._buffers = np.empty((3, 0), dtype=complex)
+
+    def buffers(self, pairs: int) -> np.ndarray:
+        if self._buffers.shape[1] < pairs:
+            self._buffers = np.empty((3, pairs), dtype=complex)
+        return self._buffers
+
+
+# one workspace serves every ring: products run one at a time and return
+# fresh arrays, and a workspace freed with each ring would leave its pages
+# to fragment the heap
+_WORK = _Workspace()
+
 
 class JetRing:
     """Monomial basis and multiplication table for jets of a fixed shape.
@@ -31,6 +69,14 @@ class JetRing:
     ``caps`` is an optional tuple of ``(start, stop, max_degree)`` triples
     limiting the total degree within variable groups, used to keep mixed
     outer/inner differentiation rings small.
+
+    Monomials are sorted by key, the exponent vector read as digits in base
+    ``2 * order + 1``.  The multiplication table lists the pairs (i, j)
+    block by block, a = deg i outer and b = deg j inner, and
+    ``_offsets[a, b]`` is where block (a, b) starts; ``_offsets[a,
+    order - a + 1]`` is where the blocks of degree a end.  The blocks (a,
+    b_lo) ... (a, b_hi) are therefore one contiguous range, and so are all
+    blocks with a in a range when b runs up to the truncation.
     """
 
     def __init__(self, nvars: int, order: int, caps=()):
@@ -61,8 +107,9 @@ class JetRing:
         self.dfact = fact
         self._index_cache: dict[tuple[int, ...], int] = {}
         self._table = None
-        self._work = None
-        self._embed_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._offsets = None
+        self._targets = None
+        self._embed_cache: dict[tuple, np.ndarray] = {}
 
     def _gen_monomials(self) -> np.ndarray:
         """Every exponent vector within the order and the group caps, one per row.
@@ -97,68 +144,169 @@ class JetRing:
     def _mult_table(self):
         """Pairs (i, j) of monomials whose product lies in the truncation, and its index k.
 
-        A monomial of degree d is paired only with the prefix of the
-        degree-sorted monomials of degree at most ``order - d``.  Within
-        that bound no key digit carries, so a key sum names a monomial
-        exactly when it is one of ``keys``; that filter also enforces the
-        group caps.  Time and memory follow the candidate pairs, not
+        Built block by block: block (a, b) pairs the monomials of degree a
+        with those of degree b, for a + b <= order.  Within that bound no
+        key digit carries, so a key sum names a monomial exactly when it
+        is one of ``keys``; that filter also enforces the group caps.  Time
+        and memory follow the candidate pairs of one block, not
         ``size**2``.
         """
         if self._table is None:
-            keys = self.keys
-            by_degree = np.argsort(self.degree, kind="stable")
-            # below[d]: the number of monomials of degree at most d
-            below = np.cumsum(np.bincount(self.degree, minlength=self.order + 1))
+            keys, order = self.keys, self.order
+            by_degree = [np.flatnonzero(self.degree == d) for d in range(order + 1)]
+            offsets = np.zeros((order + 1, order + 2), dtype=np.intp)
             parts = []
-            for d in range(self.order + 1):
-                rows = np.flatnonzero(self.degree == d)
-                cols = by_degree[: below[self.order - d]]
-                sums = (keys[rows][:, None] + keys[cols][None, :]).ravel()
-                pos = np.minimum(np.searchsorted(keys, sums), self.size - 1)
-                hit = np.flatnonzero(keys[pos] == sums)
-                ri, ci = np.divmod(hit, len(cols))
-                parts.append((rows[ri], cols[ci], pos[hit]))
-            ti, tj, tk = (np.concatenate(a).astype(np.intp) for a in zip(*parts))
+            count = 0
+            for a in range(order + 1):
+                rows = by_degree[a]
+                for b in range(order - a + 1):
+                    offsets[a, b] = count
+                    cols = by_degree[b]
+                    if len(rows) == 0 or len(cols) == 0:
+                        continue
+                    sums = (keys[rows][:, None] + keys[cols][None, :]).ravel()
+                    pos = np.minimum(np.searchsorted(keys, sums), self.size - 1)
+                    hit = np.flatnonzero(keys[pos] == sums)
+                    ri, ci = np.divmod(hit, len(cols))
+                    parts.append((rows[ri], cols[ci], pos[hit]))
+                    count += len(hit)
+                offsets[a, order - a + 1] = count
+            ti, tj, tk = (np.concatenate(a) for a in zip(*parts))
+            del parts
             self._table = (ti, tj, tk)
-            # work buffers of the table product, one complex entry per pair, and
+            self._offsets = offsets
             # the bincount targets 2k, 2k+1 that sum the real and imaginary
-            # halves of the interleaved float64 view of a product into output k
-            targets = np.empty(2 * len(tk), dtype=np.intp)
-            targets[0::2] = 2 * tk
-            targets[1::2] = 2 * tk + 1
-            products = np.empty(len(tk), dtype=complex)
-            self._work = (products, np.empty_like(products), targets)
+            # halves of the interleaved float64 view of products into output k
+            self._targets = np.empty(2 * len(tk), dtype=np.intp)
+            self._targets[0::2] = 2 * tk
+            self._targets[1::2] = 2 * tk + 1
         return self._table
 
-    def _multiply_table(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """Product through the table; allocates nothing but its result."""
-        ti, tj, _ = self._mult_table()
-        a, b, targets = self._work
-        # mode="clip" writes straight into ``out``; "raise" would buffer
-        np.take(np.asarray(c1, dtype=complex), ti, out=a, mode="clip")
-        np.take(np.asarray(c2, dtype=complex), tj, out=b, mode="clip")
-        np.multiply(a, b, out=a)
-        out = np.bincount(targets, weights=a.view(np.float64), minlength=2 * self.size)
+    def _degree_range(self, coeffs: np.ndarray):
+        """Lowest and highest degree at which any vector of a stack is nonzero.
+
+        ``coeffs`` holds coefficient vectors along its last axis; returns
+        None when they are all zero.
+        """
+        degrees = self.degree[np.any(coeffs.reshape(-1, self.size) != 0, axis=0)]
+        return (int(degrees.min()), int(degrees.max())) if len(degrees) else None
+
+    def _rectangle(self, A: np.ndarray, B: np.ndarray):
+        """The blocks that products of A's vectors with B's vectors can use.
+
+        Returns (swap, blocks) with blocks as (a, b_lo, b_hi) triples.  The
+        factor that occupies fewer degrees takes the first place (deg i =
+        a), so a constant or affine factor reads one contiguous range;
+        ``swap`` says that this is B.  Multiplication commutes and the
+        table holds (j, i) with every (i, j), so either order is exact.
+        """
+        ra, rb = self._degree_range(A), self._degree_range(B)
+        if ra is None or rb is None:
+            return False, []
+        swap = ra[1] - ra[0] > rb[1] - rb[0]
+        (lo1, hi1), (lo2, hi2) = (rb, ra) if swap else (ra, rb)
+        N = self.order
+        return swap, [(a, lo2, min(hi2, N - a)) for a in range(lo1, min(hi1, N - lo2) + 1)]
+
+    def _chunks(self, blocks):
+        """The pairs of the blocks (a, b_lo, b_hi), in chunks of at most ``_CHUNK`` pairs.
+
+        Each chunk is (ranges, targets): its (start, stop) ranges of the
+        table, adjacent blocks merged into one range, and their bincount
+        targets, a view of the ring's for a single range and a copy made
+        for this product otherwise.
+        """
+        self._mult_table()
+        off = self._offsets
+        spans: list[tuple[int, int]] = []
+        for a, b_lo, b_hi in blocks:
+            if b_lo > b_hi:
+                continue
+            s, e = int(off[a, b_lo]), int(off[a, b_hi + 1])
+            if s == e:
+                continue
+            if spans and spans[-1][1] == s:
+                spans[-1] = (spans[-1][0], e)
+            else:
+                spans.append((s, e))
+        groups: list[list[tuple[int, int]]] = []
+        group, room = [], _CHUNK
+        for s, e in spans:
+            while s < e:
+                step = min(e - s, room)
+                group.append((s, s + step))
+                s, room = s + step, room - step
+                if room == 0:
+                    groups.append(group)
+                    group, room = [], _CHUNK
+        if group:
+            groups.append(group)
+        chunks = []
+        for group in groups:
+            parts = [self._targets[2 * s : 2 * e] for s, e in group]
+            chunks.append((group, parts[0] if len(parts) == 1 else np.concatenate(parts)))
+        return chunks
+
+    def _dot(self, C1, C2, chunks) -> np.ndarray:
+        """sum_k C1[k] * C2[k] over the pairs in ``chunks``, scattered once per chunk.
+
+        C1[k] is read at the first monomial of each pair, C2[k] at the
+        second.  The products are packed into the shared work buffers, so
+        this allocates nothing but its result.
+        """
+        ti, tj, _ = self._table
+        acc, a, b = _WORK.buffers(max(len(t) for _, t in chunks) // 2)
+        out = None
+        for ranges, targets in chunks:
+            for k in range(len(C1)):
+                dst = acc if k == 0 else a
+                n = 0
+                for s, e in ranges:
+                    # mode="clip" writes straight into ``out``; "raise" would buffer
+                    C1[k].take(ti[s:e], out=dst[n : n + e - s], mode="clip")
+                    C2[k].take(tj[s:e], out=b[n : n + e - s], mode="clip")
+                    n += e - s
+                np.multiply(dst[:n], b[:n], out=dst[:n])
+                if k:
+                    np.add(acc[:n], a[:n], out=acc[:n])
+            part = np.bincount(targets, weights=acc[:n].view(np.float64), minlength=2 * self.size)
+            if out is None:
+                out = part
+            else:
+                out += part
         return out.view(complex)
 
     def multiply(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        if self._table is not None:
-            return self._multiply_table(c1, c2)
-        nz1 = np.nonzero(c1)[0]
-        nz2 = np.nonzero(c2)[0]
-        if len(nz1) == 0 or len(nz2) == 0:
+        """Product of two coefficient vectors, through the blocks their degrees occupy."""
+        C1 = np.asarray(c1, dtype=complex)[None]
+        C2 = np.asarray(c2, dtype=complex)[None]
+        swap, blocks = self._rectangle(C1, C2)
+        chunks = self._chunks(blocks)
+        if not chunks:
             return np.zeros(self.size, dtype=complex)
-        if len(nz1) * len(nz2) > self.size * 8:
-            return self._multiply_table(c1, c2)
-        sums = (self.keys[nz1][:, None] + self.keys[nz2][None, :]).ravel()
-        prod = (c1[nz1][:, None] * c2[nz2][None, :]).ravel()
-        pos = np.searchsorted(self.keys, sums)
-        pos = np.minimum(pos, self.size - 1)
-        valid = self.keys[pos] == sums
-        pos = pos[valid]
-        prod = prod[valid]
-        out = np.bincount(pos, weights=prod.real, minlength=self.size).astype(complex)
-        out += 1j * np.bincount(pos, weights=prod.imag, minlength=self.size)
+        if swap:
+            C1, C2 = C2, C1
+        return self._dot(C1, C2, chunks)
+
+    def _matmul(self, A: np.ndarray, B: np.ndarray, blocks=None) -> np.ndarray:
+        """Coefficients of sum_k A[i, k] B[k, j] for stacks (rows, m, size) and (m, cols, size).
+
+        Without ``blocks`` the product uses the rectangle of degrees that A
+        and B occupy; with them, A's entries take the first place and only
+        those blocks are summed.
+        """
+        swap = False
+        if blocks is None:
+            swap, blocks = self._rectangle(A, B)
+        chunks = self._chunks(blocks)
+        out = np.zeros((A.shape[0], B.shape[1], self.size), dtype=complex)
+        if chunks:
+            for i in range(A.shape[0]):
+                for j in range(B.shape[1]):
+                    if swap:
+                        out[i, j] = self._dot(B[:, j], A[i], chunks)
+                    else:
+                        out[i, j] = self._dot(A[i], B[:, j], chunks)
         return out
 
     def warm(self) -> "JetRing":
@@ -186,8 +334,11 @@ class JetRing:
         return out
 
     def embed_map(self, target: "JetRing", offset: int = 0) -> np.ndarray:
-        """Index map sending this ring's monomials into a larger ring."""
-        cache_key = (id(target), offset)
+        """Index map sending this ring's monomials into a larger ring.
+
+        Cached by the target's shape, which alone fixes its monomials.
+        """
+        cache_key = (target.nvars, target.order, target.caps, offset)
         if cache_key not in self._embed_cache:
             tw = target._weights[offset : offset + self.nvars]
             keys = self.monos @ tw if self.nvars else np.zeros(self.size, dtype=np.int64)
@@ -199,6 +350,17 @@ class JetRing:
 
     def __repr__(self):
         return f"JetRing(nvars={self.nvars}, order={self.order}, caps={self.caps}, size={self.size})"
+
+
+@lru_cache(maxsize=8)
+def shared_ring(nvars: int, order: int) -> JetRing:
+    """The uncapped ring of this shape, built once per process and shared.
+
+    The cache keeps the eight most recently used shapes.  Products return
+    fresh arrays, so callers may share a ring as long as they do not run
+    concurrently.
+    """
+    return JetRing(nvars, order)
 
 
 class Jet:
@@ -215,9 +377,6 @@ class Jet:
 
     def coeff(self, multidegree) -> complex:
         return complex(self.coeffs[self.ring.index_of(multidegree)])
-
-    def copy(self) -> "Jet":
-        return Jet(self.ring, self.coeffs.copy())
 
     def _coerce(self, other):
         if isinstance(other, Jet):
@@ -290,93 +449,106 @@ def extract_partial(j: Jet, multidegree) -> complex:
 
 
 class MatrixJet:
-    """A rectangular matrix whose entries are jets of one shared ring."""
+    """A rectangular matrix of jets of one ring, as a (rows, cols, size) coefficient array."""
 
-    __slots__ = ("ring", "rows", "cols", "data")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: JetRing, data):
+    def __init__(self, ring: JetRing, coeffs):
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.ndim != 3 or coeffs.shape[2] != ring.size:
+            raise ValueError(
+                f"expected a (rows, cols, {ring.size}) coefficient array, got shape {coeffs.shape}"
+            )
         self.ring = ring
-        self.data = [list(row) for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
+        self.coeffs = coeffs
+
+    @property
+    def rows(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.coeffs.shape[1]
 
     @classmethod
     def from_numeric(cls, ring: JetRing, array) -> "MatrixJet":
         array = np.asarray(array, dtype=complex)
-        return cls(ring, [[ring.const(x) for x in row] for row in array])
+        coeffs = np.zeros(array.shape + (ring.size,), dtype=complex)
+        coeffs[:, :, ring.index_of((0,) * ring.nvars)] = array
+        return cls(ring, coeffs)
 
     @classmethod
     def identity(cls, ring: JetRing, n: int) -> "MatrixJet":
-        return cls(
-            ring,
-            [[ring.const(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)],
-        )
+        return cls.from_numeric(ring, np.eye(n))
 
-    def __getitem__(self, idx):
+    @classmethod
+    def variables(cls, ring: JetRing, index) -> "MatrixJet":
+        """The matrix whose (r, c) entry is the variable number ``index[r, c]``."""
+        index = np.asarray(index)
+        coeffs = np.zeros(index.shape + (ring.size,), dtype=complex)
+        if ring.order:  # the linear terms lie beyond an order-0 truncation
+            keys = ring._weights[index]
+            pos = np.minimum(np.searchsorted(ring.keys, keys), ring.size - 1)
+            if np.any(ring.keys[pos] != keys):
+                raise KeyError("a variable's linear term is not in the truncation")
+            rows, cols = np.indices(index.shape)
+            coeffs[rows, cols, pos] = 1.0
+        return cls(ring, coeffs)
+
+    def __getitem__(self, idx) -> Jet:
         i, j = idx
-        return self.data[i][j]
+        return Jet(self.ring, self.coeffs[i, j])
+
+    def __setitem__(self, idx, jet: Jet) -> None:
+        if jet.ring is not self.ring:
+            raise ValueError("jets belong to different rings")
+        i, j = idx
+        self.coeffs[i, j] = jet.coeffs
 
     def value(self) -> np.ndarray:
-        return np.array(
-            [[x.value() for x in row] for row in self.data], dtype=complex
-        )
+        return self.coeffs[:, :, self.ring.index_of((0,) * self.ring.nvars)].copy()
+
+    def _check_ring(self, other: "MatrixJet") -> None:
+        if other.ring is not self.ring:
+            raise ValueError("matrices belong to different rings")
+
+    def __add__(self, other: "MatrixJet") -> "MatrixJet":
+        self._check_ring(other)
+        return MatrixJet(self.ring, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "MatrixJet") -> "MatrixJet":
-        return MatrixJet(
-            self.ring,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
+        self._check_ring(other)
+        return MatrixJet(self.ring, self.coeffs - other.coeffs)
 
     def scale(self, factor) -> "MatrixJet":
-        return MatrixJet(self.ring, [[x * factor for x in row] for row in self.data])
+        return MatrixJet(self.ring, self.coeffs * complex(factor))
 
     def __matmul__(self, other: "MatrixJet") -> "MatrixJet":
+        self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.data[i][0] * other.data[0][j]
-                for k in range(1, self.cols):
-                    acc = acc + self.data[i][k] * other.data[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatrixJet(self.ring, out)
-
-    def trace(self) -> Jet:
-        acc = self.data[0][0]
-        for i in range(1, self.rows):
-            acc = acc + self.data[i][i]
-        return acc
-
-    def embed(self, target: JetRing, offset: int = 0) -> "MatrixJet":
-        return MatrixJet(
-            target, [[x.embed(target, offset) for x in row] for row in self.data]
-        )
+        return MatrixJet(self.ring, self.ring._matmul(self.coeffs, other.coeffs))
 
     def max_abs(self) -> float:
-        return max(x.max_abs() for row in self.data for x in row)
+        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
 
 _COND_THRESHOLD = 1e-8
 
 
 def mat_inverse(M: MatrixJet) -> MatrixJet:
-    """Inverse of a square jet matrix.
+    """Inverse of a square jet matrix, solved one degree at a time.
 
-    The constant term is inverted numerically, then Newton iteration
-    X <- X (2 I - M X) lifts the inverse through the nilpotent orders.
-    I - M X starts at degree 1 and squares at each step, so
-    ``order.bit_length()`` steps are exact to the truncation.  The residual
-    bound is relative, because the inverse of a jet whose constant term is
-    small has coefficients far larger than 1.
+    Write M = sum_k M_k and X = sum_d X_d by homogeneous degree.  M X = I
+    says M_0 X_0 = I and sum_{k=0..d} M_k X_{d-k} = 0 for d >= 1, so
+    X_0 = M_0^-1 and X_d = -X_0 sum_{k=1..d} M_k X_{d-k}.  The sum for
+    degree d uses only the table blocks (k, d - k) with k up to M's
+    highest degree; for an affine M that is the block (1, d - 1).  This is
+    exact in any truncation closed under divisors, group caps included.
+    The constant term must be well conditioned, and the residual of the
+    full product M X is bounded relative to ``max(|M| |X|, 1)``, because
+    the inverse of a jet whose constant term is small has coefficients far
+    larger than 1.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
@@ -387,12 +559,15 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
         raise ConvergenceError(
             f"constant term is singular or ill-conditioned (cond {sv[0] / max(sv[-1], 1e-300):.2e})"
         )
-    X = MatrixJet.from_numeric(ring, np.linalg.inv(M0))
-    identity = MatrixJet.identity(ring, M.rows)
-    two_I = identity.scale(2.0)
-    for _ in range(ring.order.bit_length()):
-        X = X @ (two_I - M @ X)
-    resid = ((M @ X) - identity).max_abs()
+    X0 = np.linalg.inv(M0)
+    X = MatrixJet.from_numeric(ring, X0)
+    top = ring._degree_range(M.coeffs)[1]
+    for d in range(1, ring.order + 1):
+        # the degree-d part of sum_{k>=1} M_k X_{d-k}; X holds degrees below d
+        blocks = [(k, d - k, d - k) for k in range(1, min(top, d) + 1)]
+        T = ring._matmul(M.coeffs, X.coeffs, blocks)
+        X.coeffs -= (X0 @ T.reshape(M.rows, -1)).reshape(T.shape)
+    resid = ((M @ X) - MatrixJet.identity(ring, M.rows)).max_abs()
     if resid > 1e-10 * max(M.max_abs() * X.max_abs(), 1.0):
         raise ConvergenceError(f"jet matrix inverse misses its residual bound ({resid:.2e})")
     return X

@@ -51,7 +51,7 @@ from grastar.geometry import (
     sample_point,
     wick_product,
 )
-from grastar.jets import Jet, JetRing, MatrixJet, mat_inverse
+from grastar.jets import Jet, JetRing, MatrixJet, mat_inverse, shared_ring
 from grastar.partitions import Frame, conj_classes_of, partitions_of
 from grastar.tensor_action import _check_dim, rho_central
 
@@ -499,41 +499,22 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     n, p = cfg.n, cfg.p
     nz = n * p
     mu = Fraction(cfg.mu)
-    R_out = JetRing(nz, order)
+    slots = np.arange(nz).reshape(n, p)
+    R_out = shared_ring(nz, order)
     total = JetRing(
         2 * nz, 2 * order, caps=((0, nz, order), (nz, 2 * nz, order))
     ).warm()
-    base = zeta0.z
-    basebar = zeta0.zbar
+    zeta = MatrixJet.from_numeric(total, zeta0.z)
+    Zbpt = MatrixJet.from_numeric(total, zeta0.zbar)
     if outer_holomorphic:
-        zeta = MatrixJet(
-            total,
-            [[total.var(A * p + i, base[A, i]) for i in range(p)] for A in range(n)],
-        )
-        Zbpt = MatrixJet.from_numeric(total, basebar)
+        zeta = zeta + MatrixJet.variables(total, slots)
     else:
-        zeta = MatrixJet.from_numeric(total, base)
-        Zbpt = MatrixJet(
-            total,
-            [[total.var(A * p + i, basebar[i, A]) for A in range(n)] for i in range(p)],
-        )
+        Zbpt = Zbpt + MatrixJet.variables(total, slots.T)
     zetabar = mat_inverse(Zbpt @ zeta).scale(float(mu)) @ Zbpt
     # factor f sees fresh holomorphic inner offsets, g antiholomorphic ones
-    Zf = MatrixJet(
-        total,
-        [
-            [zeta.data[A][i] + total.var(nz + A * p + i) for i in range(p)]
-            for A in range(n)
-        ],
-    )
+    Zf = zeta + MatrixJet.variables(total, nz + slots)
     jf = eval_function(f, Zf, zetabar) if isinstance(f, FunctionExpr) else f(Zf, zetabar)
-    Zbg = MatrixJet(
-        total,
-        [
-            [zetabar.data[i][A] + total.var(nz + A * p + i) for A in range(n)]
-            for i in range(p)
-        ],
-    )
+    Zbg = zetabar + MatrixJet.variables(total, nz + slots.T)
     jg = eval_function(g, zeta, Zbg) if isinstance(g, FunctionExpr) else g(zeta, Zbg)
 
     # outer and inner monomial positions inside the total ring
@@ -553,13 +534,12 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
         for t, M in enumerate(_series_coefficient_matrices(r, p, mu, order), start=r):
             if not M.any():  # r = 0 beyond lambda^0
                 continue
-            # contract the coefficients into DG first: n^r p^r jet products
+            # contract the coefficients into DG first: n^r p^r jet products,
+            # summed as one (1 x n^r p^r) @ (n^r p^r x 1) jet matrix product
             MG = M @ DG
-            acc = np.zeros(R_out.size, dtype=complex)
-            for a in range(n**r):
-                for i in range(p**r):
-                    acc += R_out.multiply(DF[a, i], MG[a, i])
-            out[t] = out[t] + Jet(R_out, inv_rfact * acc)
+            row = MatrixJet(R_out, DF.reshape(1, -1, R_out.size))
+            col = MatrixJet(R_out, MG.reshape(-1, 1, R_out.size))
+            out[t] = out[t] + (row @ col)[0, 0] * inv_rfact
     return R_out, out
 
 

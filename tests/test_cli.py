@@ -251,6 +251,18 @@ def test_memory_error_exit(capsys, monkeypatch):
     )
 
 
+def test_internal_error_exit(capsys, monkeypatch):
+    def fault(*args, **kwargs):
+        raise RuntimeError("table offsets\nout of order")
+
+    monkeypatch.setattr(grastar.cli, "verify_suite", fault)
+    code, out, err = run_cli(capsys, "verify", "--p", "2", "--q", "2")
+    # its own code, not 1 (verification failed), one line, no traceback
+    assert code == 6
+    assert out == ""
+    assert err == "internal error: RuntimeError: table offsets out of order\n"
+
+
 def test_numeric_failure_exit(capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise ConvergenceError("jet matrix inversion did not converge")

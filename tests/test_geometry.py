@@ -118,8 +118,8 @@ def test_wick_on_coordinates():
     # z_00 paired against its conjugate contributes exactly one at order one
     cfg = _cfg(1, 1)
     z = sample_point(cfg, 4)
-    f = lambda Z, Zbar: Z.data[0][0]
-    g = lambda Z, Zbar: Zbar.data[0][0]
+    f = lambda Z, Zbar: Z[0, 0]
+    g = lambda Z, Zbar: Zbar[0, 0]
     s = wick_product(f, g, z, 2)
     assert abs(s.coeffs[0] - z.z[0, 0] * z.zbar[0, 0]) < 1e-13
     assert abs(s.coeffs[1] - 1.0) < 1e-13
@@ -157,7 +157,7 @@ def test_momentum_generates_rotations():
         acc = None
         for i in range(2):
             for k in range(2):
-                term = M.data[k][i] * Phi[i, k]
+                term = M[k, i] * Phi[i, k]
                 acc = term if acc is None else acc + term
         return acc
 
@@ -183,10 +183,10 @@ def test_jet_point_slot_convention():
         for i in range(cfg.p):
             md = [0] * ring.nvars
             md[A * cfg.p + i] = 1
-            assert Z.data[A][i].coeffs[ring.index_of(tuple(md))] == 1.0
+            assert Z[A, i].coeffs[ring.index_of(tuple(md))] == 1.0
     ring2, Z2, Zbar2 = antiholomorphic_jet_point(z, 1)
     for A in range(cfg.n):
         for i in range(cfg.p):
             md = [0] * ring2.nvars
             md[A * cfg.p + i] = 1
-            assert Zbar2.data[i][A].coeffs[ring2.index_of(tuple(md))] == 1.0
+            assert Zbar2[i, A].coeffs[ring2.index_of(tuple(md))] == 1.0

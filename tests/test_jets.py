@@ -1,6 +1,7 @@
 """Jet arithmetic: truncated Taylor expansions and matrix routines."""
 
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -15,6 +16,7 @@ from grastar.jets import (
     MatrixJet,
     extract_partial,
     mat_inverse,
+    shared_ring,
 )
 
 
@@ -53,8 +55,8 @@ def test_partials_match_finite_differences():
     ring = JetRing(2, 2)
     x = ring.var(0, x0)
     y = ring.var(1, y0)
-    denom = MatrixJet(ring, [[ring.const(1.0) + x * y]])
-    inv = mat_inverse(denom).data[0][0]
+    denom = MatrixJet(ring, [[(ring.const(1.0) + x * y).coeffs]])
+    inv = mat_inverse(denom)[0, 0]
     f = (x * x + 3 * y) * inv
     h = 1e-5
     fd_x = (func(x0 + h, y0) - func(x0 - h, y0)) / (2 * h)
@@ -74,13 +76,13 @@ def test_mat_inverse_residual():
     base = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + 3 * np.eye(3)
     M = MatrixJet.from_numeric(ring, base)
     for k in range(4):
-        M.data[k % 3][(k + 1) % 3] = M.data[k % 3][(k + 1) % 3] + ring.var(k)
+        M[k % 3, (k + 1) % 3] = M[k % 3, (k + 1) % 3] + ring.var(k)
     X = M @ mat_inverse(M)
     I = MatrixJet.identity(ring, 3)
     assert max(
-        np.max(np.abs(a.coeffs - b.coeffs))
-        for ra, rb in zip(X.data, I.data)
-        for a, b in zip(ra, rb)
+        np.max(np.abs(X[i, j].coeffs - I[i, j].coeffs))
+        for i in range(3)
+        for j in range(3)
     ) < 1e-12
 
 
@@ -166,6 +168,101 @@ def test_mult_table_of_associativity_ring():
     ring = JetRing(16, 6, caps=((0, 8, 3), (8, 16, 3))).warm()
     assert ring.size == 165**2
     assert len(ring._table[0]) == factor_pairs**2 == 938_961
+
+
+def _brute_force_product(ring, c1, c2):
+    """c1 * c2 summed over every valid pair of the brute-force table."""
+    out = np.zeros(ring.size, dtype=complex)
+    for i, j, k in _brute_force_table(ring):
+        out[k] += c1[i] * c2[j]
+    return out
+
+
+def _factor(ring, kind, rng):
+    """A random coefficient vector occupying only the degrees ``kind`` names."""
+    c = rng.standard_normal(ring.size) + 1j * rng.standard_normal(ring.size)
+    if kind == "zero":
+        keep = np.zeros(ring.size, dtype=bool)
+    elif kind == "constant":
+        keep = ring.degree == 0
+    elif kind == "affine":
+        keep = ring.degree <= 1
+    elif kind.startswith("degree "):
+        keep = ring.degree == int(kind.split()[1])
+    else:
+        keep = np.ones(ring.size, dtype=bool)
+    return np.where(keep, c, 0)
+
+
+_KINDS = ["zero", "constant", "affine", "degree 1", "degree 2", "full"]
+_RINGS = [JetRing(3, 3), JetRing(4, 4, caps=((0, 2, 2), (2, 4, 2))), JetRing(2, 0), JetRing(0, 2)]
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=repr)
+def test_block_product_matches_brute_force(ring):
+    rng = np.random.default_rng(11)
+    for kind1, kind2 in itertools.product(_KINDS, repeat=2):
+        c1, c2 = _factor(ring, kind1, rng), _factor(ring, kind2, rng)
+        expect = _brute_force_product(ring, c1, c2)
+        got = ring.multiply(c1, c2)
+        assert np.allclose(got, expect, rtol=0, atol=1e-12 * max(1.0, np.abs(expect).max())), (kind1, kind2)
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=repr)
+def test_matrix_product_matches_brute_force(ring):
+    # entries of mixed degree ranges, so the rectangle spans several kinds
+    rng = np.random.default_rng(12)
+    for kinds_a, kinds_b in [
+        (["affine", "constant", "zero", "degree 1"], ["full", "degree 2", "full", "constant", "zero", "full"]),
+        (["full", "degree 2", "full", "full"], ["constant", "constant", "zero", "constant", "constant", "constant"]),
+    ]:
+        A = np.array([_factor(ring, k, rng) for k in kinds_a]).reshape(2, 2, ring.size)
+        B = np.array([_factor(ring, k, rng) for k in kinds_b]).reshape(2, 3, ring.size)
+        got = MatrixJet(ring, A) @ MatrixJet(ring, B)
+        for i in range(2):
+            for j in range(3):
+                expect = sum(_brute_force_product(ring, A[i, k], B[k, j]) for k in range(2))
+                assert np.allclose(got[i, j].coeffs, expect, rtol=0, atol=1e-12 * max(1.0, np.abs(expect).max()))
+
+
+def test_products_on_a_shared_ring_keep_their_results():
+    ring = shared_ring(3, 3)
+    rng = np.random.default_rng(13)
+    c1, c2, c3, c4 = (_factor(ring, "full", rng) for _ in range(4))
+    first = ring.multiply(c1, c2)
+    kept = first.copy()
+    A = MatrixJet(ring, np.array([c1, c2, c3, c4]).reshape(2, 2, ring.size))
+    P = A @ A
+    kept_P = P.coeffs.copy()
+    ring.multiply(c3, c4)
+    A @ MatrixJet.identity(ring, 2).scale(2.0)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(P.coeffs, kept_P)
+
+
+def test_mat_inverse_of_full_matrix_in_capped_ring():
+    # the shape of star_jet_series's ring, with a matrix of every degree
+    nz, order = 4, 2
+    ring = JetRing(2 * nz, 2 * order, caps=((0, nz, order), (nz, 2 * nz, order)))
+    rng = np.random.default_rng(14)
+    coeffs = rng.standard_normal((3, 3, ring.size)) + 1j * rng.standard_normal((3, 3, ring.size))
+    M = MatrixJet(ring, coeffs) + MatrixJet.identity(ring, 3).scale(4.0)
+    X = mat_inverse(M)
+    identity = MatrixJet.identity(ring, 3)
+    scale = M.max_abs() * X.max_abs()
+    assert (M @ X - identity).max_abs() / scale < 1e-12
+    assert (X @ M - identity).max_abs() / scale < 1e-12
+
+
+def test_shared_ring_cache_is_bounded():
+    ring = shared_ring(1, 0)
+    assert shared_ring(1, 0) is ring
+    for order in range(1, 20):
+        shared_ring(1, order)
+    info = shared_ring.cache_info()
+    assert info.currsize <= info.maxsize == 8
+    # the oldest shape was evicted and is built afresh
+    assert shared_ring(1, 0) is not ring
 
 
 def test_table_multiply_allocates_only_its_result():

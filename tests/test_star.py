@@ -26,7 +26,7 @@ from grastar.geometry import (
     sample_point,
     wick_product,
 )
-from grastar.jets import extract_partial
+from grastar.jets import JetRing, extract_partial
 from grastar.partitions import (
     Frame,
     Permutation,
@@ -497,3 +497,22 @@ def test_verify_suite_passes_and_serializes():
     # determinism
     report2 = verify_suite(cfg, order=2, seed=0)
     assert report == report2
+
+
+def test_second_star_eval_builds_no_ring(monkeypatch):
+    # jet points take their ring from the shared cache, table and all
+    cfg = SpaceConfig(2, 1)
+    rng = np.random.default_rng(21)
+    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+    star_eval(f, g, cfg, sample_point(cfg, 1), 3)
+    built = []
+    init = JetRing.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetRing, "__init__", counting_init)
+    star_eval(g, f, cfg, sample_point(cfg, 2), 3)
+    star_eval(f, g, cfg, sample_point(cfg, 3), 3, lam=Fraction(1, 7))
+    assert built == []
