@@ -7,9 +7,11 @@ differentiation.  Holomorphic and antiholomorphic coordinates are separate,
 unrelated variables: nothing in here ever conjugates a jet.
 
 Coefficients live in dense numpy arrays over an explicit monomial basis.
-Each ``JetRing`` fixes the variable count, the truncation order and
-optional per-variable-group degree caps, and precomputes a multiplication
-table of the monomial pairs whose product lies in the truncation.  The
+Each ``JetRing`` fixes the variable count and the truncation order of the
+total degree, and precomputes a multiplication table of the monomial pairs
+whose product lies in the truncation.  Monomials are keyed by their
+exponents read as digits in base ``order + 1``, which no exponent and no
+table product reaches, so keys never carry.  The
 table is ordered in blocks (a, b), the pairs whose first monomial has
 degree a and whose second has degree b, so the pairs that can meet in a
 product are a few contiguous ranges of it: a product reads the lowest and
@@ -22,7 +24,9 @@ the m products of each entry in work buffers before one scatter.
 M touches only the blocks (1, d - 1).
 
 Jet points share their rings through ``shared_ring``, a small bounded
-cache, so a ring's table and the index maps cached on it are built once.
+cache, so a ring's table and the index maps cached on it are built once;
+so does the associativity check, whose jets in outer and inner offsets
+together never exceed the truncation order.
 All rings share one set of work buffers: products are not thread-safe.
 """
 
@@ -66,26 +70,23 @@ _WORK = _Workspace()
 class JetRing:
     """Monomial basis and multiplication table for jets of a fixed shape.
 
-    ``caps`` is an optional tuple of ``(start, stop, max_degree)`` triples
-    limiting the total degree within variable groups, used to keep mixed
-    outer/inner differentiation rings small.
-
     Monomials are sorted by key, the exponent vector read as digits in base
-    ``2 * order + 1``.  The multiplication table lists the pairs (i, j)
-    block by block, a = deg i outer and b = deg j inner, and
+    ``order + 1``: no exponent exceeds the order, and the table pairs only
+    monomials whose degrees sum to at most the order, so no key and no key
+    sum of the table carries.  The multiplication table lists the pairs
+    (i, j) block by block, a = deg i outer and b = deg j inner, and
     ``_offsets[a, b]`` is where block (a, b) starts; ``_offsets[a,
     order - a + 1]`` is where the blocks of degree a end.  The blocks (a,
     b_lo) ... (a, b_hi) are therefore one contiguous range, and so are all
     blocks with a in a range when b runs up to the truncation.
     """
 
-    def __init__(self, nvars: int, order: int, caps=()):
+    def __init__(self, nvars: int, order: int):
         if nvars < 0 or order < 0:
             raise ValueError("nvars and order must be nonnegative")
         self.nvars = nvars
         self.order = order
-        self.caps = tuple((int(a), int(b), int(c)) for a, b, c in caps)
-        base = 2 * order + 1
+        base = order + 1
         if nvars and base**nvars >= 2**62:
             raise RangeError(
                 f"jet ring with {nvars} variables at order {order} is too large"
@@ -109,10 +110,9 @@ class JetRing:
         self._table = None
         self._offsets = None
         self._targets = None
-        self._embed_cache: dict[tuple, np.ndarray] = {}
 
     def _gen_monomials(self) -> np.ndarray:
-        """Every exponent vector within the order and the group caps, one per row.
+        """Every exponent vector within the order, one per row.
 
         Built one variable at a time, without recursion: a recursive closure
         would reference itself and ``self``, and that cycle would keep the
@@ -120,11 +120,7 @@ class JetRing:
         """
         monos = np.zeros((1, 0), dtype=np.int64)
         for v in range(self.nvars):
-            limit = self.order - monos.sum(axis=1)
-            for a, b, c in self.caps:
-                if a <= v < b:
-                    limit = np.minimum(limit, c - monos[:, a:v].sum(axis=1))
-            counts = limit + 1
+            counts = self.order - monos.sum(axis=1) + 1
             starts = np.cumsum(counts) - counts
             degree = np.arange(counts.sum()) - np.repeat(starts, counts)
             monos = np.column_stack([np.repeat(monos, counts, axis=0), degree])
@@ -145,11 +141,10 @@ class JetRing:
         """Pairs (i, j) of monomials whose product lies in the truncation, and its index k.
 
         Built block by block: block (a, b) pairs the monomials of degree a
-        with those of degree b, for a + b <= order.  Within that bound no
-        key digit carries, so a key sum names a monomial exactly when it
-        is one of ``keys``; that filter also enforces the group caps.  Time
-        and memory follow the candidate pairs of one block, not
-        ``size**2``.
+        with those of degree b, for a + b <= order.  Every such pair is
+        valid, and as no key digit carries within that bound, its key sum is
+        its product's key.  Time and memory follow the pairs of one block,
+        not ``size**2``.
         """
         if self._table is None:
             keys, order = self.keys, self.order
@@ -162,14 +157,11 @@ class JetRing:
                 for b in range(order - a + 1):
                     offsets[a, b] = count
                     cols = by_degree[b]
-                    if len(rows) == 0 or len(cols) == 0:
-                        continue
                     sums = (keys[rows][:, None] + keys[cols][None, :]).ravel()
-                    pos = np.minimum(np.searchsorted(keys, sums), self.size - 1)
-                    hit = np.flatnonzero(keys[pos] == sums)
-                    ri, ci = np.divmod(hit, len(cols))
-                    parts.append((rows[ri], cols[ci], pos[hit]))
-                    count += len(hit)
+                    parts.append(
+                        (np.repeat(rows, len(cols)), np.tile(cols, len(rows)), np.searchsorted(keys, sums))
+                    )
+                    count += len(sums)
                 offsets[a, order - a + 1] = count
             ti, tj, tk = (np.concatenate(a) for a in zip(*parts))
             del parts
@@ -333,28 +325,13 @@ class JetRing:
         out.coeffs[self.index_of(tuple(e))] = 1.0
         return out
 
-    def embed_map(self, target: "JetRing", offset: int = 0) -> np.ndarray:
-        """Index map sending this ring's monomials into a larger ring.
-
-        Cached by the target's shape, which alone fixes its monomials.
-        """
-        cache_key = (target.nvars, target.order, target.caps, offset)
-        if cache_key not in self._embed_cache:
-            tw = target._weights[offset : offset + self.nvars]
-            keys = self.monos @ tw if self.nvars else np.zeros(self.size, dtype=np.int64)
-            pos = np.searchsorted(target.keys, keys)
-            if np.any(pos >= target.size) or np.any(target.keys[pos] != keys):
-                raise RangeError("target ring does not contain the source truncation")
-            self._embed_cache[cache_key] = pos.astype(np.int64)
-        return self._embed_cache[cache_key]
-
     def __repr__(self):
-        return f"JetRing(nvars={self.nvars}, order={self.order}, caps={self.caps}, size={self.size})"
+        return f"JetRing(nvars={self.nvars}, order={self.order}, size={self.size})"
 
 
 @lru_cache(maxsize=8)
 def shared_ring(nvars: int, order: int) -> JetRing:
-    """The uncapped ring of this shape, built once per process and shared.
+    """The ring of this shape, built once per process and shared.
 
     The cache keeps the eight most recently used shapes.  Products return
     fresh arrays, so callers may share a ring as long as they do not run
@@ -420,11 +397,6 @@ class Jet:
         if isinstance(other, _SCALARS):
             return Jet(self.ring, self.coeffs * complex(other))
         return NotImplemented
-
-    def embed(self, target: JetRing, offset: int = 0) -> "Jet":
-        out = target.zero()
-        np.add.at(out.coeffs, self.ring.embed_map(target, offset), self.coeffs)
-        return out
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.ring.size else 0.0
@@ -544,7 +516,7 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
     X_0 = M_0^-1 and X_d = -X_0 sum_{k=1..d} M_k X_{d-k}.  The sum for
     degree d uses only the table blocks (k, d - k) with k up to M's
     highest degree; for an affine M that is the block (1, d - 1).  This is
-    exact in any truncation closed under divisors, group caps included.
+    exact in any truncation closed under divisors.
     The constant term must be well conditioned, and the residual of the
     full product M X is bounded relative to ``max(|M| |X|, 1)``, because
     the inverse of a jet whose constant term is small has coefficients far

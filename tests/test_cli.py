@@ -222,6 +222,25 @@ def test_verify_bad_parameter_exit(capsys, option, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("p, q, order", [(3, 1, 2), (2, 3, 2), (3, 2, 2), (3, 1, 3)])
+def test_verify_passes_where_keys_once_overflowed(capsys, p, q, order):
+    # the associativity ring's 2 n p variables keyed in base N + 1 fit 2^62
+    code, out, err = run_cli(capsys, "verify", "--p", str(p), "--q", str(q), "--order", str(order))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["pass"] and all(c["pass"] for c in report["checks"])
+    (assoc,) = [c for c in report["checks"] if c["check"] == "associativity"]
+    assert assoc["residual"] <= 1e-10
+
+
+def test_verify_ring_too_large_exit(capsys):
+    # 2 n p = 40 variables: keys in base N + 1 = 3 pass 2^62
+    code, out, err = run_cli(capsys, "verify", "--p", "4", "--q", "1", "--order", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: jet ring with 40 variables at order 2 is too large\n"
+
+
 def test_point_round_trip(tmp_path, capsys):
     # an explicitly supplied point is echoed back bit-exactly
     cfg = SpaceConfig(1, 1, Fraction(1))

@@ -4,6 +4,7 @@ import gc
 import itertools
 import tracemalloc
 import weakref
+from math import comb
 
 import numpy as np
 import pytest
@@ -106,27 +107,6 @@ def test_mat_inverse_rejects_singular():
         mat_inverse(M)
 
 
-def test_group_degree_caps():
-    ring = JetRing(4, 4, caps=((0, 2, 2), (2, 4, 2)))
-    # all monomials obey both group caps
-    assert np.all(ring.monos[:, :2].sum(axis=1) <= 2)
-    assert np.all(ring.monos[:, 2:].sum(axis=1) <= 2)
-    assert ring.size == 36  # 6 choices per group of two variables up to degree 2
-
-
-def test_embedding_preserves_coefficients():
-    small = JetRing(2, 2)
-    big = JetRing(4, 4, caps=((0, 2, 2), (2, 4, 2)))
-    j = small.var(0, 1.5) * small.var(1, -0.5)
-    for offset in (0, 2):
-        e = j.embed(big, offset)
-        md = [0, 0, 0, 0]
-        md[offset] = 1
-        md[offset + 1] = 1
-        assert abs(e.coeffs[big.index_of(tuple(md))] - 1.0) < 1e-15
-        assert abs(e.value() - j.value()) < 1e-15
-
-
 def test_sparse_and_table_paths_agree():
     ring_a = JetRing(3, 3)
     ring_b = JetRing(3, 3).warm()
@@ -151,7 +131,7 @@ def _brute_force_table(ring):
 
 @pytest.mark.parametrize(
     "ring",
-    [JetRing(3, 3), JetRing(4, 4, caps=((0, 2, 2), (2, 4, 2))), JetRing(2, 0), JetRing(0, 2)],
+    [JetRing(3, 3), JetRing(8, 2), JetRing(2, 0), JetRing(0, 2)],
     ids=repr,
 )
 def test_mult_table_matches_brute_force(ring):
@@ -162,12 +142,15 @@ def test_mult_table_matches_brute_force(ring):
 
 
 def test_mult_table_of_associativity_ring():
-    # the (p, q, N) = (2, 2, 3) associativity ring is R(8, 3) x R(8, 3), so
-    # its valid pairs are the pairs of pairs of the factor ring
-    factor_pairs = len(JetRing(8, 3).warm()._table[0])
-    ring = JetRing(16, 6, caps=((0, 8, 3), (8, 16, 3))).warm()
-    assert ring.size == 165**2
-    assert len(ring._table[0]) == factor_pairs**2 == 938_961
+    # a pair of monomials with summed degree <= N is one monomial in 2n
+    # variables of degree <= N, so the table of JetRing(n, N) has
+    # C(2n + N, N) pairs; JetRing(16, 3) is the (p, q, N) = (2, 2, 3)
+    # associativity ring
+    for nvars, order in [(0, 2), (2, 0), (3, 3), (5, 2), (16, 3)]:
+        ring = JetRing(nvars, order).warm()
+        assert ring.size == comb(nvars + order, order)
+        assert len(ring._table[0]) == comb(2 * nvars + order, order)
+    assert (comb(16 + 3, 3), comb(2 * 16 + 3, 3)) == (969, 6_545)
 
 
 def _brute_force_product(ring, c1, c2):
@@ -195,7 +178,7 @@ def _factor(ring, kind, rng):
 
 
 _KINDS = ["zero", "constant", "affine", "degree 1", "degree 2", "full"]
-_RINGS = [JetRing(3, 3), JetRing(4, 4, caps=((0, 2, 2), (2, 4, 2))), JetRing(2, 0), JetRing(0, 2)]
+_RINGS = [JetRing(3, 3), JetRing(8, 2), JetRing(2, 0), JetRing(0, 2)]
 
 
 @pytest.mark.parametrize("ring", _RINGS, ids=repr)
@@ -240,10 +223,10 @@ def test_products_on_a_shared_ring_keep_their_results():
     assert np.array_equal(P.coeffs, kept_P)
 
 
-def test_mat_inverse_of_full_matrix_in_capped_ring():
+def test_mat_inverse_of_full_matrix_in_associativity_ring():
     # the shape of star_jet_series's ring, with a matrix of every degree
     nz, order = 4, 2
-    ring = JetRing(2 * nz, 2 * order, caps=((0, nz, order), (nz, 2 * nz, order)))
+    ring = JetRing(2 * nz, order)
     rng = np.random.default_rng(14)
     coeffs = rng.standard_normal((3, 3, ring.size)) + 1j * rng.standard_normal((3, 3, ring.size))
     M = MatrixJet(ring, coeffs) + MatrixJet.identity(ring, 3).scale(4.0)
@@ -300,7 +283,7 @@ def test_ring_freed_without_cyclic_gc():
     # a ring, with its table and work buffers, must not wait for a cyclic collection
     gc.disable()
     try:
-        ring = JetRing(4, 3, caps=((0, 2, 2),)).warm()
+        ring = JetRing(4, 3).warm()
         ref = weakref.ref(ring)
         del ring
         assert ref() is None

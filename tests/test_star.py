@@ -441,14 +441,18 @@ def test_product_path_enumerates_no_permutations(monkeypatch):
 @pytest.mark.parametrize("p, q, mu", [(2, 1, Fraction(2)), (1, 2, Fraction(1))])
 def test_star_jet_series_first_order_matches_finite_differences(p, q, mu, outer_holomorphic):
     # the linear outer coefficients of each lambda-order jet are the
-    # Wirtinger derivatives d/dz or d/dzbar of star_eval at the base point
+    # Wirtinger derivatives d/dz or d/dzbar of star_eval at the base point;
+    # at order 3 the jets of lambda^0, lambda^1 and lambda^2 carry them
     cfg = SpaceConfig(p, q, mu)
-    order = 2
+    order = 3
     rng = np.random.default_rng(p + 2 * q)
     f = random_function_expr(cfg, rng)
     g = random_function_expr(cfg, rng)
     zeta0 = level_representative(sample_point(cfg, 14), mu)
     ring, jets = star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic)
+    # the lambda^t jet is exact up to outer degree order - t and zero above
+    for t, jet in enumerate(jets):
+        assert not jet.coeffs[ring.degree > order - t].any()
     h = 1e-5
     sign = -1 if outer_holomorphic else 1
     for A in range(cfg.n):
@@ -457,14 +461,14 @@ def test_star_jet_series_first_order_matches_finite_differences(p, q, mu, outer_
             E[A, i] = 1.0
 
             def central(step):
-                up = star_eval(f, g, cfg, PointZ(zeta0.z + step * E), order).coeffs
-                down = star_eval(f, g, cfg, PointZ(zeta0.z - step * E), order).coeffs
+                up = star_eval(f, g, cfg, PointZ(zeta0.z + step * E), order).coeffs[:3]
+                down = star_eval(f, g, cfg, PointZ(zeta0.z - step * E), order).coeffs[:3]
                 return (np.array(up) - np.array(down)) / (2 * h)
 
             expect = (central(h) + sign * 1j * central(1j * h)) / 2
             md = [0] * ring.nvars
             md[A * p + i] = 1
-            got = np.array([jet.coeff(md) for jet in jets])
+            got = np.array([jet.coeff(md) for jet in jets[:3]])
             assert np.max(np.abs(got - expect)) < 1e-8
 
 
@@ -515,4 +519,23 @@ def test_second_star_eval_builds_no_ring(monkeypatch):
     monkeypatch.setattr(JetRing, "__init__", counting_init)
     star_eval(g, f, cfg, sample_point(cfg, 2), 3)
     star_eval(f, g, cfg, sample_point(cfg, 3), 3, lam=Fraction(1, 7))
+    assert built == []
+
+
+def test_second_associativity_check_builds_no_ring(monkeypatch):
+    # both jet series take their ring of outer and inner offsets from the
+    # shared cache, so a repeated check at one size reuses every table
+    cfg = SpaceConfig(2, 1)
+    rng = np.random.default_rng(22)
+    f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
+    associativity_residuals(f, g, h, cfg, sample_point(cfg, 1), 2)
+    built = []
+    init = JetRing.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetRing, "__init__", counting_init)
+    assert max(associativity_residuals(g, h, f, cfg, sample_point(cfg, 2), 2)) < 1e-10
     assert built == []
