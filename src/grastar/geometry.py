@@ -10,6 +10,14 @@ complex conjugation (B -> B^t), and separate points.
 Holomorphic and antiholomorphic arguments are passed separately (Z, Zbar)
 so that jet evaluation can differentiate them independently; for a plain
 numeric point Zbar is just the conjugate transpose of Z.
+
+Because Pi is unchanged by Z -> Z g, at a jet point with offsets on one
+side only it depends only on the affine-chart coordinate K = Y (1 + W)^-1
+of that side, with Y and W linear in the offsets.  ``eval_function`` reads
+the generators off K there, degree by degree, with no jet inverse and no
+n x n jet matrix.  The generic Z (Zbar Z)^-1 Zbar stays for points whose
+two sides both vary, as in the associativity check, and as the reference
+of the chart route in the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +30,14 @@ import numpy as np
 
 from grastar.center import LambdaSeries
 from grastar.errors import GrastarError
-from grastar.jets import Jet, MatrixJet, mat_inverse, shared_ring
+from grastar.jets import (
+    Jet,
+    MatrixJet,
+    conditioned_inverse,
+    linear_fraction,
+    mat_inverse,
+    shared_ring,
+)
 
 RANK_THRESHOLD = 1e-6
 
@@ -223,27 +238,98 @@ def _trace_prod_jet(B: np.ndarray, Pi: MatrixJet) -> Jet:
     return Jet(Pi.ring, B.T.reshape(-1) @ Pi.coeffs.reshape(-1, Pi.ring.size))
 
 
+def _chart_generators(Z: MatrixJet, Zbar: MatrixJet, holomorphic: bool):
+    """B -> tr(B Pi) as a jet at a point with one side constant, the other affine.
+
+    ``holomorphic`` says that Zbar = zb is the constant side and Z = z + V
+    the affine one.  With x0 = zb z, A = x0^-1 zb and W = A V, the rank-q
+    projector 1 - z A factors as U S, and
+    Pi = (z + V)(1 + W)^-1 A = z A + U K A,  K = S V (1 + W)^-1,
+    since V = z W + U S V.  Antiholomorphically (Z = z constant,
+    Zbar = zb + V) the mirror image holds with C = z x0^-1, W = V C and
+    Pi = z A + C K S, K = (1 + W)^-1 V U.  K, q x p or p x q, comes from
+    ``linear_fraction`` with no jet inverse.
+    """
+    ring = Z.ring
+    z, zb = Z.value(), Zbar.value()
+    n, p = z.shape
+    xinv = conditioned_inverse(zb @ z)
+    A, C = xinv @ zb, z @ xinv
+    P = z @ A
+    u, s, vh = np.linalg.svd(np.eye(n) - P)
+    U, S = u[:, : n - p], s[: n - p, None] * vh[: n - p]
+    if holomorphic:
+        K = linear_fraction(S, Z, A)
+        # tr(B Pi) = tr(B z A) + tr((A B U) K)
+        left, right = A, U
+    else:
+        # K^t = U^t V^t (1 + C^t V^t)^-1 is of the form linear_fraction takes
+        Vt = MatrixJet(ring, Zbar.coeffs.transpose(1, 0, 2))
+        K = MatrixJet(ring, linear_fraction(U.T, Vt, C.T).coeffs.transpose(1, 0, 2))
+        # tr(B Pi) = tr(B z A) + tr((S B C) K)
+        left, right = S, C
+    one = ring.index_of((0,) * ring.nvars)
+
+    def generator(B):
+        jet = _trace_prod_jet(left @ B @ right, K)
+        jet.coeffs[one] += np.trace(B @ P)
+        return jet
+
+    return generator
+
+
+def _generators(Z: MatrixJet, Zbar: MatrixJet):
+    """B -> tr(B Pi) as a jet, Pi = Z (Zbar Z)^-1 Zbar, by the cheapest exact route.
+
+    When one side is constant and the other affine, which the degrees they
+    occupy show, the chart route needs no jet inverse; otherwise Pi is
+    formed as a jet matrix.
+    """
+    ring = Z.ring
+    top_z, top_zb = ((ring._degree_range(M.coeffs) or (0, 0))[1] for M in (Z, Zbar))
+    if top_zb == 0 and top_z <= 1:
+        return _chart_generators(Z, Zbar, holomorphic=True)
+    if top_z == 0 and top_zb <= 1:
+        return _chart_generators(Z, Zbar, holomorphic=False)
+    Pi = Z @ mat_inverse(Zbar @ Z) @ Zbar
+    return lambda B: _trace_prod_jet(B, Pi)
+
+
 def eval_function(f: FunctionExpr, Z, Zbar=None):
     """Evaluate an invariant expression at a numeric point or a jet point.
 
     With a ``PointZ`` or numpy matrix argument the result is a complex
     number; with ``MatrixJet`` arguments (Z holomorphic, Zbar
-    antiholomorphic) the result is a jet.
+    antiholomorphic, both required) the result is a jet.
+
+    Every generator is tr(B Pi) with Pi = Z (Zbar Z)^-1 Zbar, unchanged
+    by Z -> Z g.  At a jet point with Zbar constant and Z = z + V affine,
+    as at ``holomorphic_jet_point``, or the mirror image, Pi depends only
+    on the affine-chart coordinate K = S V (1 + W)^-1, and tr(B Pi) is a
+    constant plus tr(M K) (see ``_chart_generators``): no jet inverse and
+    no n x n jet matrix.  The degrees Z and Zbar occupy select this route.
+    Any other jet point, such as those of ``star.star_jet_series`` whose
+    sides both vary, takes Z @ mat_inverse(Zbar @ Z) @ Zbar, which is also
+    the chart route's reference in the tests.  Both routes raise
+    ``ConvergenceError`` when the constant Gram matrix zb z is
+    ill-conditioned; ``star_eval`` never meets that, because it jets at
+    the level representative, whose Gram matrix is mu times the identity.
     """
     if isinstance(Z, PointZ):
         Zbar = Z.zbar
         Z = Z.z
     if isinstance(Z, MatrixJet):
-        x = Zbar @ Z
-        Pi = Z @ mat_inverse(x) @ Zbar
-        total = Pi.ring.zero()
+        if Zbar is None:
+            raise ValueError("a jet point needs Zbar, its antiholomorphic matrix jet")
+        generator = _generators(Z, Zbar)
+        total = Z.ring.zero()
         cache = {}
         for coeff, factors in f.terms:
             term = None
             for B in factors:
                 key = B.tobytes()
                 if key not in cache:
-                    cache[key] = _trace_prod_jet(B, Pi)
+                    cache[key] = generator(B)
                 term = cache[key] if term is None else term * cache[key]
             total = total + (coeff if term is None else term * coeff)
         return total
@@ -311,7 +397,6 @@ def wick_product(F, G, z: PointZ, order: int) -> LambdaSeries:
     ring_a, Za, Zbara = antiholomorphic_jet_point(z, order)
     jf = _as_evaluator(F)(Zh, Zbarh)
     jg = _as_evaluator(G)(Za, Zbara)
-    # the two rings have identical monomial bases, so coefficients align
     out = LambdaSeries(order, [0j] * (order + 1))
     weights = ring_h.dfact  # prod of factorials per monomial
     prods = jf.coeffs * jg.coeffs * weights

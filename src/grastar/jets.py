@@ -23,10 +23,17 @@ the m products of each entry in work buffers before one scatter.
 ``mat_inverse`` solves M X = I one degree at a time, which for an affine
 M touches only the blocks (1, d - 1).
 
+A linear fraction K = Y (1 + W)^-1 of linear Y and W needs no table at
+all: K = Y - K W, so its degree-d block is -K_{d-1} W for d >= 2, and the
+coefficient of a degree-d monomial m is -sum_v K_{d-1}[m - e_v] W_v.  Each
+ring keeps a degree-shift map, the index of m - e_v for every monomial m
+and variable v, built on first use; ``linear_fraction`` then takes one
+gather and one matrix product per degree.
+
 Jet points share their rings through ``shared_ring``, a small bounded
-cache, so a ring's table and the index maps cached on it are built once;
-so does the associativity check, whose jets in outer and inner offsets
-together never exceed the truncation order.
+cache, so a ring's table, its degree-shift map and the index maps cached
+on it are built once; so does the associativity check, whose jets in
+outer and inner offsets together never exceed the truncation order.
 All rings share one set of work buffers: products are not thread-safe.
 """
 
@@ -107,6 +114,7 @@ class JetRing:
             fact *= flut[self.monos[:, v]]
         self.dfact = fact
         self._index_cache: dict[tuple[int, ...], int] = {}
+        self._shift = None
         self._table = None
         self._offsets = None
         self._targets = None
@@ -173,6 +181,29 @@ class JetRing:
             self._targets[0::2] = 2 * tk
             self._targets[1::2] = 2 * tk + 1
         return self._table
+
+    def degree_shift(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The degree-shift map, built on first use and kept on the ring.
+
+        One pair (mons, below) per degree d = 1 ... order: ``mons`` are the
+        indices of the degree-d monomials m, ascending, and ``below[k, v]``
+        is the index of m - e_v for m = mons[k], or ``size`` where m has no
+        factor x_v.  As keys ascend with the variable, the degree-1
+        ``mons`` list x_0, x_1, ... in variable order.
+        """
+        if self._shift is None:
+            self._shift = self._build_degree_shift()
+        return self._shift
+
+    def _build_degree_shift(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        # m - e_v has key key(m) - base**v whenever x_v divides m
+        below = np.searchsorted(self.keys, self.keys[:, None] - self._weights[None, :])
+        below = np.where(self.monos > 0, below, self.size)
+        shift = []
+        for d in range(1, self.order + 1):
+            mons = np.flatnonzero(self.degree == d)
+            shift.append((mons, below[mons]))
+        return shift
 
     def _degree_range(self, coeffs: np.ndarray):
         """Lowest and highest degree at which any vector of a stack is nonzero.
@@ -508,6 +539,20 @@ class MatrixJet:
 _COND_THRESHOLD = 1e-8
 
 
+def conditioned_inverse(M0: np.ndarray) -> np.ndarray:
+    """Inverse of the constant term of a jet matrix to be inverted.
+
+    Raises ``ConvergenceError`` when M0 is singular or its condition
+    number exceeds ``1 / _COND_THRESHOLD``.
+    """
+    sv = np.linalg.svd(M0, compute_uv=False)
+    if sv[-1] <= _COND_THRESHOLD * sv[0] or sv[0] == 0:
+        raise ConvergenceError(
+            f"constant term is singular or ill-conditioned (cond {sv[0] / max(sv[-1], 1e-300):.2e})"
+        )
+    return np.linalg.inv(M0)
+
+
 def mat_inverse(M: MatrixJet) -> MatrixJet:
     """Inverse of a square jet matrix, solved one degree at a time.
 
@@ -521,17 +566,16 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
     full product M X is bounded relative to ``max(|M| |X|, 1)``, because
     the inverse of a jet whose constant term is small has coefficients far
     larger than 1.
+
+    ``geometry.eval_function`` calls it for a jet point whose two sides
+    both vary, as in ``star.star_jet_series``, which also inverts the Gram
+    matrix of its offset point with it; a point with one side constant
+    takes ``linear_fraction`` instead.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
     ring = M.ring
-    M0 = M.value()
-    sv = np.linalg.svd(M0, compute_uv=False)
-    if sv[-1] <= _COND_THRESHOLD * sv[0] or sv[0] == 0:
-        raise ConvergenceError(
-            f"constant term is singular or ill-conditioned (cond {sv[0] / max(sv[-1], 1e-300):.2e})"
-        )
-    X0 = np.linalg.inv(M0)
+    X0 = conditioned_inverse(M.value())
     X = MatrixJet.from_numeric(ring, X0)
     top = ring._degree_range(M.coeffs)[1]
     for d in range(1, ring.order + 1):
@@ -543,3 +587,36 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
     if resid > 1e-10 * max(M.max_abs() * X.max_abs(), 1.0):
         raise ConvergenceError(f"jet matrix inverse misses its residual bound ({resid:.2e})")
     return X
+
+
+def linear_fraction(L: np.ndarray, V: MatrixJet, R: np.ndarray) -> MatrixJet:
+    """K = Y (1 + W)^-1 with Y = L V and W = R V, for a linear jet matrix V.
+
+    V is n x m, L (rows x n) and R (m x n) are constant.  K = Y - K W, and
+    W is linear, so the degree-d block of K is Y for d = 1 and -K_{d-1} W
+    above it: the coefficient of a degree-d monomial m is
+    -sum_v K_{d-1}[m - e_v] W_v, with W_v the coefficient matrix of x_v.
+    Each degree is one gather through the ring's degree-shift map and one
+    matrix product summing over (v, i); no table product and no inverse is
+    involved.  Only the degree-1 coefficients of V are read, so an affine
+    jet matrix z + V may be passed whole.
+    """
+    ring = V.ring
+    rows, m = L.shape[0], V.cols
+    if L.shape[1] != V.rows or R.shape != (m, V.rows):
+        raise ValueError("shape mismatch")
+    # K[a, k, b] is entry (a, b) at monomial k; the extra monomial ``size``
+    # stays zero, so the gather reads 0 where x_v does not divide m
+    K = np.zeros((rows, ring.size + 1, m), dtype=complex)
+    shift = ring.degree_shift()
+    if shift:
+        lin = shift[0][0]
+        V1 = V.coeffs.take(lin, axis=2).transpose(2, 0, 1)  # (v, n, m)
+        K[:, lin, :] = (L @ V1).transpose(1, 0, 2)
+        # rows (v, i) against the v-major, i-minor columns of the gather
+        Wv = (R @ V1).reshape(-1, m)
+        for mons, below in shift[1:]:
+            # take, not fancy indexing: several times faster on the middle axis
+            G = K.take(below, axis=1).reshape(rows * len(mons), -1)
+            K[:, mons, :] = -(G @ Wv).reshape(rows, len(mons), m)
+    return MatrixJet(ring, K[:, :-1, :].transpose(0, 2, 1))

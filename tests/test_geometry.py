@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grastar.errors import GrastarError
+from grastar import geometry
+from grastar.errors import ConvergenceError, GrastarError
 from grastar.geometry import (
     FunctionExpr,
     PointZ,
@@ -22,7 +23,9 @@ from grastar.geometry import (
     random_function_expr,
     sample_point,
     wick_product,
+    _trace_prod_jet,
 )
+from grastar.jets import MatrixJet, mat_inverse, shared_ring
 
 
 def _cfg(p=2, q=2, mu=Fraction(2)):
@@ -190,3 +193,77 @@ def test_jet_point_slot_convention():
             md = [0] * ring2.nvars
             md[A * cfg.p + i] = 1
             assert Zbar2[i, A].coeffs[ring2.index_of(tuple(md))] == 1.0
+
+
+def _one_sided_point(z, zb, order, holomorphic, mix):
+    """(Z, Zbar) with one side constant and the other z + H V G or zb + G V H.
+
+    ``mix`` = (H, G) mixes the offsets across rows and columns, so every
+    entry of the affine side depends on several variables.
+    """
+    n, p = z.shape
+    ring = shared_ring(n * p, order)
+    H, G = mix
+    slots = np.arange(n * p).reshape(n, p)
+    if holomorphic:
+        V = MatrixJet.variables(ring, slots).coeffs
+        V = np.einsum("ab,bck,cd->adk", H, V, G)
+        return MatrixJet.from_numeric(ring, z) + MatrixJet(ring, V), MatrixJet.from_numeric(ring, zb)
+    V = MatrixJet.variables(ring, slots.T).coeffs
+    V = np.einsum("ab,bck,cd->adk", G, V, H)
+    return MatrixJet.from_numeric(ring, z), MatrixJet.from_numeric(ring, zb) + MatrixJet(ring, V)
+
+
+@pytest.mark.parametrize("holomorphic", [True, False])
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_chart_route_matches_generic_route(p, q, holomorphic, monkeypatch):
+    # a point with one constant side takes the chart route in eval_function,
+    # which never inverts a jet; the reference forms Pi = Z (Zbar Z)^-1 Zbar
+    # with the jet inverse
+    def no_inverse(M):
+        raise AssertionError("the chart route inverted a jet matrix")
+
+    monkeypatch.setattr(geometry, "mat_inverse", no_inverse)
+    cfg = SpaceConfig(p, q)
+    n = cfg.n
+    rng = np.random.default_rng(40 + 10 * p + q)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    raw = sample_point(cfg, int(rng.integers(1000)))
+    zeta = level_representative(raw, cfg.mu).z
+    oblique = cplx(p, n)  # not z^t: 1 - z (zb z)^-1 zb is an oblique projector
+    bases = [(zeta, zeta.conj().T), (zeta, oblique), (raw.z, oblique)]
+    B = cplx(n, n)
+    for order in range(6):
+        for z, zb in bases:
+            Z, Zbar = _one_sided_point(z, zb, order, holomorphic, (cplx(n, n), cplx(p, p)))
+            ref = _trace_prod_jet(B, Z @ mat_inverse(Zbar @ Z) @ Zbar).coeffs
+            got = eval_function(FunctionExpr.generator(B), Z, Zbar).coeffs
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (order, z is zeta)
+
+
+@pytest.mark.parametrize("jet_point", [holomorphic_jet_point, antiholomorphic_jet_point])
+def test_chart_route_keeps_conditioning_check(jet_point):
+    # singular values 1 and 1e-5 give the Gram matrix condition number 1e10,
+    # past the jet inverse's bound; both routes refuse it with one message
+    rng = np.random.default_rng(13)
+    Q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    z = PointZ(Q[:, :2] @ np.diag([1.0, 1e-5]))
+    _, Z, Zbar = jet_point(z, 2)
+    with pytest.raises(ConvergenceError) as generic:
+        mat_inverse(Zbar @ Z)
+    assert "cond 1.00e+10" in str(generic.value)
+    f = FunctionExpr.generator(np.eye(3))
+    with pytest.raises(ConvergenceError) as chart:
+        eval_function(f, Z, Zbar)
+    assert str(chart.value) == str(generic.value)
+
+
+def test_eval_function_jet_needs_zbar():
+    z = sample_point(_cfg(), 14)
+    _, Z, _ = holomorphic_jet_point(z, 1)
+    f = FunctionExpr.generator(np.eye(4))
+    with pytest.raises(ValueError, match="Zbar"):
+        eval_function(f, Z)

@@ -280,10 +280,12 @@ def test_var_out_of_range():
 
 
 def test_ring_freed_without_cyclic_gc():
-    # a ring, with its table and work buffers, must not wait for a cyclic collection
+    # a ring, with its table, shift map and work buffers, must not wait for
+    # a cyclic collection
     gc.disable()
     try:
         ring = JetRing(4, 3).warm()
+        ring.degree_shift()
         ref = weakref.ref(ring)
         del ring
         assert ref() is None

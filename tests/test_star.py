@@ -504,7 +504,8 @@ def test_verify_suite_passes_and_serializes():
 
 
 def test_second_star_eval_builds_no_ring(monkeypatch):
-    # jet points take their ring from the shared cache, table and all
+    # jet points take their ring from the shared cache, table and degree
+    # shift map and all
     cfg = SpaceConfig(2, 1)
     rng = np.random.default_rng(21)
     f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
@@ -516,7 +517,14 @@ def test_second_star_eval_builds_no_ring(monkeypatch):
         built.append(args)
         init(self, *args, **kwargs)
 
+    shift = JetRing._build_degree_shift
+
+    def counting_shift(self):
+        built.append(("degree shift", self.nvars, self.order))
+        return shift(self)
+
     monkeypatch.setattr(JetRing, "__init__", counting_init)
+    monkeypatch.setattr(JetRing, "_build_degree_shift", counting_shift)
     star_eval(g, f, cfg, sample_point(cfg, 2), 3)
     star_eval(f, g, cfg, sample_point(cfg, 3), 3, lam=Fraction(1, 7))
     assert built == []
