@@ -61,11 +61,6 @@ class SpaceConfig:
     def n(self) -> int:
         return self.p + self.q
 
-    @property
-    def nslots(self) -> int:
-        """Number of independent holomorphic coordinates."""
-        return (self.p + self.q) * self.p
-
 
 @dataclass(frozen=True)
 class PointZ:

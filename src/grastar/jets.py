@@ -6,42 +6,31 @@ mixed partial derivatives of composite expressions without symbolic
 differentiation.  Holomorphic and antiholomorphic coordinates are separate,
 unrelated variables: nothing in here ever conjugates a jet.
 
-Coefficients live in dense numpy arrays over an explicit monomial basis.
-Each ``JetRing`` fixes the variable count and the truncation order of the
-total degree, and precomputes a multiplication table of the monomial pairs
-whose product lies in the truncation.  Monomials are keyed by their
-exponents read as digits in base ``order + 1``, which no exponent and no
-table product reaches, so keys never carry.  The
-table is ordered in blocks (a, b), the pairs whose first monomial has
-degree a and whose second has degree b, so the pairs that can meet in a
-product are a few contiguous ranges of it: a product reads the lowest and
-highest degree its factors occupy and uses only the blocks in that
-rectangle.  A constant factor then costs one pair per monomial, and an
-affine one only the blocks with a <= 1.  ``MatrixJet`` keeps a matrix of
-jets as one (rows, cols, size) coefficient array, and its product sums
-the m products of each entry in work buffers before one scatter.
-``mat_inverse`` solves M X = I one degree at a time, which for an affine
-M touches only the blocks (1, d - 1).
+Coefficients live in dense numpy arrays over the monomial basis of a
+``JetRing``, which fixes the variable count and the truncation order.  The
+basis is graded: by degree, and colexicographic within a degree.  So the
+monomials of degree <= D are a prefix, the basis of the ring of order D,
+and within a degree those in the first k variables lead, in the order of a
+ring of k variables.  One index map, built with the ring, gives the index
+of m x_v for every monomial m and variable v; ``index_of``, the
+multiplication table, the degree-shift map that inverts it and the
+indices of slot-tuple monomials all derive from it.  The table lists the
+pairs whose product lies in the truncation in blocks of their degrees, so
+a product uses only the blocks its factors' degrees occupy.
 
-A linear fraction K = Y (1 + W)^-1 of linear Y and W needs no table at
-all: K = Y - K W, so its degree-d block is -K_{d-1} W for d >= 2, and the
-coefficient of a degree-d monomial m is -sum_v K_{d-1}[m - e_v] W_v.  Each
-ring keeps a degree-shift map, the index of m - e_v for every monomial m
-and variable v, built on first use; ``linear_fraction`` then takes one
-gather and one matrix product per degree.
-
-Jet points share their rings through ``shared_ring``, a small bounded
-cache, so a ring's table, its degree-shift map and the index maps cached
-on it are built once; so does the associativity check, whose jets in
-outer and inner offsets together never exceed the truncation order.
+The only size limit is memory: ``check_memory`` estimates the bytes of a
+ring's maps and table and of the largest tensor array read from it, and
+raises ``RangeError`` above ``MEMORY_BUDGET`` before anything is
+allocated; every ring checks itself.  Jet points share their rings, with
+everything cached on them, through ``shared_ring``, a small bounded cache.
 All rings share one set of work buffers: products are not thread-safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cached_property, lru_cache
+from math import comb
 
 import numpy as np
 
@@ -52,158 +41,226 @@ _SCALARS = (int, float, complex, Fraction, np.integer, np.floating, np.complexfl
 # pairs per scatter of a product: bounds a large ring's work buffers
 _CHUNK = 1 << 18
 
+# the largest estimate ``check_memory`` lets through, in bytes
+MEMORY_BUDGET = 2 << 30
 
-class _Workspace:
-    """Work buffers of table products, grown on demand to the largest chunk.
 
-    Two factors and a running sum, one complex entry per pair.
+def check_memory(nvars: int, order: int, tensor_entries: int = 0) -> None:
+    """Raise ``RangeError`` if a ring of this shape and a tensor array would not fit.
+
+    The estimate allocates nothing.  It counts 40 B per pair of the ring's
+    table (three indices and two scatter targets; C(2 nvars + order, order)
+    pairs), 16 B per monomial and variable for the index map and its
+    inverse, and 96 B per entry of the largest tensor array a caller reads
+    from the ring: its slot-tuple index, the gathered coefficients, their
+    weights, the regrouped copy and the lower orders held beside it (84 B
+    an entry measured at (p, q, N) = (3, 1, 6)).
     """
+    if nvars < 0 or order < 0:
+        raise ValueError("nvars and order must be nonnegative")
+    need = 40 * comb(2 * nvars + order, order) + 16 * (comb(nvars + order, order) + 1) * nvars
+    need += 96 * tensor_entries
+    if need > MEMORY_BUDGET:
+        raise RangeError(
+            f"estimated memory {need / 2**30:.3g} GiB exceeds the budget of {MEMORY_BUDGET / 2**30:.3g} GiB"
+            f" (jet ring of {nvars} variables at order {order}, tensors of {tensor_entries} entries)"
+        )
 
-    def __init__(self):
-        self._buffers = np.empty((3, 0), dtype=complex)
 
-    def buffers(self, pairs: int) -> np.ndarray:
-        if self._buffers.shape[1] < pairs:
-            self._buffers = np.empty((3, pairs), dtype=complex)
-        return self._buffers
+# work buffers of table products, grown on demand to the largest chunk: two
+# factors and a running sum, one complex entry per pair.  One set serves
+# every ring: products run one at a time and return fresh arrays, and
+# buffers freed with each ring would leave their pages to fragment the heap
+_work = np.empty((3, 0), dtype=complex)
 
 
-# one workspace serves every ring: products run one at a time and return
-# fresh arrays, and a workspace freed with each ring would leave its pages
-# to fragment the heap
-_WORK = _Workspace()
+def _work_buffers(pairs: int) -> np.ndarray:
+    global _work
+    if _work.shape[1] < pairs:
+        _work = np.empty((3, pairs), dtype=complex)
+    return _work
 
 
 class JetRing:
-    """Monomial basis and multiplication table for jets of a fixed shape.
+    """Graded monomial basis, index map and multiplication table for jets of a fixed shape.
 
-    Monomials are sorted by key, the exponent vector read as digits in base
-    ``order + 1``: no exponent exceeds the order, and the table pairs only
-    monomials whose degrees sum to at most the order, so no key and no key
-    sum of the table carries.  The multiplication table lists the pairs
-    (i, j) block by block, a = deg i outer and b = deg j inner, and
-    ``_offsets[a, b]`` is where block (a, b) starts; ``_offsets[a,
-    order - a + 1]`` is where the blocks of degree a end.  The blocks (a,
-    b_lo) ... (a, b_hi) are therefore one contiguous range, and so are all
-    blocks with a in a range when b runs up to the truncation.
+    Degree d occupies ``_starts[d]:_starts[d + 1]``, ordered by highest
+    variable w; those with highest variable w are m x_w for the degree-d
+    monomials m in the variables 0 ... w, which lead degree d.  So m x_w
+    for w at least m's highest variable lies at ``_starts[d + 1] +
+    C(w + d, d + 1) + rank(m)``, rank(m) being m's place in its degree; a
+    lower w goes through m = m' x_u: m x_w = (m' x_w) x_u.  ``_up[k, v]``
+    is the index of m x_v for monomial k, or ``size`` beyond the
+    truncation, and its extra row ``size`` maps every variable to ``size``.
+
+    The table lists the pairs (i, j) block by block, a = deg i outer and
+    b = deg j inner; ``_offsets[a, b]`` is where block (a, b) starts and
+    ``_offsets[a, order - a + 1]`` where the blocks of degree a end.  The
+    blocks (a, b_lo) ... (a, b_hi) are therefore one contiguous range.
     """
 
     def __init__(self, nvars: int, order: int):
-        if nvars < 0 or order < 0:
-            raise ValueError("nvars and order must be nonnegative")
+        check_memory(nvars, order)
         self.nvars = nvars
         self.order = order
-        base = order + 1
-        if nvars and base**nvars >= 2**62:
-            raise RangeError(
-                f"jet ring with {nvars} variables at order {order} is too large"
-            )
-        self._base = base
-        self.monos = self._gen_monomials()
-        weights = base ** np.arange(nvars, dtype=np.int64) if nvars else np.zeros(0, dtype=np.int64)
-        self._weights = weights
-        keys = self.monos @ weights if nvars else np.zeros(len(self.monos), dtype=np.int64)
-        sort = np.argsort(keys, kind="stable")
-        self.monos = self.monos[sort]
-        self.keys = keys[sort]
-        self.size = len(self.keys)
-        self.degree = self.monos.sum(axis=1)
-        flut = np.array([factorial(k) for k in range(order + 1)], dtype=np.float64)
-        fact = np.ones(self.size, dtype=np.float64)
-        for v in range(nvars):
-            fact *= flut[self.monos[:, v]]
-        self.dfact = fact
-        self._index_cache: dict[tuple[int, ...], int] = {}
-        self._shift = None
-        self._table = None
-        self._offsets = None
-        self._targets = None
+        self.size = comb(nvars + order, order)
+        self._build_index()
+        self._tuples: dict[tuple[int, range], np.ndarray] = {}
+        self._shift = self._table = self._offsets = self._targets = None
 
-    def _gen_monomials(self) -> np.ndarray:
-        """Every exponent vector within the order, one per row.
+    def _build_index(self) -> None:
+        """The index map ``_up``, ``degree`` and ``dfact``, degree by degree.
 
-        Built one variable at a time, without recursion: a recursive closure
-        would reference itself and ``self``, and that cycle would keep the
-        ring with its table and buffers alive until a cyclic collection.
+        ``_parent[k]`` and ``_last[k]`` give monomial k as m' x_u: the index
+        of m' and u, k's highest variable (0 for the constant).
         """
-        monos = np.zeros((1, 0), dtype=np.int64)
-        for v in range(self.nvars):
-            counts = self.order - monos.sum(axis=1) + 1
-            starts = np.cumsum(counts) - counts
-            degree = np.arange(counts.sum()) - np.repeat(starts, counts)
-            monos = np.column_stack([np.repeat(monos, counts, axis=0), degree])
+        n, size = self.nvars, self.size
+        up = np.full((size + 1, n), size, dtype=np.intp)
+        parent = np.zeros(size, dtype=np.intp)
+        last = np.zeros(size, dtype=np.intp)
+        power = np.zeros(size, dtype=np.intp)  # the exponent of the highest variable
+        dfact = np.ones(size)
+        starts = [0, 1]
+        var = np.arange(n)
+        rank = np.arange(size)
+        counts = np.ones(n, dtype=np.intp)
+        for d in range(self.order):
+            s, e = starts[d], starts[d + 1]
+            # degree d + 1 by highest variable w: C(w + d, d) monomials each
+            if d:
+                counts = counts.cumsum()
+            seg = counts.cumsum() - counts
+            own = e + seg + rank[: e - s, None]
+            u = last[s:e, None]
+            up[s:e] = np.where(var >= u, own, own[up[parent[s:e]] - s, u]) if d else own
+            stop = e + int(counts.sum())
+            par, child = parent[e:stop], last[e:stop]
+            par[:] = rank[s : s + stop - e] - seg.repeat(counts)
+            child[:] = var.repeat(counts)
+            power[e:stop] = np.where(last[par] == child, power[par] + 1, 1)
+            dfact[e:stop] = dfact[par] * power[e:stop]
+            starts.append(stop)
+        self._up, self._parent, self._last = up, parent, last
+        self._starts = starts
+        self.degree = np.repeat(np.arange(self.order + 1), np.diff(starts))
+        self.dfact = dfact
+
+    @cached_property
+    def monos(self) -> np.ndarray:
+        """The exponent vectors, one row per monomial, built on first use."""
+        monos = np.zeros((self.size, self.nvars), dtype=np.int64)
+        s = self._starts
+        for d in range(1, self.order + 1):
+            k = np.arange(s[d], s[d + 1])
+            monos[k] = monos[self._parent[k]]
+            monos[k, self._last[k]] += 1
         return monos
 
     def index_of(self, multidegree) -> int:
-        multidegree = tuple(int(d) for d in multidegree)
-        if multidegree in self._index_cache:
-            return self._index_cache[multidegree]
-        key = int(np.dot(np.array(multidegree, dtype=np.int64), self._weights)) if self.nvars else 0
-        pos = int(np.searchsorted(self.keys, key))
-        if pos >= self.size or self.keys[pos] != key or tuple(self.monos[pos]) != multidegree:
-            raise KeyError(f"multidegree {multidegree} not in truncation")
-        self._index_cache[multidegree] = pos
-        return pos
+        md = [int(d) for d in multidegree]
+        if len(md) != self.nvars or min(md, default=0) < 0 or sum(md) > self.order:
+            raise KeyError(f"multidegree {tuple(md)} not in truncation")
+        k = 0
+        for v, e in enumerate(md):
+            for _ in range(e):
+                k = self._up[k, v]
+        return int(k)
+
+    def leading(self, nvars: int, order: int) -> np.ndarray:
+        """Indices of the monomials of ``JetRing(nvars, order)``, in its order: they lead each degree."""
+        if not (0 < nvars <= self.nvars and 0 <= order <= self.order):
+            raise ValueError(f"JetRing({nvars}, {order}) is not a leading part of {self!r}")
+        return np.concatenate(
+            [self._starts[d] + np.arange(comb(nvars + d - 1, d)) for d in range(order + 1)]
+        )
+
+    def tuple_indices(self, r: int, variables: range, start=None) -> np.ndarray:
+        """Index of m x_{v_1} ... x_{v_r} for every r-tuple of ``variables`` and monomial m.
+
+        Rows are the tuples, lexicographic with the first variable most
+        significant, and columns the monomial indices ``start``.  Without
+        ``start`` m is the constant, and the indices, one per tuple, are
+        cached on the ring.  ``KeyError`` if a product passes the truncation.
+        """
+        key = (r, variables)
+        if start is None and key in self._tuples:
+            return self._tuples[key]
+        var = np.asarray(variables, dtype=np.intp)
+        idx = np.zeros((1, 1), dtype=np.intp) if start is None else np.asarray(start, dtype=np.intp)[None, :]
+        up = self._up.ravel()
+        for _ in range(r):
+            # rows (tuple, v), tuple major
+            idx = up.take(idx[:, None, :] * self.nvars + var[None, :, None])
+            idx = idx.reshape(idx.shape[0] * idx.shape[1], idx.shape[2])
+        if idx.size and idx.max() == self.size:
+            raise KeyError(f"degree-{r} products of the variables are not all in the truncation at order {self.order}")
+        if start is None:
+            idx = idx[:, 0]
+            self._tuples[key] = idx
+        return idx
 
     def _mult_table(self):
         """Pairs (i, j) of monomials whose product lies in the truncation, and its index k.
 
-        Built block by block: block (a, b) pairs the monomials of degree a
-        with those of degree b, for a + b <= order.  Every such pair is
-        valid, and as no key digit carries within that bound, its key sum is
-        its product's key.  Time and memory follow the pairs of one block,
-        not ``size**2``.
+        Built one degree a of i at a time: every j of degree b <= order - a
+        pairs with every i, and j = j' x_u gives i j = (i j') x_u, one
+        gather through the index map per degree b.  Each block is written in
+        place into the table's C(2 nvars + order, order) pairs.
         """
         if self._table is None:
-            keys, order = self.keys, self.order
-            by_degree = [np.flatnonzero(self.degree == d) for d in range(order + 1)]
+            order, starts, n = self.order, self._starts, self.nvars
+            up = self._up.ravel()
+            pairs = comb(2 * n + order, order)
+            ti, tj, tk = (np.empty(pairs, dtype=np.intp) for _ in range(3))
             offsets = np.zeros((order + 1, order + 2), dtype=np.intp)
-            parts = []
             count = 0
             for a in range(order + 1):
-                rows = by_degree[a]
+                rows = np.arange(starts[a], starts[a + 1])
+                cols = starts[order - a + 1]
+                # prod[j] lists the index of monomial j times each row
+                prod = np.empty((cols, len(rows)), dtype=np.intp)
+                prod[0] = rows
+                for b in range(1, order - a + 1):
+                    s, e = starts[b], starts[b + 1]
+                    prod[s:e] = up.take(prod[self._parent[s:e]] * n + self._last[s:e, None])
+                # block (a, b) lists its pairs row by row, i then j
                 for b in range(order - a + 1):
+                    s, e = starts[b], starts[b + 1]
                     offsets[a, b] = count
-                    cols = by_degree[b]
-                    sums = (keys[rows][:, None] + keys[cols][None, :]).ravel()
-                    parts.append(
-                        (np.repeat(rows, len(cols)), np.tile(cols, len(rows)), np.searchsorted(keys, sums))
-                    )
-                    count += len(sums)
+                    stop = count + len(rows) * (e - s)
+                    ti[count:stop] = rows.repeat(e - s)
+                    tj[count:stop].reshape(len(rows), e - s)[:] = np.arange(s, e)
+                    tk[count:stop].reshape(len(rows), e - s)[:] = prod[s:e].T
+                    count = stop
                 offsets[a, order - a + 1] = count
-            ti, tj, tk = (np.concatenate(a) for a in zip(*parts))
-            del parts
             self._table = (ti, tj, tk)
             self._offsets = offsets
             # the bincount targets 2k, 2k+1 that sum the real and imaginary
             # halves of the interleaved float64 view of products into output k
-            self._targets = np.empty(2 * len(tk), dtype=np.intp)
+            self._targets = np.empty(2 * pairs, dtype=np.intp)
             self._targets[0::2] = 2 * tk
             self._targets[1::2] = 2 * tk + 1
         return self._table
 
-    def degree_shift(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def degree_shift(self) -> list[tuple[slice, np.ndarray]]:
         """The degree-shift map, built on first use and kept on the ring.
 
-        One pair (mons, below) per degree d = 1 ... order: ``mons`` are the
-        indices of the degree-d monomials m, ascending, and ``below[k, v]``
-        is the index of m - e_v for m = mons[k], or ``size`` where m has no
-        factor x_v.  As keys ascend with the variable, the degree-1
-        ``mons`` list x_0, x_1, ... in variable order.
+        One pair (mons, below) per degree d = 1 ... order: ``mons`` is the
+        slice of the degree-d monomials m, and ``below[k, v]`` is the index
+        of m - e_v for the k-th of them, or ``size`` where m has no factor
+        x_v.  The degree-1 monomials are x_0, x_1, ... in variable order.
         """
         if self._shift is None:
             self._shift = self._build_degree_shift()
         return self._shift
 
-    def _build_degree_shift(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        # m - e_v has key key(m) - base**v whenever x_v divides m
-        below = np.searchsorted(self.keys, self.keys[:, None] - self._weights[None, :])
-        below = np.where(self.monos > 0, below, self.size)
-        shift = []
-        for d in range(1, self.order + 1):
-            mons = np.flatnonzero(self.degree == d)
-            shift.append((mons, below[mons]))
-        return shift
+    def _build_degree_shift(self) -> list[tuple[slice, np.ndarray]]:
+        # the inverse of the index map: m x_v = k gives k - e_v = m
+        below = np.full((self.size, self.nvars), self.size, dtype=np.intp)
+        m, v = np.nonzero(self._up[:-1] < self.size)
+        below[self._up[m, v], v] = m
+        s = self._starts
+        return [(slice(s[d], s[d + 1]), below[s[d] : s[d + 1]]) for d in range(1, self.order + 1)]
 
     def _degree_range(self, coeffs: np.ndarray):
         """Lowest and highest degree at which any vector of a stack is nonzero.
@@ -243,10 +300,8 @@ class JetRing:
         off = self._offsets
         spans: list[tuple[int, int]] = []
         for a, b_lo, b_hi in blocks:
-            if b_lo > b_hi:
-                continue
             s, e = int(off[a, b_lo]), int(off[a, b_hi + 1])
-            if s == e:
+            if s >= e:  # no pairs, or b_lo > b_hi
                 continue
             if spans and spans[-1][1] == s:
                 spans[-1] = (spans[-1][0], e)
@@ -264,11 +319,8 @@ class JetRing:
                     group, room = [], _CHUNK
         if group:
             groups.append(group)
-        chunks = []
-        for group in groups:
-            parts = [self._targets[2 * s : 2 * e] for s, e in group]
-            chunks.append((group, parts[0] if len(parts) == 1 else np.concatenate(parts)))
-        return chunks
+        parts = [[self._targets[2 * s : 2 * e] for s, e in group] for group in groups]
+        return [(group, t[0] if len(t) == 1 else np.concatenate(t)) for group, t in zip(groups, parts)]
 
     def _dot(self, C1, C2, chunks) -> np.ndarray:
         """sum_k C1[k] * C2[k] over the pairs in ``chunks``, scattered once per chunk.
@@ -278,7 +330,7 @@ class JetRing:
         this allocates nothing but its result.
         """
         ti, tj, _ = self._table
-        acc, a, b = _WORK.buffers(max(len(t) for _, t in chunks) // 2)
+        acc, a, b = _work_buffers(max(len(t) for _, t in chunks) // 2)
         out = None
         for ranges, targets in chunks:
             for k in range(len(C1)):
@@ -342,18 +394,15 @@ class JetRing:
 
     def const(self, value) -> "Jet":
         out = self.zero()
-        out.coeffs[self.index_of((0,) * self.nvars)] = complex(value)
+        out.coeffs[0] = complex(value)  # the constant monomial leads the ring
         return out
 
     def var(self, index: int, base_value=0.0) -> "Jet":
         if not 0 <= index < self.nvars:
             raise RangeError(f"variable index {index} out of range 0..{self.nvars - 1}")
         out = self.const(base_value)
-        if self.order == 0:  # the linear term lies beyond the truncation
-            return out
-        e = [0] * self.nvars
-        e[index] = 1
-        out.coeffs[self.index_of(tuple(e))] = 1.0
+        if self.order:  # the linear term lies beyond an order-0 truncation
+            out.coeffs[self._up[0, index]] = 1.0
         return out
 
     def __repr__(self):
@@ -362,11 +411,10 @@ class JetRing:
 
 @lru_cache(maxsize=8)
 def shared_ring(nvars: int, order: int) -> JetRing:
-    """The ring of this shape, built once per process and shared.
+    """The ring of this shape, shared among the eight most recently used shapes.
 
-    The cache keeps the eight most recently used shapes.  Products return
-    fresh arrays, so callers may share a ring as long as they do not run
-    concurrently.
+    Products return fresh arrays, so callers may share a ring as long as
+    they do not run concurrently.
     """
     return JetRing(nvars, order)
 
@@ -381,7 +429,7 @@ class Jet:
         self.coeffs = coeffs
 
     def value(self) -> complex:
-        return complex(self.coeffs[self.ring.index_of((0,) * self.ring.nvars)])
+        return complex(self.coeffs[0])
 
     def coeff(self, multidegree) -> complex:
         return complex(self.coeffs[self.ring.index_of(multidegree)])
@@ -424,10 +472,7 @@ class Jet:
             return Jet(self.ring, self.ring.multiply(self.coeffs, other.coeffs))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return Jet(self.ring, self.coeffs * complex(other))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.ring.size else 0.0
@@ -477,7 +522,7 @@ class MatrixJet:
     def from_numeric(cls, ring: JetRing, array) -> "MatrixJet":
         array = np.asarray(array, dtype=complex)
         coeffs = np.zeros(array.shape + (ring.size,), dtype=complex)
-        coeffs[:, :, ring.index_of((0,) * ring.nvars)] = array
+        coeffs[:, :, 0] = array
         return cls(ring, coeffs)
 
     @classmethod
@@ -490,12 +535,8 @@ class MatrixJet:
         index = np.asarray(index)
         coeffs = np.zeros(index.shape + (ring.size,), dtype=complex)
         if ring.order:  # the linear terms lie beyond an order-0 truncation
-            keys = ring._weights[index]
-            pos = np.minimum(np.searchsorted(ring.keys, keys), ring.size - 1)
-            if np.any(ring.keys[pos] != keys):
-                raise KeyError("a variable's linear term is not in the truncation")
             rows, cols = np.indices(index.shape)
-            coeffs[rows, cols, pos] = 1.0
+            coeffs[rows, cols, ring._up[0, index]] = 1.0
         return cls(ring, coeffs)
 
     def __getitem__(self, idx) -> Jet:
@@ -509,7 +550,7 @@ class MatrixJet:
         self.coeffs[i, j] = jet.coeffs
 
     def value(self) -> np.ndarray:
-        return self.coeffs[:, :, self.ring.index_of((0,) * self.ring.nvars)].copy()
+        return self.coeffs[:, :, 0].copy()
 
     def _check_ring(self, other: "MatrixJet") -> None:
         if other.ring is not self.ring:
@@ -565,12 +606,8 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
     The constant term must be well conditioned, and the residual of the
     full product M X is bounded relative to ``max(|M| |X|, 1)``, because
     the inverse of a jet whose constant term is small has coefficients far
-    larger than 1.
-
-    ``geometry.eval_function`` calls it for a jet point whose two sides
-    both vary, as in ``star.star_jet_series``, which also inverts the Gram
-    matrix of its offset point with it; a point with one side constant
-    takes ``linear_fraction`` instead.
+    larger than 1.  A jet point with one side constant takes
+    ``linear_fraction`` instead.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
@@ -611,12 +648,12 @@ def linear_fraction(L: np.ndarray, V: MatrixJet, R: np.ndarray) -> MatrixJet:
     shift = ring.degree_shift()
     if shift:
         lin = shift[0][0]
-        V1 = V.coeffs.take(lin, axis=2).transpose(2, 0, 1)  # (v, n, m)
+        V1 = V.coeffs[:, :, lin].transpose(2, 0, 1)  # (v, n, m)
         K[:, lin, :] = (L @ V1).transpose(1, 0, 2)
         # rows (v, i) against the v-major, i-minor columns of the gather
         Wv = (R @ V1).reshape(-1, m)
         for mons, below in shift[1:]:
             # take, not fancy indexing: several times faster on the middle axis
-            G = K.take(below, axis=1).reshape(rows * len(mons), -1)
-            K[:, mons, :] = -(G @ Wv).reshape(rows, len(mons), m)
+            G = K.take(below, axis=1).reshape(rows * (mons.stop - mons.start), -1)
+            K[:, mons, :] = -(G @ Wv).reshape(rows, -1, m)
     return MatrixJet(ring, K[:, :-1, :].transpose(0, 2, 1))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from grastar.geometry import (
     sample_point,
     wick_product,
 )
-from grastar.jets import Jet, JetRing, MatrixJet, mat_inverse, shared_ring
+from grastar.jets import Jet, MatrixJet, check_memory, mat_inverse, shared_ring
 from grastar.partitions import Frame, conj_classes_of, partitions_of
 from grastar.tensor_action import _check_dim, rho_central
 
@@ -193,18 +193,6 @@ def _series_coefficient_matrices(r: int, p: int, mu: Fraction, order: int):
     return tuple(out)
 
 
-def _slot_tuple_keys(ring: JetRing, r: int, n: int, p: int) -> np.ndarray:
-    """Key of the monomial of every r-tuple of matrix slots, lexicographic.
-
-    Slot A*p + i refers to matrix entry (row A, column i); the first slot of
-    a tuple is the most significant.
-    """
-    keys = np.zeros(1, dtype=np.int64)
-    for _ in range(r):
-        keys = np.add.outer(keys, ring._weights[: n * p]).ravel()
-    return keys
-
-
 def _row_col(vals: np.ndarray, n: int, p: int, r: int) -> np.ndarray:
     """Regroup a leading slot-tuple axis into (row tuple, column tuple) axes.
 
@@ -220,39 +208,32 @@ def _row_col(vals: np.ndarray, n: int, p: int, r: int) -> np.ndarray:
     return split.transpose(axes).reshape((n**r, p**r) + rest)
 
 
-def _ring_tuple_indices(ring: JetRing, r: int, n: int, p: int) -> np.ndarray:
-    """Monomial index in ``ring`` for each slot tuple of length r (cached).
-
-    Raises ``KeyError`` if some tuple's monomial is not in the truncation.
-    """
-    cache_attr = getattr(ring, "_slot_index_cache", None)
-    if cache_attr is None:
-        cache_attr = {}
-        ring._slot_index_cache = cache_attr
-    key = (r, n, p)
-    if key not in cache_attr:
-        keys = _slot_tuple_keys(ring, r, n, p)
-        idx = np.minimum(np.searchsorted(ring.keys, keys), ring.size - 1)
-        # keys of degree-r monomials carry only when r > order, and a carry
-        # lowers the digit sum, so equal key and degree name one monomial
-        bad = (ring.keys[idx] != keys) | (ring.degree[idx] != r)
-        if np.any(bad):
-            slots = np.unravel_index(np.argmax(bad), (n * p,) * r)
-            md = np.bincount(np.array(slots, dtype=np.intp), minlength=ring.nvars)
-            raise KeyError(f"multidegree {tuple(int(d) for d in md)} not in truncation")
-        cache_attr[key] = idx
-    return cache_attr[key]
-
-
 def derivative_tensor(jet: Jet, n: int, p: int, r: int) -> np.ndarray:
     """All order-r mixed partials of a jet over the n*p matrix slots.
 
     Returns the (n^r, p^r) array whose (row-tuple, column-tuple) entry is
-    the derivative with respect to the corresponding r slots.
+    the derivative with respect to the corresponding r slots; slot A*p + i,
+    matrix entry (A, i), is variable A*p + i of the jet's ring.  Raises
+    ``KeyError`` if order r lies beyond the ring's truncation.
     """
     ring = jet.ring
-    ridx = _ring_tuple_indices(ring, r, n, p)
+    ridx = ring.tuple_indices(r, range(n * p))
     return _row_col(jet.coeffs[ridx] * ring.dfact[ridx], n, p, r)
+
+
+def _check_memory(n: int, p: int, order: int, series: bool = False) -> None:
+    """Raise ``RangeError`` before allocating if a product at this size exceeds the budget.
+
+    ``star_eval`` reads tensors of (n p)^order entries from a ring of n p
+    variables.  ``series`` adds the associativity jets: a ring of 2 n p
+    variables holding an (n, n, size) projector jet, and per order r
+    (n p)^r slot tuples by the outer monomials of degree <= order - r.
+    """
+    nz = n * p
+    if series:
+        tensors = max(nz**r * comb(nz + order - r, order - r) for r in range(order + 1))
+        check_memory(2 * nz, order, max(tensors, n * n * comb(2 * nz + order, order)))
+    check_memory(nz, order, nz**order)
 
 
 def _pairing_series(DFs, DGs, p: int, mu, order: int) -> LambdaSeries:
@@ -290,10 +271,7 @@ def _pairing_fixed(DFs, DGs, p: int, mu, lam, order: int) -> complex:
 def _derivative_tensors_at(f, zeta: PointZ, order: int, holomorphic: bool):
     """Jets of f at the level representative and all derivative tensors."""
     n, p = zeta.z.shape
-    if holomorphic:
-        ring, Z, Zbar = holomorphic_jet_point(zeta, order)
-    else:
-        ring, Z, Zbar = antiholomorphic_jet_point(zeta, order)
+    _, Z, Zbar = (holomorphic_jet_point if holomorphic else antiholomorphic_jet_point)(zeta, order)
     jf = eval_function(f, Z, Zbar) if isinstance(f, FunctionExpr) else f(Z, Zbar)
     return [derivative_tensor(jf, n, p, r) for r in range(order + 1)]
 
@@ -327,6 +305,7 @@ def star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
     ``ValueError`` if z or a matrix of f or g does not fit ``cfg``.
     """
     _check_shapes(f, g, cfg, z)
+    _check_memory(cfg.n, cfg.p, order)
     zeta = level_representative(z, cfg.mu)
     DFs = _derivative_tensors_at(f, zeta, order, holomorphic=True)
     DGs = _derivative_tensors_at(g, zeta, order, holomorphic=False)
@@ -347,16 +326,8 @@ def projective_star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None
     _check_shapes(f, g, cfg, z)
     mu = Fraction(cfg.mu)
     zeta = level_representative(z, cfg.mu)
-    n = cfg.n
-    ring_h, Zh, Zbh = holomorphic_jet_point(zeta, order)
-    ring_a, Za, Zba = antiholomorphic_jet_point(zeta, order)
-    jf = eval_function(f, Zh, Zbh) if isinstance(f, FunctionExpr) else f(Zh, Zbh)
-    jg = eval_function(g, Za, Zba) if isinstance(g, FunctionExpr) else g(Za, Zba)
     # sum over slot tuples of order r = r! * sum over monomials m of m! c^f_m c^g_m
-    per_order = [0j] * (order + 1)
-    prods = jf.coeffs * jg.coeffs * ring_h.dfact
-    for idx in np.nonzero(prods)[0]:
-        per_order[int(ring_h.degree[idx])] += complex(prods[idx])
+    per_order = wick_product(f, g, zeta, order).coeffs
     if lam is not None:
         lam = Fraction(lam) if isinstance(lam, (int, Fraction)) else complex(lam)
         total = 0j
@@ -493,7 +464,10 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     reads, and it keeps every jet in one ring of total degree ``order`` in
     the outer offsets and the inner ones together: the lambda^t jet
     differentiates the factors to inner order r <= t, and order r needs
-    outer degree <= ``order - r`` only.
+    outer degree <= ``order - r`` only.  Those outer monomials are a prefix
+    of the graded outer ring, the basis of ``shared_ring(n p, order - r)``:
+    the order-r tensors are held on it alone, and the lambda^t product runs
+    in the ring of order ``order - t`` on its prefix.
 
     Invariant functions depend on (Z, Zbar) only through
     Pi = Z (Zbar Z)^-1 Zbar, which is unchanged by Zbar -> A Zbar.  So the
@@ -501,10 +475,11 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     Gram matrix is mu to every jet order: one p x p jet inverse, no inverse
     square root.  The base point must already satisfy zetabar zeta = mu,
     because the outer pairing happens at zeta0, where that pair reduces to
-    (zeta0, zeta0^t).
+    (zeta0, zeta0^t).  Raises ``RangeError`` over the memory budget.
     """
     n, p = cfg.n, cfg.p
     nz = n * p
+    _check_memory(n, p, order, series=True)
     mu = Fraction(cfg.mu)
     slots = np.arange(nz).reshape(n, p)
     R_out = shared_ring(nz, order)
@@ -523,65 +498,52 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     Zbg = zetabar + MatrixJet.variables(total, nz + slots.T)
     jg = eval_function(g, zeta, Zbg) if isinstance(g, FunctionExpr) else g(zeta, Zbg)
 
-    # keys in the total ring of R_out's monomials as outer and as inner
-    # offsets; their sums never carry, as no degree exceeds the order
-    outer_keys = R_out.monos @ total._weights[:nz]
-    inner_keys = R_out.monos @ total._weights[nz:]
-
     out = [R_out.zero() for _ in range(order + 1)]
     for r in range(order + 1):
-        # per slot tuple: outer-jet coefficient vectors of the r-th partials,
-        # regrouped as DF[row tuple, column tuple, outer monomial], read up
-        # to outer degree order - r and zero above it
-        ridx = _ring_tuple_indices(R_out, r, n, p)
-        low = R_out.degree <= order - r
-        tidx = np.searchsorted(total.keys, inner_keys[ridx][:, None] + outer_keys[None, low])
-        w_in = R_out.dfact[ridx][:, None]
-        DF = np.zeros((len(ridx), R_out.size), dtype=complex)
-        DG = np.zeros((len(ridx), R_out.size), dtype=complex)
-        DF[:, low] = jf.coeffs[tidx] * w_in
-        DG[:, low] = jg.coeffs[tidx] * w_in
-        DF, DG = _row_col(DF, n, p, r), _row_col(DG, n, p, r)
+        # per slot tuple: outer-jet coefficient vectors of the r-th partials
+        # on the outer monomials of degree <= order - r, regrouped as
+        # DF[row tuple, column tuple, outer monomial]
+        outer = total.leading(nz, order - r)
+        tidx = total.tuple_indices(r, range(nz, 2 * nz), start=outer)
+        w_in = R_out.dfact[R_out.tuple_indices(r, range(nz))][:, None]
+        DF = _row_col(jf.coeffs[tidx] * w_in, n, p, r)
+        DG = _row_col(jg.coeffs[tidx] * w_in, n, p, r)
         inv_rfact = 1.0 / factorial(r)
         for t, M in enumerate(_series_coefficient_matrices(r, p, mu, order), start=r):
             if not M.any():  # r = 0 beyond lambda^0
                 continue
+            # the outer degrees <= order - t: the basis of ``ring``
+            ring = shared_ring(nz, order - t)
+            k = ring.size
             # contract the coefficients into DG first: n^r p^r jet products,
             # summed as one (1 x n^r p^r) @ (n^r p^r x 1) jet matrix product
-            # over the blocks of outer degree <= order - t only
-            MG = M @ DG
-            blocks = [(a, 0, order - t - a) for a in range(order - t + 1)]
-            prod = R_out._matmul(DF.reshape(1, -1, R_out.size), MG.reshape(-1, 1, R_out.size), blocks)
-            out[t].coeffs += prod[0, 0] * inv_rfact
+            MG = M @ DG[..., :k]
+            prod = ring._matmul(DF[..., :k].reshape(1, -1, k), MG.reshape(-1, 1, k))
+            out[t].coeffs[:k] += prod[0, 0] * inv_rfact
     return R_out, out
 
 
 def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
-    """Per-lambda-order residual of ((f*g)*h - f*(g*h)) at a point."""
+    """Per-lambda-order residual of ((f*g)*h - f*(g*h)) at a point.
+
+    The left association pairs the jets of f*g in holomorphic offsets with
+    h, the right one pairs f with the jets of g*h in antiholomorphic ones.
+    """
     zeta0 = level_representative(z, cfg.mu)
     n, p = cfg.n, cfg.p
 
-    # left association: jets of f*g in holomorphic offsets, then pair with h
-    _, fg = star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic=True)
-    DH = _derivative_tensors_at(h, zeta0, order, holomorphic=False)
-    left = [0j] * (order + 1)
-    for s in range(order + 1):
-        DFs = [derivative_tensor(fg[s], n, p, r) for r in range(order + 1)]
-        ser = _pairing_series(DFs, DH, p, cfg.mu, order)
-        for u in range(order + 1 - s):
-            left[s + u] += ser.coeffs[u]
+    def associate(a, b, c, left: bool):
+        _, ab = star_jet_series(a, b, zeta0, cfg, order, outer_holomorphic=left)
+        DC = _derivative_tensors_at(c, zeta0, order, holomorphic=not left)
+        out = [0j] * (order + 1)
+        for s in range(order + 1):
+            D = [derivative_tensor(ab[s], n, p, r) for r in range(order + 1)]
+            ser = _pairing_series(D, DC, p, cfg.mu, order) if left else _pairing_series(DC, D, p, cfg.mu, order)
+            for u in range(order + 1 - s):
+                out[s + u] += ser.coeffs[u]
+        return out
 
-    # right association: jets of g*h in antiholomorphic offsets, pair with f
-    _, gh = star_jet_series(g, h, zeta0, cfg, order, outer_holomorphic=False)
-    DF0 = _derivative_tensors_at(f, zeta0, order, holomorphic=True)
-    right = [0j] * (order + 1)
-    for s in range(order + 1):
-        DGs = [derivative_tensor(gh[s], n, p, r) for r in range(order + 1)]
-        ser = _pairing_series(DF0, DGs, p, cfg.mu, order)
-        for u in range(order + 1 - s):
-            right[s + u] += ser.coeffs[u]
-
-    return [abs(a - b) for a, b in zip(left, right)]
+    return [abs(a - b) for a, b in zip(associate(f, g, h, True), associate(g, h, f, False))]
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +561,15 @@ def verify_suite(
     Returns a JSON-serializable report; each entry records the check name,
     its parameters, the residual, the tolerance and a pass flag.  Fully
     deterministic for a fixed seed.  Raises ``RangeError`` for an order
-    below 1, which has no commutator to check, or a tolerance that is
-    negative or not finite.
+    below 1, which has no commutator to check, for a tolerance that is
+    negative or not finite, and before allocating for a size whose memory
+    estimate exceeds the budget.
     """
     if order < 1:
         raise RangeError(f"verification needs order >= 1, got {order}")
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise RangeError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    _check_memory(cfg.n, cfg.p, order, series=True)
     rng = np.random.default_rng(seed)
     checks = []
     params = {

@@ -1,12 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import grastar.cli
+import grastar.jets
 from grastar.cli import main
 from grastar.errors import ConvergenceError
 from grastar.geometry import FunctionExpr, SpaceConfig, random_function_expr
@@ -222,9 +224,10 @@ def test_verify_bad_parameter_exit(capsys, option, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("p, q, order", [(3, 1, 2), (2, 3, 2), (3, 2, 2), (3, 1, 3)])
+@pytest.mark.parametrize("p, q, order", [(3, 1, 2), (2, 3, 2), (3, 2, 2), (3, 1, 3), (4, 1, 2)])
 def test_verify_passes_where_keys_once_overflowed(capsys, p, q, order):
-    # the associativity ring's 2 n p variables keyed in base N + 1 fit 2^62
+    # the associativity ring's 2 n p variables once had their exponents
+    # packed as digits in base N + 1, which passed 2^62 at (4, 1, 2)
     code, out, err = run_cli(capsys, "verify", "--p", str(p), "--q", str(q), "--order", str(order))
     assert code == 0, err
     report = json.loads(out)
@@ -233,12 +236,36 @@ def test_verify_passes_where_keys_once_overflowed(capsys, p, q, order):
     assert assoc["residual"] <= 1e-10
 
 
-def test_verify_ring_too_large_exit(capsys):
-    # 2 n p = 40 variables: keys in base N + 1 = 3 pass 2^62
-    code, out, err = run_cli(capsys, "verify", "--p", "4", "--q", "1", "--order", "2")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the associativity table alone would have C(133, 5) ~ 3.3e8 pairs
+        ["verify", "--p", "4", "--q", "4", "--order", "5"],
+        # 12^8 ~ 4.3e8 slot tuples per derivative tensor
+        ["star", "f.json", "g.json", "--p", "3", "--q", "1", "--order", "8", "--lambda", "1/10"],
+    ],
+    ids=["verify-4-4-5", "star-3-1-8"],
+)
+def test_over_budget_exits_before_allocating(tmp_path, capsys, monkeypatch, argv):
+    cfg = SpaceConfig(3, 1, Fraction(1))
+    rng = np.random.default_rng(8)
+    files = {name: _write_function(tmp_path, name, random_function_expr(cfg, rng)) for name in ("f.json", "g.json")}
+
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a jet ring was built")
+
+    monkeypatch.setattr(grastar.jets.JetRing, "__init__", no_ring)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert err == "error: jet ring with 40 variables at order 2 is too large\n"
+    assert err.startswith("error: estimated memory ") and err.count("\n") == 1
+    assert "exceeds the budget of 2 GiB" in err
+    assert peak < 2**20
 
 
 def test_point_round_trip(tmp_path, capsys):

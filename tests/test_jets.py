@@ -12,9 +12,11 @@ import pytest
 from grastar.errors import ConvergenceError, RangeError
 from grastar.geometry import PointZ, SpaceConfig, holomorphic_jet_point, sample_point
 from grastar.jets import (
+    MEMORY_BUDGET,
     Jet,
     JetRing,
     MatrixJet,
+    check_memory,
     extract_partial,
     mat_inverse,
     shared_ring,
@@ -120,25 +122,117 @@ def test_sparse_and_table_paths_agree():
 
 def _brute_force_table(ring):
     """Every (i, j, k) with monos[i] + monos[j] == monos[k], over all size^2 pairs."""
-    index = {tuple(int(d) for d in m): k for k, m in enumerate(ring.monos)}
-    return {
-        (i, j, index[tuple(int(d) for d in mi + mj)])
-        for i, mi in enumerate(ring.monos)
-        for j, mj in enumerate(ring.monos)
-        if tuple(int(d) for d in mi + mj) in index
-    }
+    width = ring.monos.itemsize * ring.nvars
+    index = {m.tobytes(): k for k, m in enumerate(ring.monos)}
+    out = set()
+    for i, mi in enumerate(ring.monos):
+        sums = (mi + ring.monos).tobytes()
+        for j in range(ring.size):
+            k = index.get(sums[j * width : (j + 1) * width])
+            if k is not None:
+                out.add((i, j, k))
+    return out
 
 
-@pytest.mark.parametrize(
-    "ring",
-    [JetRing(3, 3), JetRing(8, 2), JetRing(2, 0), JetRing(0, 2)],
-    ids=repr,
-)
+# (40, 2) is the associativity ring of (p, q, N) = (4, 1, 2), which
+# exponents packed as digits in base N + 1 could not index below 2^62
+_INDEX_RINGS = [JetRing(3, 3), JetRing(8, 2), JetRing(2, 0), JetRing(0, 2), JetRing(40, 2)]
+
+
+@pytest.mark.parametrize("ring", _INDEX_RINGS, ids=repr)
 def test_mult_table_matches_brute_force(ring):
     ti, tj, tk = ring.warm()._table
     triples = set(zip(ti.tolist(), tj.tolist(), tk.tolist()))
     assert len(triples) == len(ti)
     assert triples == _brute_force_table(ring)
+
+
+@pytest.mark.parametrize("ring", _INDEX_RINGS, ids=repr)
+def test_index_of_inverts_the_basis(ring):
+    assert ring.size == comb(ring.nvars + ring.order, ring.order) == len(ring.monos)
+    assert [ring.index_of(m) for m in ring.monos] == list(range(ring.size))
+    # graded: the constant first, degrees ascending
+    assert ring.index_of((0,) * ring.nvars) == 0
+    assert np.array_equal(ring.degree, ring.monos.sum(axis=1))
+    assert np.all(np.diff(ring.degree) >= 0)
+    if ring.nvars:
+        for bad in [(ring.order + 1,) + (0,) * (ring.nvars - 1), (-1,) + (0,) * (ring.nvars - 1)]:
+            with pytest.raises(KeyError):
+                ring.index_of(bad)
+
+
+@pytest.mark.parametrize("ring", _INDEX_RINGS, ids=repr)
+def test_index_map_matches_brute_force(ring):
+    # the index of m x_v for every monomial m and variable v, or KeyError
+    index = {tuple(int(d) for d in m): k for k, m in enumerate(ring.monos)}
+    expect = np.full((ring.size, ring.nvars), -1)
+    for k, m in enumerate(ring.monos):
+        for v in range(ring.nvars):
+            up = tuple(int(d) + (w == v) for w, d in enumerate(m))
+            expect[k, v] = index.get(up, -1)
+    start = np.flatnonzero(ring.degree < ring.order)
+    assert np.all(expect[start] >= 0)
+    assert np.all(expect[ring.degree == ring.order] == -1)
+    got = ring.tuple_indices(1, range(ring.nvars), start=start)
+    assert np.array_equal(got.T, expect[start])
+    if ring.nvars:
+        with pytest.raises(KeyError):
+            ring.tuple_indices(1, range(ring.nvars), start=[ring.size - 1])
+
+
+@pytest.mark.parametrize("ring", _INDEX_RINGS, ids=repr)
+def test_degree_shift_matches_brute_force(ring):
+    index = {tuple(int(d) for d in m): k for k, m in enumerate(ring.monos)}
+    shift = ring.degree_shift()
+    assert len(shift) == ring.order
+    for d, (mons, below) in enumerate(shift, start=1):
+        assert np.array_equal(np.arange(ring.size)[mons], np.flatnonzero(ring.degree == d))
+        for k, m in zip(range(ring.size)[mons], below):
+            for v in range(ring.nvars):
+                down = tuple(int(e) - (w == v) for w, e in enumerate(ring.monos[k]))
+                assert m[v] == index.get(down, ring.size)
+    if ring.order and ring.nvars:
+        # the degree-1 monomials are the variables, in order
+        assert np.array_equal(ring.monos[shift[0][0]], np.eye(ring.nvars, dtype=int))
+
+
+@pytest.mark.parametrize("ring", _INDEX_RINGS, ids=repr)
+def test_lower_orders_are_prefixes(ring):
+    for order in range(ring.order + 1):
+        low = shared_ring(ring.nvars, order)
+        assert np.array_equal(low.monos, ring.monos[: low.size])
+        assert np.array_equal(low.dfact, ring.dfact[: low.size])
+    # the monomials in the first k variables, in the order of a ring of k
+    for k in range(1, ring.nvars + 1, max(1, ring.nvars // 4)):
+        sub = JetRing(k, ring.order)
+        lead = ring.leading(k, ring.order)
+        assert np.array_equal(ring.monos[lead, :k], sub.monos)
+        assert not ring.monos[lead, k:].any()
+
+
+def test_slot_tuple_indices_are_lexicographic():
+    ring = JetRing(3, 3)
+    idx = ring.tuple_indices(2, range(3))
+    expect = [ring.index_of(np.bincount([a, b], minlength=3)) for a in range(3) for b in range(3)]
+    assert idx.tolist() == expect
+    assert ring.tuple_indices(2, range(3)) is idx  # cached on the ring
+    assert ring.tuple_indices(0, range(3)).tolist() == [0]
+    assert ring.tuple_indices(1, range(1, 3)).tolist() == [2, 3]
+    with pytest.raises(KeyError):
+        ring.tuple_indices(4, range(3))
+
+
+def test_check_memory_estimates_before_allocating():
+    check_memory(40, 2, 1000)
+    # C(133, 5) ~ 3.3e8 table pairs at 40 bytes each
+    with pytest.raises(RangeError, match="budget"):
+        check_memory(64, 5)
+    with pytest.raises(RangeError, match="budget"):
+        check_memory(2, 2, MEMORY_BUDGET)
+    with pytest.raises(RangeError):
+        JetRing(64, 5)
+    with pytest.raises(ValueError):
+        check_memory(-1, 2)
 
 
 def test_mult_table_of_associativity_ring():
