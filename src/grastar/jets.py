@@ -14,23 +14,26 @@ and within a degree those in the first k variables lead, in the order of a
 ring of k variables.  One index map, built with the ring, gives the index
 of m x_v for every monomial m and variable v; ``index_of``, the
 multiplication table, the degree-shift map that inverts it and the
-indices of slot-tuple monomials all derive from it.  The table lists the
+indices of slot-tuple monomials, all tuples or one per sorted row tuple
+of a matrix of variables, all derive from it.  The table lists the
 pairs whose product lies in the truncation in blocks of their degrees, so
 a product uses only the blocks its factors' degrees occupy.
 
 The only size limit is memory: ``check_memory`` estimates the bytes of a
-ring's maps and table and of the largest tensor array read from it, and
-raises ``RangeError`` above ``MEMORY_BUDGET`` before anything is
-allocated; every ring checks itself.  Jet points share their rings, with
+ring's maps and table, of the largest tensor array read from it and of
+the matrices a caller holds beside them, and raises ``RangeError`` above
+``MEMORY_BUDGET`` before anything is allocated; every ring checks itself.  Jet points share their rings, with
 everything cached on them, through ``shared_ring``, a small bounded cache.
 All rings share one set of work buffers: products are not thread-safe.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import comb
+from functools import cache, cached_property, lru_cache
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -45,26 +48,42 @@ _CHUNK = 1 << 18
 MEMORY_BUDGET = 2 << 30
 
 
-def check_memory(nvars: int, order: int, tensor_entries: int = 0) -> None:
-    """Raise ``RangeError`` if a ring of this shape and a tensor array would not fit.
+def check_memory(nvars: int, order: int, tensor_entries: int = 0, matrix_entries: int = 0) -> None:
+    """Raise ``RangeError`` if a ring of this shape, a tensor array and matrices would not fit.
 
     The estimate allocates nothing.  It counts 40 B per pair of the ring's
     table (three indices and two scatter targets; C(2 nvars + order, order)
     pairs), 16 B per monomial and variable for the index map and its
-    inverse, and 96 B per entry of the largest tensor array a caller reads
-    from the ring: its slot-tuple index, the gathered coefficients, their
-    weights, the regrouped copy and the lower orders held beside it (84 B
-    an entry measured at (p, q, N) = (3, 1, 6)).
+    inverse, 96 B per entry of the largest tensor array a caller reads
+    from the ring (its index, the gathered coefficients, their weights,
+    the products formed from them and the lower orders held beside it)
+    and 8 B per entry of the float64 matrices a caller holds beside them.
     """
     if nvars < 0 or order < 0:
         raise ValueError("nvars and order must be nonnegative")
     need = 40 * comb(2 * nvars + order, order) + 16 * (comb(nvars + order, order) + 1) * nvars
-    need += 96 * tensor_entries
+    need += 96 * tensor_entries + 8 * matrix_entries
     if need > MEMORY_BUDGET:
         raise RangeError(
             f"estimated memory {need / 2**30:.3g} GiB exceeds the budget of {MEMORY_BUDGET / 2**30:.3g} GiB"
-            f" (jet ring of {nvars} variables at order {order}, tensors of {tensor_entries} entries)"
+            f" (jet ring of {nvars} variables at order {order}, tensors of {tensor_entries} entries,"
+            f" matrices of {matrix_entries} entries)"
         )
+
+
+@cache
+def sorted_tuples(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nondecreasing r-tuples of range(n), lexicographic, and their orbit sizes.
+
+    Returns a (C(n + r - 1, r), r) array of tuples and, per tuple, the
+    number r! / prod mult! of r-tuples that rearrange it, as floats.
+    """
+    tuples = list(itertools.combinations_with_replacement(range(n), r))
+    weights = [factorial(r) // prod(factorial(m) for m in Counter(t).values()) for t in tuples]
+    out = np.array(tuples, dtype=np.intp).reshape(len(tuples), r), np.array(weights, dtype=float)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 # work buffers of table products, grown on demand to the largest chunk: two
@@ -106,6 +125,7 @@ class JetRing:
         self.size = comb(nvars + order, order)
         self._build_index()
         self._tuples: dict[tuple[int, range], np.ndarray] = {}
+        self._multisets: dict[tuple[int, int, int, int], np.ndarray] = {}
         self._shift = self._table = self._offsets = self._targets = None
 
     def _build_index(self) -> None:
@@ -197,6 +217,36 @@ class JetRing:
         if start is None:
             idx = idx[:, 0]
             self._tuples[key] = idx
+        return idx
+
+    def multiset_indices(self, r: int, rows: int, cols: int, first: int = 0, start=None) -> np.ndarray:
+        """Index of m x_{s_1} ... x_{s_r} for every sorted row tuple, column tuple and monomial m.
+
+        The variables from ``first`` on are the entries of a rows x cols
+        matrix, entry (a, i) being variable first + a cols + i, and slot k
+        of a tuple is entry (A_k, I_k).  Axis 0 runs over the row tuples A
+        of ``sorted_tuples(rows, r)``, axis 1 over all column tuples I,
+        lexicographic with the first slot most significant, and axis 2,
+        given ``start``, over the monomials m = ``start``.  Without
+        ``start`` m is the constant, and the (C(rows + r - 1, r), cols^r)
+        array is cached on the ring.  ``KeyError`` if a product passes the
+        truncation.
+        """
+        key = (r, rows, cols, first)
+        if start is None and key in self._multisets:
+            return self._multisets[key]
+        A = sorted_tuples(rows, r)[0]
+        I = np.array(list(itertools.product(range(cols), repeat=r)), dtype=np.intp).reshape(cols**r, r)
+        slots = first + A[:, None, :] * cols + I[None, :, :]
+        m = np.zeros(1, dtype=np.intp) if start is None else np.asarray(start, dtype=np.intp)
+        idx = np.broadcast_to(m, slots.shape[:2] + m.shape)
+        up = self._up.ravel()
+        for k in range(r):
+            idx = up.take(idx * self.nvars + slots[:, :, k, None])
+        if idx.size and idx.max() == self.size:
+            raise KeyError(f"degree-{r} products of the variables are not all in the truncation at order {self.order}")
+        if start is None:
+            idx = self._multisets[key] = idx[:, :, 0]
         return idx
 
     def _mult_table(self):

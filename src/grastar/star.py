@@ -22,16 +22,28 @@ lambda sum_j (-(p + J_k)/mu)^j lambda^j.  The derivative tensors of one
 order meet once, in their Gram matrix over the column slots, which the
 coefficient matrix then weights entrywise.
 
-Poles are checked up front on the frame polynomials t_[m](c), so a
-``PoleError`` names the offending frame.  The exact projectors, class sums
+That Gram matrix sums over row tuples A, and one representative per row
+multiset suffices.  Mixed partials commute, so a permutation sigma of the
+r slot positions, acting on the row tuple A and the column tuple I
+together, leaves the order-r tensor alone: DF[sigma A, sigma I] =
+DF[A, I].  The coefficient element is central in C[S_r], so C[sigma I,
+sigma J] = C[I, J].  Hence every row tuple of one orbit adds the same
+amount to sum_A sum_{I,J} DF[A, I] C[I, J] DG[A, J], and the product
+reads its tensors at the C(n + r - 1, r) sorted row tuples only, each
+weighted by the size r! / prod mult! of its orbit, instead of at all n^r.
+
+Poles are checked up front, before any jet is built: c + J_k is singular
+exactly when c = -e for a content e of some J_k, and the ``PoleError``
+names the frame in which e first occurs.  The exact projectors, class sums
 and characters of ``tensor_action``, ``center`` and ``characters`` stay
-out of the product and serve as its oracles.
+out of the product and serve as its oracles; so does ``derivative_tensor``,
+which reads the tensors at every row tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -51,7 +63,7 @@ from grastar.geometry import (
     sample_point,
     wick_product,
 )
-from grastar.jets import Jet, MatrixJet, check_memory, mat_inverse, shared_ring
+from grastar.jets import Jet, MatrixJet, check_memory, mat_inverse, shared_ring, sorted_tuples
 from grastar.partitions import Frame, conj_classes_of, partitions_of
 from grastar.tensor_action import _check_dim, rho_central
 
@@ -90,24 +102,27 @@ def coefficient_operator(r: int, c_value, method: str = "frames") -> CentralElem
     return e_to_k(weights, r)
 
 
-@cache
-def _admissible_frames(r: int, p: int) -> tuple[Frame, ...]:
-    if r == 0:
-        return (Frame(()),)
-    return tuple(f for f in partitions_of(r) if f.num_rows <= p)
+def _check_poles(p: int, c, order: int) -> None:
+    """Raise ``PoleError`` if some c + J_k, k <= order, is singular on (C^p)^{x k}.
 
-
-def _check_poles(p: int, c, orders) -> None:
-    """Raise ``PoleError`` for the first frame, by order, whose t_[m](c) vanishes.
-
-    Every content in a Jucys-Murphy spectrum up to order r is the content
-    of a box of some frame of weight r with at most p rows, so no pole of
-    the coefficient operators escapes this check.
+    The contents of J_1 ... J_order are 1 - min(p, order) ... order - 1,
+    the contents of the boxes of the frames of weight <= order with at
+    most p rows, so there is a pole iff c = -e for one of them.  Content e
+    first occurs at weight |e| + 1, in the row (e + 1) for e >= 0 and in
+    the column (1^{1 - e}) below, and only there; the error names that
+    frame, the first one by weight whose t_[m](c) vanishes.
     """
-    for r in orders:
-        for frame in _admissible_frames(r, p):
-            if t_value(frame, c) == 0:
-                raise PoleError(frame, c)
+    if isinstance(c, complex):
+        if c.imag != 0 or not c.real.is_integer():
+            return
+        e = -int(c.real)
+    else:
+        exact = Fraction(c)
+        if exact.denominator != 1:
+            return
+        e = -exact.numerator
+    if 1 - min(p, order) <= e <= order - 1:
+        raise PoleError(Frame((e + 1,)) if e >= 0 else Frame((1,) * (1 - e)), c)
 
 
 @cache
@@ -153,18 +168,22 @@ def _extend(C: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (C @ A.reshape(C.shape[1], -1)).reshape(dim, dim)
 
 
-def _fixed_coefficient_matrices(p: int, mu, c, order: int) -> list[np.ndarray]:
-    """[C_0, ..., C_order] with C_r = prod_{k<=r} mu / (c + J_k) on (C^p)^{x r}.
+@lru_cache(maxsize=8)
+def _fixed_coefficient_matrices(p: int, mu, c, order: int) -> tuple[np.ndarray, ...]:
+    """(C_0, ..., C_order) with C_r = prod_{k<=r} mu / (c + J_k) on (C^p)^{x r}.
 
     J_k acts on the first k slots only and the J_k commute, so
-    C_r = (C_{r-1} x 1) mu / (c + J_r).  c must not be a pole.
+    C_r = (C_{r-1} x 1) mu / (c + J_r).  c must not be a pole.  The eight
+    most recently used sets are kept, read-only.
     """
     scalar = float if isinstance(c, Fraction) else complex
     mats = [np.ones((1, 1))]
     for r in range(1, order + 1):
         factor = sum(scalar(mu / (c + e)) * E for e, E in _jm_spectrum(r, p))
         mats.append(_extend(mats[-1], factor))
-    return mats
+    for M in mats:
+        M.flags.writeable = False
+    return tuple(mats)
 
 
 @cache
@@ -214,66 +233,100 @@ def derivative_tensor(jet: Jet, n: int, p: int, r: int) -> np.ndarray:
     Returns the (n^r, p^r) array whose (row-tuple, column-tuple) entry is
     the derivative with respect to the corresponding r slots; slot A*p + i,
     matrix entry (A, i), is variable A*p + i of the jet's ring.  Raises
-    ``KeyError`` if order r lies beyond the ring's truncation.
+    ``KeyError`` if order r lies beyond the ring's truncation.  The product
+    reads only the sorted row tuples (``multiset_tensors``); this full
+    tensor is their reference.
     """
     ring = jet.ring
     ridx = ring.tuple_indices(r, range(n * p))
     return _row_col(jet.coeffs[ridx] * ring.dfact[ridx], n, p, r)
 
 
+def multiset_tensors(jet: Jet, n: int, p: int, order: int) -> list[np.ndarray]:
+    """The order-0 ... order derivative tensors of a jet at the sorted row tuples.
+
+    Order r is the (C(n + r - 1, r), p^r) array whose row k is row A of
+    ``derivative_tensor(jet, n, p, r)`` for A the k-th tuple of
+    ``sorted_tuples(n, r)``.  Any other row tuple sigma A holds the same
+    entries with the column slots permuted by sigma.
+    """
+    ring = jet.ring
+    out = []
+    for r in range(order + 1):
+        idx = ring.multiset_indices(r, n, p)
+        out.append(jet.coeffs[idx] * ring.dfact[idx])
+    return out
+
+
 def _check_memory(n: int, p: int, order: int, series: bool = False) -> None:
     """Raise ``RangeError`` before allocating if a product at this size exceeds the budget.
 
-    ``star_eval`` reads tensors of (n p)^order entries from a ring of n p
-    variables.  ``series`` adds the associativity jets: a ring of 2 n p
-    variables holding an (n, n, size) projector jet, and per order r
-    (n p)^r slot tuples by the outer monomials of degree <= order - r.
+    ``star_eval`` reads tensors of C(n + order - 1, order) p^order entries
+    (sorted row tuples by column tuples) from a ring of n p variables and
+    pairs each order r through p^r x p^r float64 matrices: the cached
+    spectral projectors of J_r, one per candidate content, up to
+    order - r + 1 coefficient matrices of order r with as many powers
+    of J_r, and the temporaries of their build.  ``series`` adds the
+    associativity jets: a ring of 2 n p variables holding an (n, n, size)
+    projector jet, and per order r the order-r tensor entries by the
+    outer monomials of degree <= order - r.
     """
     nz = n * p
+    tensor = [comb(n + r - 1, r) * p**r for r in range(order + 1)]
+    matrices = sum(
+        p ** (2 * r) * (r + min(p, r) - 1 + 2 * (order - r + 1) + 6) for r in range(1, order + 1)
+    )
     if series:
-        tensors = max(nz**r * comb(nz + order - r, order - r) for r in range(order + 1))
-        check_memory(2 * nz, order, max(tensors, n * n * comb(2 * nz + order, order)))
-    check_memory(nz, order, nz**order)
+        outer = max(tensor[r] * comb(nz + order - r, order - r) for r in range(order + 1))
+        check_memory(2 * nz, order, max(outer, n * n * comb(2 * nz + order, order)), matrices)
+    check_memory(nz, order, tensor[order], matrices)
 
 
-def _pairing_series(DFs, DGs, p: int, mu, order: int) -> LambdaSeries:
-    """Contract derivative tensors into the formal product series."""
+def _gram(DF: np.ndarray, DG: np.ndarray, n: int, r: int) -> np.ndarray:
+    """sum_A DF[A, I] DG[A, J] over all n^r row tuples, from the sorted ones."""
+    return DF.T @ (sorted_tuples(n, r)[1][:, None] * DG)
+
+
+def _pairing_series(DFs, DGs, n: int, p: int, mu, order: int) -> LambdaSeries:
+    """Contract derivative tensors at the sorted row tuples into the formal product series."""
     mu = Fraction(mu)
     out = LambdaSeries(order, [0j] * (order + 1))
     for r in range(order + 1):
-        gram = DFs[r].T @ DGs[r]
+        gram = _gram(DFs[r], DGs[r], n, r)
         inv_rfact = 1.0 / factorial(r)
         for t, M in enumerate(_series_coefficient_matrices(r, p, mu, order), start=r):
             out.coeffs[t] += inv_rfact * complex(np.sum(M * gram))
     return out
 
 
-def _pairing_fixed(DFs, DGs, p: int, mu, lam, order: int) -> complex:
-    """Contract derivative tensors at a fixed numeric deformation parameter."""
-    mu = Fraction(mu)
+def _deformation_c(p: int, mu, lam):
+    """c = mu / lam + p, exact for a rational lam; None for lam = 0."""
     if isinstance(lam, (int, Fraction)):
         lam = Fraction(lam)
-        if lam == 0:
-            return complex(DFs[0][0, 0] * DGs[0][0, 0])
-        c = mu / lam + p
-    else:
-        lam = complex(lam)
-        if lam == 0:
-            return complex(DFs[0][0, 0] * DGs[0][0, 0])
-        c = complex(mu) / lam + p
-    _check_poles(p, c, range(order + 1))
+        return None if lam == 0 else Fraction(mu) / lam + p
+    lam = complex(lam)
+    return None if lam == 0 else complex(Fraction(mu)) / lam + p
+
+
+def _pairing_fixed(DFs, DGs, n: int, p: int, mu, c, order: int) -> complex:
+    """Contract derivative tensors at the sorted row tuples at a fixed c = mu / lambda + p.
+
+    ``c=None`` stands for lambda = 0, the pointwise product.
+    """
+    if c is None:
+        return complex(DFs[0][0, 0] * DGs[0][0, 0])
     total = 0j
-    for r, C in enumerate(_fixed_coefficient_matrices(p, mu, c, order)):
-        total += complex(np.sum(C * (DFs[r].T @ DGs[r]))) / factorial(r)
+    for r, C in enumerate(_fixed_coefficient_matrices(p, Fraction(mu), c, order)):
+        total += complex(np.sum(C * _gram(DFs[r], DGs[r], n, r))) / factorial(r)
     return total
 
 
 def _derivative_tensors_at(f, zeta: PointZ, order: int, holomorphic: bool):
-    """Jets of f at the level representative and all derivative tensors."""
+    """Jets of f at the level representative and its tensors at the sorted row tuples."""
     n, p = zeta.z.shape
     _, Z, Zbar = (holomorphic_jet_point if holomorphic else antiholomorphic_jet_point)(zeta, order)
     jf = eval_function(f, Z, Zbar) if isinstance(f, FunctionExpr) else f(Z, Zbar)
-    return [derivative_tensor(jf, n, p, r) for r in range(order + 1)]
+    return multiset_tensors(jf, n, p, order)
 
 
 def _check_shapes(f, g, cfg: SpaceConfig, z: PointZ) -> None:
@@ -306,12 +359,15 @@ def star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
     """
     _check_shapes(f, g, cfg, z)
     _check_memory(cfg.n, cfg.p, order)
+    c = None if lam is None else _deformation_c(cfg.p, cfg.mu, lam)
+    if c is not None:
+        _check_poles(cfg.p, c, order)
     zeta = level_representative(z, cfg.mu)
     DFs = _derivative_tensors_at(f, zeta, order, holomorphic=True)
     DGs = _derivative_tensors_at(g, zeta, order, holomorphic=False)
     if lam is None:
-        return _pairing_series(DFs, DGs, cfg.p, cfg.mu, order)
-    return _pairing_fixed(DFs, DGs, cfg.p, cfg.mu, lam, order)
+        return _pairing_series(DFs, DGs, cfg.n, cfg.p, cfg.mu, order)
+    return _pairing_fixed(DFs, DGs, cfg.n, cfg.p, cfg.mu, c, order)
 
 
 def projective_star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
@@ -397,7 +453,7 @@ def slot_coefficient_matrix(r: int, p: int, c) -> np.ndarray:
     frames with more rows acting as zero on (C^p)^{x r}; it is built as
     prod_k 1/(c + J_k) from the Jucys-Murphy elements.
     """
-    _check_poles(p, c, (r,))
+    _check_poles(p, c, r)
     return _fixed_coefficient_matrices(p, 1, c, r)[r].astype(complex)
 
 
@@ -500,14 +556,15 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
 
     out = [R_out.zero() for _ in range(order + 1)]
     for r in range(order + 1):
-        # per slot tuple: outer-jet coefficient vectors of the r-th partials
-        # on the outer monomials of degree <= order - r, regrouped as
-        # DF[row tuple, column tuple, outer monomial]
+        # per sorted row tuple and column tuple: outer-jet coefficient
+        # vectors of the r-th inner partials on the outer monomials of
+        # degree <= order - r, DF[row tuple, column tuple, outer monomial];
+        # DF's rows carry their orbit sizes
         outer = total.leading(nz, order - r)
-        tidx = total.tuple_indices(r, range(nz, 2 * nz), start=outer)
-        w_in = R_out.dfact[R_out.tuple_indices(r, range(nz))][:, None]
-        DF = _row_col(jf.coeffs[tidx] * w_in, n, p, r)
-        DG = _row_col(jg.coeffs[tidx] * w_in, n, p, r)
+        tidx = total.multiset_indices(r, n, p, first=nz, start=outer)
+        w_in = R_out.dfact[R_out.multiset_indices(r, n, p)][..., None]
+        DF = jf.coeffs[tidx] * (w_in * sorted_tuples(n, r)[1][:, None, None])
+        DG = jg.coeffs[tidx] * w_in
         inv_rfact = 1.0 / factorial(r)
         for t, M in enumerate(_series_coefficient_matrices(r, p, mu, order), start=r):
             if not M.any():  # r = 0 beyond lambda^0
@@ -515,8 +572,8 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
             # the outer degrees <= order - t: the basis of ``ring``
             ring = shared_ring(nz, order - t)
             k = ring.size
-            # contract the coefficients into DG first: n^r p^r jet products,
-            # summed as one (1 x n^r p^r) @ (n^r p^r x 1) jet matrix product
+            # contract the coefficients into DG first: one jet product per
+            # (sorted row tuple, column tuple), summed as one jet matrix product
             MG = M @ DG[..., :k]
             prod = ring._matmul(DF[..., :k].reshape(1, -1, k), MG.reshape(-1, 1, k))
             out[t].coeffs[:k] += prod[0, 0] * inv_rfact
@@ -537,8 +594,8 @@ def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
         DC = _derivative_tensors_at(c, zeta0, order, holomorphic=not left)
         out = [0j] * (order + 1)
         for s in range(order + 1):
-            D = [derivative_tensor(ab[s], n, p, r) for r in range(order + 1)]
-            ser = _pairing_series(D, DC, p, cfg.mu, order) if left else _pairing_series(DC, D, p, cfg.mu, order)
+            D = multiset_tensors(ab[s], n, p, order)
+            ser = _pairing_series(D, DC, n, p, cfg.mu, order) if left else _pairing_series(DC, D, n, p, cfg.mu, order)
             for u in range(order + 1 - s):
                 out[s + u] += ser.coeffs[u]
         return out

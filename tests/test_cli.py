@@ -241,7 +241,7 @@ def test_verify_passes_where_keys_once_overflowed(capsys, p, q, order):
     [
         # the associativity table alone would have C(133, 5) ~ 3.3e8 pairs
         ["verify", "--p", "4", "--q", "4", "--order", "5"],
-        # 12^8 ~ 4.3e8 slot tuples per derivative tensor
+        # ten 6561 x 6561 Jucys-Murphy projectors of order 8 alone are 3.4 GB
         ["star", "f.json", "g.json", "--p", "3", "--q", "1", "--order", "8", "--lambda", "1/10"],
     ],
     ids=["verify-4-4-5", "star-3-1-8"],

@@ -20,6 +20,7 @@ from grastar.jets import (
     extract_partial,
     mat_inverse,
     shared_ring,
+    sorted_tuples,
 )
 
 
@@ -220,6 +221,32 @@ def test_slot_tuple_indices_are_lexicographic():
     assert ring.tuple_indices(1, range(1, 3)).tolist() == [2, 3]
     with pytest.raises(KeyError):
         ring.tuple_indices(4, range(3))
+
+
+def test_multiset_indices_read_sorted_row_tuples():
+    # a 3 x 2 matrix of variables 1 ... 6 in a ring of 7
+    ring = JetRing(7, 3)
+    rows, weights = sorted_tuples(3, 2)
+    assert rows.tolist() == [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]]
+    assert weights.tolist() == [1, 2, 2, 1, 2, 1]
+    assert sorted_tuples(3, 0)[1].tolist() == [1]
+
+    def index(extra, a, b, i, j):
+        return ring.index_of(ring.monos[extra] + np.bincount([1 + 2 * a + i, 1 + 2 * b + j], minlength=7))
+
+    idx = ring.multiset_indices(2, 3, 2, first=1)
+    assert idx.tolist() == [[index(0, a, b, i, j) for i in range(2) for j in range(2)] for a, b in rows]
+    assert ring.multiset_indices(2, 3, 2, first=1) is idx  # cached on the ring
+    assert ring.multiset_indices(0, 3, 2).tolist() == [[0]]
+    # with ``start`` the monomials m run along a third axis
+    start = np.flatnonzero(ring.degree <= 1)
+    got = ring.multiset_indices(2, 3, 2, first=1, start=start)
+    expect = [[[index(m, a, b, i, j) for m in start] for i in range(2) for j in range(2)] for a, b in rows]
+    assert got.tolist() == expect
+    with pytest.raises(KeyError):
+        ring.multiset_indices(2, 3, 2, first=1, start=[ring.size - 1])
+    with pytest.raises(KeyError):
+        ring.multiset_indices(4, 3, 2)
 
 
 def test_check_memory_estimates_before_allocating():

@@ -19,6 +19,7 @@ from grastar.geometry import (
     FunctionExpr,
     PointZ,
     SpaceConfig,
+    antiholomorphic_jet_point,
     eval_function,
     holomorphic_jet_point,
     level_representative,
@@ -27,7 +28,7 @@ from grastar.geometry import (
     sample_point,
     wick_product,
 )
-from grastar.jets import JetRing, extract_partial
+from grastar.jets import Jet, JetRing, MatrixJet, extract_partial, mat_inverse, shared_ring, sorted_tuples
 from grastar.partitions import (
     Frame,
     Permutation,
@@ -37,10 +38,13 @@ from grastar.partitions import (
     partitions_of,
 )
 from grastar.star import (
+    _check_poles,
+    _fixed_coefficient_matrices,
     _series_coefficient_matrices,
     associativity_residuals,
     coefficient_operator,
     derivative_tensor,
+    multiset_tensors,
     proj_outer_power,
     proj_sandwich_power,
     proj_scalar_power,
@@ -129,6 +133,160 @@ def test_derivative_tensor_matches_per_tuple_reference(p, q):
     for r in (2, 3):
         with pytest.raises(KeyError):
             derivative_tensor(j1, cfg.n, p, r)
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_multiset_tensors_are_rows_of_the_full_tensor(p, q):
+    # for every permutation sigma of the r positions, row sigma A of the
+    # full tensor is the sorted row A with its column slots permuted by sigma
+    cfg = SpaceConfig(p, q, Fraction(1))
+    n = cfg.n
+    f = random_function_expr(cfg, np.random.default_rng(p + 3 * q))
+    _, Z, Zbar = holomorphic_jet_point(sample_point(cfg, p + 3 * q), 4)
+    jf = eval_function(f, Z, Zbar)
+    for r, D in enumerate(multiset_tensors(jf, n, p, 4)):
+        full = derivative_tensor(jf, n, p, r)
+        rows, weights = sorted_tuples(n, r)
+        assert D.shape == (len(rows), p**r)
+        assert weights.sum() == n**r
+        cols = np.array(list(itertools.product(range(p), repeat=r)), dtype=int).reshape(p**r, r)
+        for A, row in zip(rows, D):
+            for sigma in map(list, itertools.permutations(range(r))):
+                a = np.ravel_multi_index(A[sigma], (n,) * r) if r else 0
+                I = np.ravel_multi_index(cols[:, sigma].T, (p,) * r) if r else [0]
+                assert np.array_equal(full[a, I], row)
+    assert D.any()
+
+
+def _full_tensors(jet, n, p, order):
+    return [derivative_tensor(jet, n, p, r) for r in range(order + 1)]
+
+
+def _reference_series(DFs, DGs, p, mu, order):
+    """The formal series paired over every row tuple."""
+    out = np.zeros(order + 1, dtype=complex)
+    for r in range(order + 1):
+        gram = DFs[r].T @ DGs[r]
+        for t, M in enumerate(_series_coefficient_matrices(r, p, Fraction(mu), order), start=r):
+            out[t] += np.sum(M * gram) / factorial(r)
+    return out
+
+
+def _reference_star_eval(f, g, cfg, z, order, lam=None):
+    """star_eval with the full tensors of ``derivative_tensor``, every row tuple read."""
+    n, p, mu = cfg.n, cfg.p, Fraction(cfg.mu)
+    zeta = level_representative(z, mu)
+    tensors = []
+    for point, fn in ((holomorphic_jet_point, f), (antiholomorphic_jet_point, g)):
+        _, Z, Zbar = point(zeta, order)
+        tensors.append(_full_tensors(eval_function(fn, Z, Zbar), n, p, order))
+    DFs, DGs = tensors
+    if lam is None:
+        return _reference_series(DFs, DGs, p, mu, order)
+    c = mu / lam + p if isinstance(lam, Fraction) else complex(mu) / lam + p
+    mats = _fixed_coefficient_matrices(p, mu, c, order)
+    return sum(complex(np.sum(C * (DFs[r].T @ DGs[r]))) / factorial(r) for r, C in enumerate(mats))
+
+
+def _reference_star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic):
+    """star_jet_series with every (row tuple, column tuple) of inner slots read."""
+    n, p = cfg.n, cfg.p
+    nz = n * p
+    mu = Fraction(cfg.mu)
+    slots = np.arange(nz).reshape(n, p)
+    R_out, total = shared_ring(nz, order), shared_ring(2 * nz, order)
+    zeta = MatrixJet.from_numeric(total, zeta0.z)
+    Zbpt = MatrixJet.from_numeric(total, zeta0.zbar)
+    if outer_holomorphic:
+        zeta = zeta + MatrixJet.variables(total, slots)
+    else:
+        Zbpt = Zbpt + MatrixJet.variables(total, slots.T)
+    zetabar = mat_inverse(Zbpt @ zeta).scale(float(mu)) @ Zbpt
+    jf = eval_function(f, zeta + MatrixJet.variables(total, nz + slots), zetabar)
+    jg = eval_function(g, zeta, zetabar + MatrixJet.variables(total, nz + slots.T))
+    out = [np.zeros(R_out.size, dtype=complex) for _ in range(order + 1)]
+    for r in range(order + 1):
+        outer = total.leading(nz, order - r)
+        tidx = total.tuple_indices(r, range(nz, 2 * nz), start=outer)
+        w_in = R_out.dfact[R_out.tuple_indices(r, range(nz))][:, None]
+        # (slot tuple, outer monomial) -> (row tuple, column tuple, outer monomial)
+        axes = tuple(range(0, 2 * r, 2)) + tuple(range(1, 2 * r, 2)) + (2 * r,)
+        DF, DG = (
+            (jet.coeffs[tidx] * w_in).reshape((n, p) * r + (-1,)).transpose(axes).reshape(n**r, p**r, -1)
+            for jet in (jf, jg)
+        )
+        for t, M in enumerate(_series_coefficient_matrices(r, p, mu, order), start=r):
+            ring = shared_ring(nz, order - t)
+            k = ring.size
+            for A in range(n**r):
+                for I in range(p**r):
+                    MG = M[I] @ DG[A, :, :k]
+                    out[t][:k] += ring.multiply(DF[A, I, :k], MG) / factorial(r)
+    return out
+
+
+def _reference_associations(f, g, h, cfg, z, order):
+    """(f*g)*h and f*(g*h) per lambda order, from the full tensors."""
+    n, p = cfg.n, cfg.p
+    zeta0 = level_representative(z, cfg.mu)
+
+    def associate(a, b, c, left):
+        ab = _reference_star_jet_series(a, b, zeta0, cfg, order, outer_holomorphic=left)
+        _, Z, Zbar = (antiholomorphic_jet_point if left else holomorphic_jet_point)(zeta0, order)
+        DC = _full_tensors(eval_function(c, Z, Zbar), n, p, order)
+        out = np.zeros(order + 1, dtype=complex)
+        for s in range(order + 1):
+            D = _full_tensors(Jet(shared_ring(n * p, order), ab[s]), n, p, order)
+            ser = _reference_series(D, DC, p, cfg.mu, order) if left else _reference_series(DC, D, p, cfg.mu, order)
+            out[s:] += ser[: order + 1 - s]
+        return out
+
+    return associate(f, g, h, True), associate(g, h, f, False)
+
+
+def _close(got, want, rel=1e-12):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p,q,order", [(1, 2, 4), (2, 1, 5), (2, 2, 3), (3, 1, 4)])
+def test_star_eval_matches_full_tensor_reference(p, q, order):
+    cfg = SpaceConfig(p, q, Fraction(3, 2))
+    rng = np.random.default_rng(10 * p + q)
+    z = sample_point(cfg, 10 * p + q)
+    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+    assert _close(star_eval(f, g, cfg, z, order).coeffs, _reference_star_eval(f, g, cfg, z, order))
+    for lam in (Fraction(1, 10), Fraction(-2, 7), 0.05 + 0.2j):
+        got = star_eval(f, g, cfg, z, order, lam=lam)
+        assert _close(got, _reference_star_eval(f, g, cfg, z, order, lam=lam))
+
+
+@pytest.mark.parametrize("outer_holomorphic", [True, False])
+@pytest.mark.parametrize("p,q,order", [(2, 1, 3), (1, 2, 3), (2, 2, 2)])
+def test_star_jet_series_matches_full_tensor_reference(p, q, order, outer_holomorphic):
+    cfg = SpaceConfig(p, q, Fraction(2))
+    rng = np.random.default_rng(p + 5 * q)
+    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+    zeta0 = level_representative(sample_point(cfg, p + 5 * q), cfg.mu)
+    _, jets = star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic)
+    want = _reference_star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic)
+    assert _close(np.array([jet.coeffs for jet in jets]), np.array(want))
+
+
+@pytest.mark.parametrize("p,q,order", [(2, 1, 3), (1, 2, 3), (2, 2, 2)])
+def test_associativity_matches_full_tensor_reference(p, q, order):
+    # the residuals are rounding errors of the two associations; both
+    # routes must leave them within 1e-12 of the associated values
+    cfg = SpaceConfig(p, q, Fraction(1))
+    rng = np.random.default_rng(7 * p + q)
+    z = sample_point(cfg, 7 * p + q)
+    f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
+    left, right = _reference_associations(f, g, h, cfg, z, order)
+    scale = np.max(np.abs(left))
+    want = np.abs(left - right)
+    got = np.array(associativity_residuals(f, g, h, cfg, z, order))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert np.max(got) <= 1e-12 * scale
 
 
 def test_unit_element():
@@ -234,6 +392,47 @@ def test_fixed_lambda_pole():
 def test_fixed_lambda_pole_first_at_order_three():
     # c = -2 kills the box of content 2, first met in the frame [3]
     _assert_pole_first_at(3, Fraction(-1, 4), Frame((3,)), Fraction(-2))
+
+
+def _first_pole_by_frame_scan(p, c, order):
+    """The first frame, by weight <= order, with at most p rows whose t_[m](c) vanishes."""
+    for r in range(1, order + 1):
+        for frame in partitions_of(r):
+            if frame.num_rows <= p and t_value(frame, c) == 0:
+                return frame
+    return None
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_pole_rule_matches_frame_scan(p):
+    # c = -e for a Jucys-Murphy content e is a pole, named by the frame in
+    # which e first occurs; the scan over frames finds the same one
+    grid = [Fraction(k) for k in range(-10, 11)] + [Fraction(-5, 2), Fraction(1, 3)]
+    grid += [complex(k) for k in (-4, -1, 0, 3)] + [complex(-2, 1e-9), -2.5 + 0j]
+    poles = 0
+    for order in range(10):
+        for c in grid:
+            frame = _first_pole_by_frame_scan(p, c, order)
+            if frame is None:
+                _check_poles(p, c, order)
+                continue
+            poles += 1
+            with pytest.raises(PoleError) as exc:
+                _check_poles(p, c, order)
+            assert exc.value.frame == frame and exc.value.c_value == c
+    assert poles > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fixed_lambda_beyond_order_twelve_matches_closed_form(seed):
+    # no frame of weight 24 is enumerated: the pole check reads contents
+    cfg = SpaceConfig(1, 1, Fraction(1))
+    rng = np.random.default_rng(seed)
+    z = sample_point(cfg, seed)
+    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+    lam = Fraction(1, 10)
+    got = star_eval(f, g, cfg, z, 24, lam=lam)
+    assert abs(got - projective_star_eval(f, g, cfg, z, 24, lam=lam)) < 1e-11
 
 
 def test_shape_mismatch_rejected():
@@ -489,6 +688,24 @@ def test_star_jet_series_holds_tensors_on_the_graded_prefix():
     finally:
         tracemalloc.stop()
     assert peak < 51.8 * 2**20 / 4
+
+
+def test_warm_fixed_lambda_star_eval_reads_sorted_rows_only():
+    # at (3, 1, 6) the order-6 tensors have 84 sorted row tuples instead of
+    # 4,096; reading every row tuple peaked at 152 MiB here
+    cfg = SpaceConfig(3, 1, Fraction(1))
+    rng = np.random.default_rng(6)
+    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+    lam = Fraction(1, 10)
+    star_eval(f, g, cfg, sample_point(cfg, 6), 6, lam=lam)
+    z = sample_point(cfg, 7)
+    tracemalloc.start()
+    try:
+        star_eval(f, g, cfg, z, 6, lam=lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 38 * 2**20
 
 
 def test_associativity_small():
