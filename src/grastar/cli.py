@@ -89,9 +89,15 @@ def cmd_chartable(args) -> int:
 
 def cmd_coeffs(args) -> int:
     r, p, mu, lam = args.r, args.p, args.mu, args.lam
-    if lam == 0:
-        print("lambda must be nonzero for the coefficient map", file=sys.stderr)
-        return EXIT_USAGE
+    # the same ranges as SpaceConfig's
+    for bad, message in (
+        (p < 1, f"p must be >= 1, got {p}"),
+        (mu <= 0, f"mu must be positive, got {_fmt(mu)}"),
+        (lam == 0, "lambda must be nonzero for the coefficient map"),
+    ):
+        if bad:
+            print(message, file=sys.stderr)
+            return EXIT_USAGE
     c = mu / lam + p
     if args.path == "classes":
         s_map = s_coeffs(r, c)

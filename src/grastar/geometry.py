@@ -15,9 +15,11 @@ Because Pi is unchanged by Z -> Z g, at a jet point with offsets on one
 side only it depends only on the affine-chart coordinate K = Y (1 + W)^-1
 of that side, with Y and W linear in the offsets.  ``eval_function`` reads
 the generators off K there, degree by degree, with no jet inverse and no
-n x n jet matrix.  The generic Z (Zbar Z)^-1 Zbar stays for points whose
-two sides both vary, as in the associativity check, and as the reference
-of the chart route in the tests.
+n x n jet matrix; given several expressions, it reads every distinct
+generator of all of them off one K in one matrix product.  The generic
+Z (Zbar Z)^-1 Zbar stays for points whose two sides both vary, as in the
+associativity check, and as the reference of the chart route in the
+tests.
 """
 
 from __future__ import annotations
@@ -228,13 +230,17 @@ def random_function_expr(cfg: SpaceConfig, rng, nterms: int = 2, maxdeg: int = 2
     return FunctionExpr(terms)
 
 
-def _trace_prod_jet(B: np.ndarray, Pi: MatrixJet) -> Jet:
-    """tr(B Pi) = sum_{a,c} B[a, c] Pi[c, a] for a constant matrix B and a jet matrix Pi."""
-    return Jet(Pi.ring, B.T.reshape(-1) @ Pi.coeffs.reshape(-1, Pi.ring.size))
+def _trace_products(Bs: np.ndarray, X: MatrixJet) -> np.ndarray:
+    """tr(B X) for every B of a (k, a, b) stack and a b x a jet matrix X, as (k, size) coefficients.
+
+    tr(B X) = sum_{c,a} B^t[c, a] X[c, a], so the whole stack is one
+    (k, b a) @ (b a, size) matrix product.
+    """
+    return Bs.transpose(0, 2, 1).reshape(len(Bs), -1) @ X.coeffs.reshape(-1, X.ring.size)
 
 
 def _chart_generators(Z: MatrixJet, Zbar: MatrixJet, holomorphic: bool):
-    """B -> tr(B Pi) as a jet at a point with one side constant, the other affine.
+    """Bs -> the jets tr(B Pi), B in the stack Bs, at a point with one side constant, the other affine.
 
     ``holomorphic`` says that Zbar = zb is the constant side and Z = z + V
     the affine one.  With x0 = zb z, A = x0^-1 zb and W = A V, the rank-q
@@ -243,7 +249,7 @@ def _chart_generators(Z: MatrixJet, Zbar: MatrixJet, holomorphic: bool):
     since V = z W + U S V.  Antiholomorphically (Z = z constant,
     Zbar = zb + V) the mirror image holds with C = z x0^-1, W = V C and
     Pi = z A + C K S, K = (1 + W)^-1 V U.  K, q x p or p x q, comes from
-    ``linear_fraction`` with no jet inverse.
+    ``linear_fraction`` with no jet inverse, once for every B.
     """
     ring = Z.ring
     z, zb = Z.value(), Zbar.value()
@@ -265,20 +271,21 @@ def _chart_generators(Z: MatrixJet, Zbar: MatrixJet, holomorphic: bool):
         left, right = S, C
     one = ring.index_of((0,) * ring.nvars)
 
-    def generator(B):
-        jet = _trace_prod_jet(left @ B @ right, K)
-        jet.coeffs[one] += np.trace(B @ P)
-        return jet
+    def generators(Bs):
+        out = _trace_products(left @ Bs @ right, K)
+        out[:, one] += Bs.reshape(len(Bs), -1) @ P.T.reshape(-1)
+        return out
 
-    return generator
+    return generators
 
 
 def _generators(Z: MatrixJet, Zbar: MatrixJet):
-    """B -> tr(B Pi) as a jet, Pi = Z (Zbar Z)^-1 Zbar, by the cheapest exact route.
+    """Bs -> the jets tr(B Pi), Pi = Z (Zbar Z)^-1 Zbar, by the cheapest exact route.
 
     When one side is constant and the other affine, which the degrees they
     occupy show, the chart route needs no jet inverse; otherwise Pi is
-    formed as a jet matrix.
+    formed as a jet matrix.  Either way the whole stack of B is read off
+    the chart coordinate K, or off Pi, in one matrix product.
     """
     ring = Z.ring
     top_z, top_zb = ((ring._degree_range(M.coeffs) or (0, 0))[1] for M in (Z, Zbar))
@@ -287,59 +294,81 @@ def _generators(Z: MatrixJet, Zbar: MatrixJet):
     if top_z == 0 and top_zb <= 1:
         return _chart_generators(Z, Zbar, holomorphic=False)
     Pi = Z @ mat_inverse(Zbar @ Z) @ Zbar
-    return lambda B: _trace_prod_jet(B, Pi)
+    return lambda Bs: _trace_products(Bs, Pi)
 
 
-def eval_function(f: FunctionExpr, Z, Zbar=None):
-    """Evaluate an invariant expression at a numeric point or a jet point.
+def eval_function(f, Z, Zbar=None):
+    """Evaluate invariant expressions at a numeric point or a jet point.
 
-    With a ``PointZ`` or numpy matrix argument the result is a complex
-    number; with ``MatrixJet`` arguments (Z holomorphic, Zbar
-    antiholomorphic, both required) the result is a jet.
+    ``f`` is one ``FunctionExpr``, giving one result, or a sequence of
+    them, giving a list.  With a ``PointZ`` or numpy matrix argument a
+    result is a complex number; with ``MatrixJet`` arguments (Z
+    holomorphic, Zbar antiholomorphic, both required) it is a jet.
 
     Every generator is tr(B Pi) with Pi = Z (Zbar Z)^-1 Zbar, unchanged
-    by Z -> Z g.  At a jet point with Zbar constant and Z = z + V affine,
-    as at ``holomorphic_jet_point``, or the mirror image, Pi depends only
-    on the affine-chart coordinate K = S V (1 + W)^-1, and tr(B Pi) is a
-    constant plus tr(M K) (see ``_chart_generators``): no jet inverse and
-    no n x n jet matrix.  The degrees Z and Zbar occupy select this route.
-    Any other jet point, such as those of ``star.star_jet_series`` whose
-    sides both vary, takes Z @ mat_inverse(Zbar @ Z) @ Zbar, which is also
-    the chart route's reference in the tests.  Both routes raise
-    ``ConvergenceError`` when the constant Gram matrix zb z is
-    ill-conditioned; ``star_eval`` never meets that, because it jets at
-    the level representative, whose Gram matrix is mu times the identity.
+    by Z -> Z g.  All expressions share one Pi: at a jet point, the
+    distinct B of all of them are stacked and read off it in one matrix
+    product.  At a jet point with Zbar constant and Z = z + V affine, as
+    at ``holomorphic_jet_point``, or the mirror image, Pi depends only on
+    the affine-chart coordinate K = S V (1 + W)^-1, and tr(B Pi) is a
+    constant plus tr(M K) (see ``_chart_generators``): one K serves every
+    expression, with no jet inverse and no n x n jet matrix.  This is how
+    ``star.star_eval`` reads f and the conjugate of g from one chart.  The
+    degrees Z and Zbar occupy select this route.  Any other jet point,
+    such as those of ``star.star_jet_series`` whose sides both vary, takes
+    Z @ mat_inverse(Zbar @ Z) @ Zbar, which is also the chart route's
+    reference in the tests.  Both routes raise ``ConvergenceError`` when
+    the constant Gram matrix zb z is ill-conditioned; ``star_eval`` never
+    meets that, because it jets at the level representative, whose Gram
+    matrix is mu times the identity.  Expressions with no generator at
+    all build neither.
     """
+    fs = [f] if isinstance(f, FunctionExpr) else list(f)
     if isinstance(Z, PointZ):
         Zbar = Z.zbar
         Z = Z.z
     if isinstance(Z, MatrixJet):
         if Zbar is None:
             raise ValueError("a jet point needs Zbar, its antiholomorphic matrix jet")
-        generator = _generators(Z, Zbar)
-        total = Z.ring.zero()
-        cache = {}
-        for coeff, factors in f.terms:
+        out = _eval_jets(fs, Z, Zbar)
+    else:
+        Z = np.asarray(Z, dtype=complex)
+        if Zbar is None:
+            Zbar = Z.conj().T
+        Pi = Z @ np.linalg.inv(Zbar @ Z) @ Zbar
+        out = []
+        for fn in fs:
+            total = 0.0 + 0.0j
+            for coeff, factors in fn.terms:
+                term = coeff
+                for B in factors:
+                    term *= np.trace(B @ Pi)
+                total += term
+            out.append(complex(total))
+    return out[0] if isinstance(f, FunctionExpr) else out
+
+
+def _eval_jets(fs, Z: MatrixJet, Zbar: MatrixJet) -> list:
+    """The jets of the expressions fs, their distinct generators read in one batch."""
+    ring = Z.ring
+    distinct = {}
+    for fn in fs:
+        for _, factors in fn.terms:
+            for B in factors:
+                distinct.setdefault(B.tobytes(), B)
+    rows = _generators(Z, Zbar)(np.array(list(distinct.values()))) if distinct else ()
+    generator = {key: Jet(ring, row) for key, row in zip(distinct, rows)}
+    out = []
+    for fn in fs:
+        total = ring.zero()
+        for coeff, factors in fn.terms:
             term = None
             for B in factors:
-                key = B.tobytes()
-                if key not in cache:
-                    cache[key] = generator(B)
-                term = cache[key] if term is None else term * cache[key]
+                jet = generator[B.tobytes()]
+                term = jet if term is None else term * jet
             total = total + (coeff if term is None else term * coeff)
-        return total
-    Z = np.asarray(Z, dtype=complex)
-    if Zbar is None:
-        Zbar = Z.conj().T
-    x = Zbar @ Z
-    Pi = Z @ np.linalg.inv(x) @ Zbar
-    total = 0.0 + 0.0j
-    for coeff, factors in f.terms:
-        term = coeff
-        for B in factors:
-            term *= np.trace(B @ Pi)
-        total += term
-    return complex(total)
+        out.append(total)
+    return out
 
 
 def check_invariant_u(f: FunctionExpr, z: PointZ, U: np.ndarray, tol: float = 1e-10) -> bool:

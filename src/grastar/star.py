@@ -32,6 +32,22 @@ amount to sum_A sum_{I,J} DF[A, I] C[I, J] DG[A, J], and the product
 reads its tensors at the C(n + r - 1, r) sorted row tuples only, each
 weighted by the size r! / prod mult! of its orbit, instead of at all n^r.
 
+Both factors are read at one holomorphic jet point, from one affine
+chart.  The invariant functions form a *-algebra: gbar = ``g.conjugate()``
+(coefficients conjugated, B -> its conjugate transpose) is the pointwise
+conjugate of g.  Since Pi(Z, Zbar) and Pi(Zbar^H, Z^H) are each other's
+conjugate transposes (H the conjugate transpose), with V the n x p matrix
+of offsets x_{A p + i}, the jets g(zeta, zetabar + V^T) (the plain
+transpose: ``antiholomorphic_jet_point``) and gbar(zeta + V, zetabar)
+(``holomorphic_jet_point``) have complex conjugate coefficients.  So the
+antiholomorphic slot-(A, i) derivatives of g are the conjugates of the
+holomorphic slot-(A, i) derivatives of gbar, and ``eval_function`` reads
+every generator tr(B Pi) of f and gbar off one chart coordinate
+K = S V (1 + W)^-1: one SVD set-up, one ``linear_fraction`` and one matrix
+product for all of them.  ``antiholomorphic_jet_point`` stays off the
+product path; the Wick product, the Poisson bracket and the references
+in the tests read g there, independently of this identity.
+
 Poles are checked up front, before any jet is built: c + J_k is singular
 exactly when c = -e for a content e of some J_k, and the ``PoleError``
 names the frame in which e first occurs.  The exact projectors, class sums
@@ -54,7 +70,6 @@ from grastar.geometry import (
     FunctionExpr,
     PointZ,
     SpaceConfig,
-    antiholomorphic_jet_point,
     eval_function,
     holomorphic_jet_point,
     level_representative,
@@ -187,14 +202,18 @@ def _fixed_coefficient_matrices(p: int, mu, c, order: int) -> tuple[np.ndarray, 
 
 
 @cache
-def _series_coefficient_matrices(r: int, p: int, mu: Fraction, order: int):
+def _series_coefficient_matrices(r: int, p: int, mu: Fraction, order: int) -> np.ndarray:
     """Coefficients of lambda^r ... lambda^order of prod_k mu / (mu/lambda + p + J_k).
 
     Each factor is lambda sum_j X_k^j lambda^j with X_k = -(p + J_k)/mu, whose
-    powers are read off the spectral projectors of J_k.
+    powers are read off the spectral projectors of J_k.  The matrices come
+    stacked, (order - r + 1, p^r, p^r) and read-only, so that one
+    matrix-vector product pairs a Gram matrix with all of them.
     """
+    dim = p**r
+    out = np.zeros((order - r + 1, dim, dim))
     if r == 0:
-        out = [np.ones((1, 1))] + [np.zeros((1, 1)) for _ in range(order)]
+        out[0] = 1.0
     else:
         spectrum = _jm_spectrum(r, p)
         powers = [
@@ -203,13 +222,10 @@ def _series_coefficient_matrices(r: int, p: int, mu: Fraction, order: int):
         ]
         lower = _series_coefficient_matrices(r - 1, p, mu, order)
         # lambda^t = lambda^s (from orders below r) * lambda^(j+1) (this factor)
-        out = [
-            sum(_extend(lower[s - r + 1], powers[t - s - 1]) for s in range(r - 1, t))
-            for t in range(r, order + 1)
-        ]
-    for M in out:
-        M.flags.writeable = False
-    return tuple(out)
+        for t in range(r, order + 1):
+            out[t - r] = sum(_extend(lower[s - r + 1], powers[t - s - 1]) for s in range(r - 1, t))
+    out.flags.writeable = False
+    return out
 
 
 def _row_col(vals: np.ndarray, n: int, p: int, r: int) -> np.ndarray:
@@ -288,15 +304,20 @@ def _gram(DF: np.ndarray, DG: np.ndarray, n: int, r: int) -> np.ndarray:
 
 
 def _pairing_series(DFs, DGs, n: int, p: int, mu, order: int) -> LambdaSeries:
-    """Contract derivative tensors at the sorted row tuples into the formal product series."""
+    """Contract derivative tensors at the sorted row tuples into the formal product series.
+
+    Order r adds sum_{I,J} M_t[I, J] gram[I, J] / r! to lambda^t for every
+    t >= r: one product of the stacked real M_t with the Gram matrix's
+    real and imaginary parts.
+    """
     mu = Fraction(mu)
-    out = LambdaSeries(order, [0j] * (order + 1))
+    coeffs = np.zeros(order + 1, dtype=complex)
     for r in range(order + 1):
         gram = _gram(DFs[r], DGs[r], n, r)
-        inv_rfact = 1.0 / factorial(r)
-        for t, M in enumerate(_series_coefficient_matrices(r, p, mu, order), start=r):
-            out.coeffs[t] += inv_rfact * complex(np.sum(M * gram))
-    return out
+        M = _series_coefficient_matrices(r, p, mu, order)
+        re_im = M.reshape(len(M), -1) @ gram.reshape(-1).view(float).reshape(-1, 2)
+        coeffs[r:] += (re_im[:, 0] + 1j * re_im[:, 1]) / factorial(r)
+    return LambdaSeries(order, [complex(a) for a in coeffs])
 
 
 def _deformation_c(p: int, mu, lam):
@@ -321,12 +342,23 @@ def _pairing_fixed(DFs, DGs, n: int, p: int, mu, c, order: int) -> complex:
     return total
 
 
-def _derivative_tensors_at(f, zeta: PointZ, order: int, holomorphic: bool):
-    """Jets of f at the level representative and its tensors at the sorted row tuples."""
+def _derivative_tensors_at(f: FunctionExpr, g: FunctionExpr, zeta: PointZ, order: int):
+    """f's holomorphic and g's antiholomorphic tensors at the level representative.
+
+    Both come from one holomorphic jet point and one chart (see
+    ``eval_function``), at the sorted row tuples: g's are the conjugates of
+    those of ``g.conjugate()`` (see the module docstring).
+    """
     n, p = zeta.z.shape
-    _, Z, Zbar = (holomorphic_jet_point if holomorphic else antiholomorphic_jet_point)(zeta, order)
-    jf = eval_function(f, Z, Zbar) if isinstance(f, FunctionExpr) else f(Z, Zbar)
-    return multiset_tensors(jf, n, p, order)
+    _, Z, Zbar = holomorphic_jet_point(zeta, order)
+    jf, jgbar = eval_function((f, g.conjugate()), Z, Zbar)
+    return multiset_tensors(jf, n, p, order), [D.conj() for D in multiset_tensors(jgbar, n, p, order)]
+
+
+def _check_order(order) -> None:
+    """Raise ``RangeError`` unless the truncation order is a nonnegative integer."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+        raise RangeError(f"order must be a nonnegative integer, got {order!r}")
 
 
 def _check_shapes(f, g, cfg: SpaceConfig, z: PointZ) -> None:
@@ -354,17 +386,27 @@ def star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
     the deformation parameter (a ``LambdaSeries`` with complex
     coefficients); with a numeric ``lam`` the series coefficients are
     resummed exactly and a single complex value is returned (raising
-    ``PoleError`` if the parameter hits a coefficient pole).  Raises
-    ``ValueError`` if z or a matrix of f or g does not fit ``cfg``.
+    ``PoleError`` if the parameter hits a coefficient pole).
+
+    f and g are read at one holomorphic jet point, from one chart: g's
+    antiholomorphic tensors are the conjugates of the holomorphic ones of
+    ``g.conjugate()`` (see the module docstring).  So f and g must be
+    ``FunctionExpr``s, which can be conjugated; any other factor raises
+    ``TypeError``.  Raises ``RangeError`` for an order that is not a
+    nonnegative integer and ``ValueError`` if z or a matrix of f or g does
+    not fit ``cfg``.
     """
+    _check_order(order)
+    for fn in (f, g):
+        if not isinstance(fn, FunctionExpr):
+            raise TypeError(f"star_eval takes FunctionExpr factors, got {type(fn).__name__}")
     _check_shapes(f, g, cfg, z)
     _check_memory(cfg.n, cfg.p, order)
     c = None if lam is None else _deformation_c(cfg.p, cfg.mu, lam)
     if c is not None:
         _check_poles(cfg.p, c, order)
     zeta = level_representative(z, cfg.mu)
-    DFs = _derivative_tensors_at(f, zeta, order, holomorphic=True)
-    DGs = _derivative_tensors_at(g, zeta, order, holomorphic=False)
+    DFs, DGs = _derivative_tensors_at(f, g, zeta, order)
     if lam is None:
         return _pairing_series(DFs, DGs, cfg.n, cfg.p, cfg.mu, order)
     return _pairing_fixed(DFs, DGs, cfg.n, cfg.p, cfg.mu, c, order)
@@ -377,6 +419,7 @@ def projective_star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None
     products divided by the single rising factorial [c]_r; no symmetric
     group machinery enters.  Used as a cross-check of ``star_eval``.
     """
+    _check_order(order)
     if cfg.p != 1:
         raise ValueError("closed form only applies to p = 1")
     _check_shapes(f, g, cfg, z)
@@ -531,8 +574,10 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     Gram matrix is mu to every jet order: one p x p jet inverse, no inverse
     square root.  The base point must already satisfy zetabar zeta = mu,
     because the outer pairing happens at zeta0, where that pair reduces to
-    (zeta0, zeta0^t).  Raises ``RangeError`` over the memory budget.
+    (zeta0, zeta0^t).  Raises ``RangeError`` for an order that is not a
+    nonnegative integer and over the memory budget.
     """
+    _check_order(order)
     n, p = cfg.n, cfg.p
     nz = n * p
     _check_memory(n, p, order, series=True)
@@ -550,9 +595,9 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     zetabar = mat_inverse(Zbpt @ zeta).scale(float(mu)) @ Zbpt
     # factor f sees fresh holomorphic inner offsets, g antiholomorphic ones
     Zf = zeta + MatrixJet.variables(total, nz + slots)
-    jf = eval_function(f, Zf, zetabar) if isinstance(f, FunctionExpr) else f(Zf, zetabar)
+    jf = eval_function(f, Zf, zetabar)
     Zbg = zetabar + MatrixJet.variables(total, nz + slots.T)
-    jg = eval_function(g, zeta, Zbg) if isinstance(g, FunctionExpr) else g(zeta, Zbg)
+    jg = eval_function(g, zeta, Zbg)
 
     out = [R_out.zero() for _ in range(order + 1)]
     for r in range(order + 1):
@@ -585,13 +630,15 @@ def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
 
     The left association pairs the jets of f*g in holomorphic offsets with
     h, the right one pairs f with the jets of g*h in antiholomorphic ones.
+    The third factors are read as in ``star_eval``: f's holomorphic and
+    h's antiholomorphic tensors, from one chart.
     """
     zeta0 = level_representative(z, cfg.mu)
     n, p = cfg.n, cfg.p
+    DF, DH = _derivative_tensors_at(f, h, zeta0, order)
 
-    def associate(a, b, c, left: bool):
+    def associate(a, b, DC, left: bool):
         _, ab = star_jet_series(a, b, zeta0, cfg, order, outer_holomorphic=left)
-        DC = _derivative_tensors_at(c, zeta0, order, holomorphic=not left)
         out = [0j] * (order + 1)
         for s in range(order + 1):
             D = multiset_tensors(ab[s], n, p, order)
@@ -600,7 +647,7 @@ def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
                 out[s + u] += ser.coeffs[u]
         return out
 
-    return [abs(a - b) for a, b in zip(associate(f, g, h, True), associate(g, h, f, False))]
+    return [abs(a - b) for a, b in zip(associate(f, g, DH, True), associate(g, h, DF, False))]
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,15 @@ def test_coeffs_pole_exit(capsys):
     assert "frame" in err.lower() or "Frame" in err
 
 
+@pytest.mark.parametrize("option,value", [("--p", "0"), ("--p", "-1"), ("--mu", "0"), ("--mu", "-1")])
+def test_coeffs_bad_parameter_exit(capsys, option, value):
+    # a usage error, not a pole (exit 3)
+    code, out, err = run_cli(capsys, "coeffs", "3", option, value)
+    assert code == 2
+    assert out == ""
+    assert option[2:] in err and err.count("\n") == 1
+
+
 def _write_function(tmp_path, name, f):
     path = tmp_path / name
     path.write_text(f.dumps())
@@ -130,6 +139,19 @@ def test_star_bad_input_file(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, _ = run_cli(capsys, "star", str(bad), str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("lam", ["formal", "1/10"])
+def test_star_negative_order_exit(tmp_path, capsys, lam):
+    cfg = SpaceConfig(2, 1, Fraction(1))
+    rng = np.random.default_rng(9)
+    fpath = _write_function(tmp_path, "f.json", random_function_expr(cfg, rng))
+    code, out, err = run_cli(
+        capsys, "star", fpath, fpath, "--p", "2", "--q", "1", "--order", "-1", "--lambda", lam
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: order must be a nonnegative integer, got -1\n"
 
 
 def test_star_deterministic(tmp_path, capsys):

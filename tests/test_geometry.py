@@ -23,13 +23,17 @@ from grastar.geometry import (
     random_function_expr,
     sample_point,
     wick_product,
-    _trace_prod_jet,
 )
-from grastar.jets import MatrixJet, mat_inverse, shared_ring
+from grastar.jets import Jet, MatrixJet, linear_fraction, mat_inverse, shared_ring
 
 
 def _cfg(p=2, q=2, mu=Fraction(2)):
     return SpaceConfig(p, q, mu)
+
+
+def _trace_reference(B, Pi):
+    """The coefficients of tr(B Pi) for a jet matrix Pi, entry by entry."""
+    return np.einsum("ac,cak->k", B, Pi.coeffs)
 
 
 def test_sample_point_deterministic_and_full_rank():
@@ -239,9 +243,66 @@ def test_chart_route_matches_generic_route(p, q, holomorphic, monkeypatch):
     for order in range(6):
         for z, zb in bases:
             Z, Zbar = _one_sided_point(z, zb, order, holomorphic, (cplx(n, n), cplx(p, p)))
-            ref = _trace_prod_jet(B, Z @ mat_inverse(Zbar @ Z) @ Zbar).coeffs
+            ref = _trace_reference(B, Z @ mat_inverse(Zbar @ Z) @ Zbar)
             got = eval_function(FunctionExpr.generator(B), Z, Zbar).coeffs
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (order, z is zeta)
+
+
+@pytest.mark.parametrize("route", ["holomorphic", "antiholomorphic", "generic"])
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (3, 1)])
+def test_batched_generators_match_per_generator_reference(p, q, route, monkeypatch):
+    # eval_function reads the distinct B of all its expressions off one K,
+    # or one Pi, in a single matrix product; each must equal tr(B Pi) with
+    # Pi = Z (Zbar Z)^-1 Zbar formed on its own
+    charts, inverses = [], []
+    monkeypatch.setattr(geometry, "linear_fraction", lambda *a: charts.append(1) or linear_fraction(*a))
+    monkeypatch.setattr(geometry, "mat_inverse", lambda M: inverses.append(1) or mat_inverse(M))
+    cfg = SpaceConfig(p, q)
+    n, order = cfg.n, 3
+    rng = np.random.default_rng(60 + 10 * p + q)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    zeta = level_representative(sample_point(cfg, int(rng.integers(1000))), cfg.mu).z
+    mix = (cplx(n, n), cplx(p, p))
+    if route == "generic":
+        # both sides vary, in the same variables
+        Z, _ = _one_sided_point(zeta, zeta.conj().T, order, True, mix)
+        _, Zbar = _one_sided_point(zeta, zeta.conj().T, order, False, mix)
+    else:
+        Z, Zbar = _one_sided_point(zeta, zeta.conj().T, order, route == "holomorphic", mix)
+    Bs = [cplx(n, n) for _ in range(4)]
+    # B_0 occurs in every expression, B_1 twice in one term
+    fs = [
+        FunctionExpr([(2.0, [Bs[0], Bs[1], Bs[1]]), (1j, [Bs[2]])]),
+        FunctionExpr([(1.0, [Bs[0]]), (0.5, [])]),
+        FunctionExpr([(-1.0, [Bs[3], Bs[0]])]),
+    ]
+    jets = eval_function(fs, Z, Zbar)
+    assert (len(charts), len(inverses)) == ((0, 1) if route == "generic" else (1, 0))
+    Pi = Z @ mat_inverse(Zbar @ Z) @ Zbar
+    ring = Z.ring
+    tr = [Jet(ring, _trace_reference(B, Pi)) for B in Bs]
+    want = [
+        tr[0] * tr[1] * tr[1] * 2.0 + tr[2] * 1j,
+        tr[0] + 0.5,
+        tr[3] * tr[0] * -1.0,
+    ]
+    for got, ref in zip(jets, want):
+        assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
+    # one expression alone gives its jet, not a list
+    alone = eval_function(fs[2], Z, Zbar)
+    assert np.array_equal(alone.coeffs, jets[2].coeffs)
+
+
+def test_eval_function_of_several_expressions_at_a_numeric_point():
+    cfg = _cfg()
+    rng = np.random.default_rng(16)
+    fs = [random_function_expr(cfg, rng) for _ in range(3)] + [FunctionExpr.constant(2 - 1j)]
+    z = sample_point(cfg, 16)
+    assert eval_function(fs, z) == [eval_function(f, z) for f in fs]
+    assert eval_function([], z) == []
 
 
 @pytest.mark.parametrize("jet_point", [holomorphic_jet_point, antiholomorphic_jet_point])

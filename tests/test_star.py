@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import grastar.geometry
+import grastar.star
 import grastar.tensor_action
 from grastar.center import LambdaSeries, c_power_element, lambda_coefficient_series
 from grastar.characters import character
@@ -28,7 +30,16 @@ from grastar.geometry import (
     sample_point,
     wick_product,
 )
-from grastar.jets import Jet, JetRing, MatrixJet, extract_partial, mat_inverse, shared_ring, sorted_tuples
+from grastar.jets import (
+    Jet,
+    JetRing,
+    MatrixJet,
+    extract_partial,
+    linear_fraction,
+    mat_inverse,
+    shared_ring,
+    sorted_tuples,
+)
 from grastar.partitions import (
     Frame,
     Permutation,
@@ -173,7 +184,12 @@ def _reference_series(DFs, DGs, p, mu, order):
 
 
 def _reference_star_eval(f, g, cfg, z, order, lam=None):
-    """star_eval with the full tensors of ``derivative_tensor``, every row tuple read."""
+    """star_eval with the full tensors of ``derivative_tensor``, every row tuple read.
+
+    g is read at ``antiholomorphic_jet_point``, from its own chart, and not
+    as the conjugate of g.conjugate() at the holomorphic point as star_eval
+    reads it, so that this reference checks that identity too.
+    """
     n, p, mu = cfg.n, cfg.p, Fraction(cfg.mu)
     zeta = level_representative(z, mu)
     tensors = []
@@ -226,7 +242,12 @@ def _reference_star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic):
 
 
 def _reference_associations(f, g, h, cfg, z, order):
-    """(f*g)*h and f*(g*h) per lambda order, from the full tensors."""
+    """(f*g)*h and f*(g*h) per lambda order, from the full tensors.
+
+    The third factor h of the left association is read at
+    ``antiholomorphic_jet_point``, independently of the one chart from
+    which associativity_residuals reads h.conjugate() and f.
+    """
     n, p = cfg.n, cfg.p
     zeta0 = level_representative(z, cfg.mu)
 
@@ -447,6 +468,112 @@ def test_shape_mismatch_rejected():
     for left, right in ((small, f), (f, small)):
         with pytest.raises(ValueError, match="function matrix has shape"):
             star_eval(left, right, cfg, z, 1, lam=Fraction(1, 10))
+
+
+@pytest.mark.parametrize("p,q,order", [(1, 2, 4), (2, 2, 3), (3, 1, 4)])
+def test_antiholomorphic_tensors_are_conjugates_of_the_conjugate_function(p, q, order):
+    # with V the offsets, g(z, zb + V^T) and gbar(z + V, zb) have complex
+    # conjugate coefficients: star_eval reads g's antiholomorphic tensors as
+    # the conjugates of g.conjugate()'s holomorphic ones, at one jet point
+    cfg = SpaceConfig(p, q, Fraction(3, 2))
+    n = cfg.n
+    rng = np.random.default_rng(70 + 10 * p + q)
+    zeta = level_representative(sample_point(cfg, 70 + p), cfg.mu)
+    gs = [random_function_expr(cfg, rng, nterms=3) + FunctionExpr.constant(0.3 - 2j)]
+    gs.append(FunctionExpr.constant(0.3 - 2j))
+    _, Z, Zbar = holomorphic_jet_point(zeta, order)
+    gbar_jets = eval_function([g.conjugate() for g in gs], Z, Zbar)
+    _, Za, Zbara = antiholomorphic_jet_point(zeta, order)
+    g_jets = [eval_function(g, Za, Zbara) for g in gs]
+    for gbar_jet, g_jet in zip(gbar_jets, g_jets):
+        got = [D.conj() for D in multiset_tensors(gbar_jet, n, p, order)]
+        want = multiset_tensors(g_jet, n, p, order)
+        scale = max(np.max(np.abs(D)) for D in want)
+        for G, W in zip(got, want):
+            assert np.max(np.abs(G - W)) <= 1e-13 * scale
+
+
+def test_star_eval_builds_one_chart(monkeypatch):
+    # f and the conjugate of g share one jet point and one K; no jet is
+    # inverted and no antiholomorphic jet point is made
+    charts = []
+
+    def counting_fraction(*args):
+        charts.append(1)
+        return linear_fraction(*args)
+
+    def refuse(*args):
+        raise AssertionError("a second jet point or a jet inverse on the star_eval path")
+
+    monkeypatch.setattr(grastar.geometry, "linear_fraction", counting_fraction)
+    for module in (grastar.geometry, grastar.star):
+        monkeypatch.setattr(module, "antiholomorphic_jet_point", refuse, raising=False)
+        monkeypatch.setattr(module, "mat_inverse", refuse)
+    cfg = SpaceConfig(2, 2, Fraction(1))
+    rng = np.random.default_rng(71)
+    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+    z = sample_point(cfg, 71)
+    for lam in (None, Fraction(1, 10)):
+        before = len(charts)
+        star_eval(f, g, cfg, z, 3, lam=lam)
+        assert len(charts) - before == 1
+
+
+def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch):
+    charts = []
+
+    def counting_fraction(*args):
+        charts.append(1)
+        return linear_fraction(*args)
+
+    def refuse(*args):
+        raise AssertionError("an antiholomorphic jet point on the associativity path")
+
+    monkeypatch.setattr(grastar.geometry, "linear_fraction", counting_fraction)
+    for module in (grastar.geometry, grastar.star):
+        monkeypatch.setattr(module, "antiholomorphic_jet_point", refuse, raising=False)
+    cfg = SpaceConfig(2, 1, Fraction(2))
+    rng = np.random.default_rng(72)
+    f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
+    assert max(associativity_residuals(f, g, h, cfg, sample_point(cfg, 72), 2)) < 1e-10
+    # the jet series points vary on both sides and take the generic route
+    assert len(charts) == 1
+
+
+def test_star_eval_rejects_a_callable_factor():
+    cfg = SpaceConfig(2, 1, Fraction(1))
+    rng = np.random.default_rng(73)
+    f = random_function_expr(cfg, rng)
+    z = sample_point(cfg, 73)
+
+    def jet_of(Z, Zbar):
+        return eval_function(f, Z, Zbar)
+
+    for left, right in ((jet_of, f), (f, jet_of)):
+        with pytest.raises(TypeError, match="FunctionExpr"):
+            star_eval(left, right, cfg, z, 2)
+
+
+@pytest.mark.parametrize("order", [-1, -5, 2.0, True])
+def test_order_must_be_a_nonnegative_integer(order):
+    cfg = SpaceConfig(1, 1, Fraction(1))
+    rng = np.random.default_rng(74)
+    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+    z = sample_point(cfg, 74)
+    zeta0 = level_representative(z, cfg.mu)
+    with pytest.raises(RangeError, match="nonnegative integer"):
+        star_eval(f, g, cfg, z, order)
+    with pytest.raises(RangeError, match="nonnegative integer"):
+        star_eval(f, g, cfg, z, order, lam=Fraction(1, 10))
+    with pytest.raises(RangeError, match="nonnegative integer"):
+        projective_star_eval(f, g, cfg, z, order)
+    for outer_holomorphic in (True, False):
+        with pytest.raises(RangeError, match="nonnegative integer"):
+            star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic)
+    # order 0 is the pointwise product
+    assert star_eval(f, g, cfg, z, np.int64(0)).coeffs[0] == pytest.approx(
+        eval_function(f, zeta0) * eval_function(g, zeta0), rel=1e-12
+    )
 
 
 def test_first_order_is_wick_first_order():
