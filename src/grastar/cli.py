@@ -46,6 +46,11 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _lambda(text: str):
+    """A --lambda value: None for "formal", else a rational number."""
+    return None if text == "formal" else _frac(text)
+
+
 def _fmt(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
@@ -149,7 +154,7 @@ def cmd_star(args) -> int:
         print("--closed-form requires p = 1", file=sys.stderr)
         return EXIT_USAGE
     evaluate = projective_star_eval if args.closed_form else star_eval
-    lam = None if args.lam == "formal" else Fraction(args.lam)
+    lam = args.lam
     out = {
         "p": cfg.p,
         "q": cfg.q,
@@ -176,9 +181,9 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         tolerance=args.tolerance,
     )
-    if args.lam != "formal":
+    lam = args.lam
+    if lam is not None:
         # also resum at the fixed parameter; poles surface as exit 3
-        lam = Fraction(args.lam)
         rng = np.random.default_rng(args.seed)
         z = sample_point(cfg, int(rng.integers(0, 2**31)))
         from grastar.geometry import random_function_expr
@@ -239,6 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_star.add_argument(
         "--lambda",
         dest="lam",
+        type=_lambda,
         default="formal",
         help='rational value, or "formal" for the truncated series (default)',
     )
@@ -256,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", type=int, default=1)
     p_verify.add_argument("--q", type=int, default=1)
     p_verify.add_argument("--mu", type=_frac, default=Fraction(1))
-    p_verify.add_argument("--lambda", dest="lam", default="formal")
+    p_verify.add_argument("--lambda", dest="lam", type=_lambda, default="formal")
     p_verify.add_argument("--order", type=int, default=2)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tolerance", type=float, default=1e-7)

@@ -48,20 +48,23 @@ _CHUNK = 1 << 18
 MEMORY_BUDGET = 2 << 30
 
 
-def check_memory(nvars: int, order: int, tensor_entries: int = 0, matrix_entries: int = 0) -> None:
-    """Raise ``RangeError`` if a ring of this shape, a tensor array and matrices would not fit.
+def check_memory(nvars: int, order: int, tensor_entries: int = 0, matrix_entries: int = 0) -> int:
+    """The estimated bytes of a ring of this shape, a tensor array and matrices.
 
-    The estimate allocates nothing.  It counts 40 B per pair of the ring's
-    table (three indices and two scatter targets; C(2 nvars + order, order)
-    pairs), 16 B per monomial and variable for the index map and its
-    inverse, 96 B per entry of the largest tensor array a caller reads
+    Raises ``RangeError`` if they would not fit.  The estimate allocates
+    nothing.  It counts 40 B per pair of the ring's table (three indices
+    and two scatter targets; C(2 nvars + order, order) pairs), 48 B per
+    pair of a product's largest chunk, at most ``_CHUNK`` pairs, for the
+    shared work buffers, 16 B per monomial and variable for the index map
+    and its inverse, 96 B per entry of the largest tensor array a caller reads
     from the ring (its index, the gathered coefficients, their weights,
     the products formed from them and the lower orders held beside it)
     and 8 B per entry of the float64 matrices a caller holds beside them.
     """
     if nvars < 0 or order < 0:
         raise ValueError("nvars and order must be nonnegative")
-    need = 40 * comb(2 * nvars + order, order) + 16 * (comb(nvars + order, order) + 1) * nvars
+    pairs = comb(2 * nvars + order, order)
+    need = 40 * pairs + 48 * min(pairs, _CHUNK) + 16 * (comb(nvars + order, order) + 1) * nvars
     need += 96 * tensor_entries + 8 * matrix_entries
     if need > MEMORY_BUDGET:
         raise RangeError(
@@ -69,6 +72,7 @@ def check_memory(nvars: int, order: int, tensor_entries: int = 0, matrix_entries
             f" (jet ring of {nvars} variables at order {order}, tensors of {tensor_entries} entries,"
             f" matrices of {matrix_entries} entries)"
         )
+    return need
 
 
 @cache

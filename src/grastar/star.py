@@ -10,17 +10,17 @@ element is sum_[m] P_[m] mu^r / t_[m](c), with c = mu/lambda + p and
 t_[m](c) one linear factor (c + content) per box; frames with more than p
 rows act as zero on the column slots.
 
-Since the contents of the boxes are the joint eigenvalues of the
-Jucys-Murphy elements J_k = sum_{i<k} (i k), the same element is
-prod_k mu / (c + J_k).  Each J_k acts on (C^p)^{x r} as a sum of slot
-swaps, and its spectrum lies in the contents -(min(p,k)-1) ... k-1, so
-(c + J_k)^{-1} is a Lagrange interpolation over that spectrum: one
-spectral projector per content, built once per (k, p) without enumerating
-S_k or forming a Young projector.  For a fixed lambda the factors carry the
-weights mu / (c + content); for the formal series each factor is
-lambda sum_j (-(p + J_k)/mu)^j lambda^j.  The derivative tensors of one
-order meet once, in their Gram matrix over the column slots, which the
-coefficient matrix then weights entrywise.
+P_[m] is the isotypic projector of frame m on (C^p)^{x r}, so lambda
+enters only through one weight per frame.  The projectors of one order form
+a lambda-free stack, built once per (r, p) by branching (Okounkov-Vershik):
+on P_[m'] x 1 the Jucys-Murphy element J_r = sum_{i<r} (i r), a sum of
+slot swaps, has the contents of the boxes addable to m' as eigenvalues, and
+Lagrange interpolation at them splits off each frame m' + box; no S_r is
+enumerated.  The tensors of one order meet once, in their Gram matrix over
+the column slots; its pairings <P_[m], Gram_r> / r! over all orders form
+one vector, and the product is W @ pairs, with W the row mu^r / t_[m](c)
+at a fixed lambda and the matrix of its lambda^t coefficients for the
+formal series.
 
 That Gram matrix sums over row tuples A, and one representative per row
 multiset suffices.  Mixed partials commute, so a permutation sigma of the
@@ -48,9 +48,9 @@ product for all of them.  ``antiholomorphic_jet_point`` stays off the
 product path; the Wick product, the Poisson bracket and the references
 in the tests read g there, independently of this identity.
 
-Poles are checked up front, before any jet is built: c + J_k is singular
-exactly when c = -e for a content e of some J_k, and the ``PoleError``
-names the frame in which e first occurs.  The exact projectors, class sums
+Poles are checked up front, before any jet is built: some t_[m](c)
+vanishes exactly when c = -e for a content e, and the ``PoleError`` names
+the frame in which e first occurs.  The exact projectors, class sums
 and characters of ``tensor_action``, ``center`` and ``characters`` stay
 out of the product and serve as its oracles; so does ``derivative_tensor``,
 which reads the tensors at every row tuple.
@@ -59,12 +59,12 @@ which reads the tensors at every row tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
-from math import comb, factorial
+from functools import cache
+from math import comb, factorial, isqrt
 
 import numpy as np
 
-from grastar.center import CentralElement, LambdaSeries, e_to_k, s_coeffs
+from grastar.center import CentralElement, LambdaSeries, e_to_k, lambda_coefficient_series, s_coeffs
 from grastar.errors import PoleError, RangeError
 from grastar.geometry import (
     FunctionExpr,
@@ -80,7 +80,7 @@ from grastar.geometry import (
 )
 from grastar.jets import Jet, MatrixJet, check_memory, mat_inverse, shared_ring, sorted_tuples
 from grastar.partitions import Frame, conj_classes_of, partitions_of
-from grastar.tensor_action import _check_dim, rho_central
+from grastar.tensor_action import rho_central
 
 
 def t_value(frame: Frame, c):
@@ -125,8 +125,11 @@ def _check_poles(p: int, c, order: int) -> None:
     most p rows, so there is a pole iff c = -e for one of them.  Content e
     first occurs at weight |e| + 1, in the row (e + 1) for e >= 0 and in
     the column (1^{1 - e}) below, and only there; the error names that
-    frame, the first one by weight whose t_[m](c) vanishes.
+    frame, the first one by weight whose t_[m](c) vanishes.  ``c=None``
+    stands for lambda = 0, which has no pole.
     """
+    if c is None:
+        return
     if isinstance(c, complex):
         if c.imag != 0 or not c.real.is_integer():
             return
@@ -141,91 +144,113 @@ def _check_poles(p: int, c, order: int) -> None:
 
 
 @cache
-def _jm_spectrum(r: int, p: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """Spectral decomposition of J_r = sum_{i<r} (i r) on (C^p)^{x r}.
+def _frames(r: int, p: int):
+    """(frames, contents, branches) of the frames of weight r with at most p rows.
 
-    Returns (content e, projector E_e) for each eigenvalue, with E_e the
-    Lagrange basis polynomial prod_{e' != e} (J_r - e') / (e - e') over the
-    candidate contents -(min(p,r)-1) ... r-1.  The products have integer
-    entries, exact in float64 below 2^53; candidates that are not
-    eigenvalues give exactly zero and are dropped.
+    ``contents`` is the read-only (F, r) array of column minus row per box;
+    ``branches[k]`` lists (content, index in ``frames``) of the boxes
+    addable to the k-th frame of weight r - 1.
     """
-    _check_dim(p, r)
-    dim = p**r
-    contents = range(1 - min(p, r), r)
-
-    def jm(X):
-        # the transposition (i r) swaps slot axes i and r-1 of the row index
-        T = X.reshape((p,) * r + (dim,))
-        out = np.zeros_like(X)
-        for i in range(r - 1):
-            out += T.swapaxes(i, r - 1).reshape(dim, dim)
-        return out
-
-    spectrum = []
-    for e in contents:
-        E = np.eye(dim)
-        denom = 1
-        for other in contents:
-            if other != e:
-                E = jm(E) - other * E
-                denom *= e - other
-        if E.any():
-            E /= denom
-            E.flags.writeable = False
-            spectrum.append((e, E))
-    return tuple(spectrum)
-
-
-def _extend(C: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """(C x 1_p) @ A: C acts on the leading slots of A's row index."""
-    dim = A.shape[0]
-    return (C @ A.reshape(C.shape[1], -1)).reshape(dim, dim)
-
-
-@lru_cache(maxsize=8)
-def _fixed_coefficient_matrices(p: int, mu, c, order: int) -> tuple[np.ndarray, ...]:
-    """(C_0, ..., C_order) with C_r = prod_{k<=r} mu / (c + J_k) on (C^p)^{x r}.
-
-    J_k acts on the first k slots only and the J_k commute, so
-    C_r = (C_{r-1} x 1) mu / (c + J_r).  c must not be a pole.  The eight
-    most recently used sets are kept, read-only.
-    """
-    scalar = float if isinstance(c, Fraction) else complex
-    mats = [np.ones((1, 1))]
-    for r in range(1, order + 1):
-        factor = sum(scalar(mu / (c + e)) * E for e, E in _jm_spectrum(r, p))
-        mats.append(_extend(mats[-1], factor))
-    for M in mats:
-        M.flags.writeable = False
-    return tuple(mats)
+    index, contents, branches = ({Frame(()): 0}, [()], []) if r == 0 else ({}, [], [])
+    for frame, boxes in zip(*_frames(r - 1, p)[:2]) if r else ():
+        rows, addable = frame.rows + (0,), []
+        for i in range(min(frame.num_rows + 1, p)):
+            if i == 0 or rows[i - 1] > rows[i]:
+                child = Frame(rows[:i] + (rows[i] + 1,) + rows[i + 1 :])
+                if child not in index:
+                    index[child] = len(index)
+                    contents.append((*boxes, rows[i] - i))
+                addable.append((rows[i] - i, index[child]))
+        branches.append(tuple(addable))
+    contents = np.array(contents, dtype=int).reshape(len(index), r)
+    contents.flags.writeable = False
+    return tuple(index), contents, tuple(branches)
 
 
 @cache
-def _series_coefficient_matrices(r: int, p: int, mu: Fraction, order: int) -> np.ndarray:
-    """Coefficients of lambda^r ... lambda^order of prod_k mu / (mu/lambda + p + J_k).
+def _isotypic_projectors(r: int, p: int):
+    """(frames, contents, stack): ``_frames`` and the read-only (F, p^r, p^r) stack of the P_[m].
 
-    Each factor is lambda sum_j X_k^j lambda^j with X_k = -(p + J_k)/mu, whose
-    powers are read off the spectral projectors of J_k.  The matrices come
-    stacked, (order - r + 1, p^r, p^r) and read-only, so that one
-    matrix-vector product pairs a Gram matrix with all of them.
+    Each box addable to m' but the last gets the Lagrange interpolant of J_r
+    at the addable contents applied to X = P_[m'] x 1, a sum of the powers
+    J_r^j X; the last box gets X minus the others.
     """
+    frames, contents, branches = _frames(r, p)
     dim = p**r
-    out = np.zeros((order - r + 1, dim, dim))
+    stack = np.zeros((len(frames), dim, dim))
     if r == 0:
-        out[0] = 1.0
+        stack[0] = 1.0
     else:
-        spectrum = _jm_spectrum(r, p)
-        powers = [
-            sum(float((-(p + e) / mu) ** j) * E for e, E in spectrum)
-            for j in range(order - r + 1)
-        ]
-        lower = _series_coefficient_matrices(r - 1, p, mu, order)
-        # lambda^t = lambda^s (from orders below r) * lambda^(j+1) (this factor)
-        for t in range(r, order + 1):
-            out[t - r] = sum(_extend(lower[s - r + 1], powers[t - s - 1]) for s in range(r - 1, t))
+        X = np.zeros((dim // p, p, dim // p, p))
+        powers = [X.reshape(dim, dim)]
+        powers += [np.empty((dim, dim)) for _ in range(max(map(len, branches)) - 1)]
+        part = np.empty((dim, dim))
+        for P, addable in zip(_isotypic_projectors(r - 1, p)[2], branches):
+            X[:, range(p), :, range(p)] = P
+            for V, JV in zip(powers, powers[1 : len(addable)]):
+                # the transposition (i r) swaps slot i with the last slot of the row index
+                T, out = V.reshape((p,) * r + (dim,)), JV.reshape((p,) * r + (dim,))
+                np.copyto(out, T.swapaxes(0, r - 1))
+                for i in range(1, r - 1):
+                    out += T.swapaxes(i, r - 1)
+            last = stack[addable[-1][1]]
+            last += X.reshape(dim, dim)
+            for e, k in addable[:-1]:
+                others = [other for other, _ in addable if other != e]
+                lagrange = np.poly(others)[::-1] / np.prod([e - other for other in others])
+                for a, V in zip(lagrange, powers):
+                    np.multiply(V, a, out=part)
+                    stack[k] += part
+                    last -= part
+    stack.flags.writeable = False
+    return frames, contents, stack
+
+
+@cache
+def _box_indices(p: int, order: int) -> np.ndarray:
+    """Read-only (sum_r F_r, order) indices of each frame's boxes into ``_fixed_weights``' factors.
+
+    A box of content e has index e - (1 - min(p, order)); the boxes a frame
+    of weight r < order lacks have the index past the highest, a factor 1.
+    """
+    low, rows = 1 - min(p, order), []
+    for r in range(order + 1):
+        boxes = _frames(r, p)[1] - low
+        rows.append(np.pad(boxes, ((0, 0), (0, order - r)), constant_values=order - low))
+    out = np.concatenate(rows)
     out.flags.writeable = False
     return out
+
+
+def _fixed_weights(p: int, mu, c, order: int) -> np.ndarray:
+    """mu^r / t_[m](c) per frame of weight r <= order, in stack order: one mu / (c + e) per box.
+
+    c must not be a pole; ``c=None`` stands for lambda = 0, whose row selects order 0.
+    """
+    boxes = _box_indices(p, order)
+    if c is None:
+        return np.eye(1, len(boxes))[0]
+    contents = range(1 - min(p, order), order)
+    if isinstance(c, Fraction):
+        # mu / (c + e), rounded once from its exact value
+        (a, b), (m, d) = c.as_integer_ratio(), Fraction(mu).as_integer_ratio()
+        factors = [m * b / (d * (a + e * b)) for e in contents]
+    else:
+        factors = [complex(Fraction(mu)) / (c + e) for e in contents]
+    return np.prod(np.array(factors + [1.0])[boxes], axis=1)
+
+
+@cache
+def _series_weights(p: int, mu: Fraction, order: int) -> np.ndarray:
+    """Read-only (order + 1, sum_r F_r): each frame's lambda series, in stack order.
+
+    Column k is ``center.lambda_coefficient_series`` of the k-th frame, rounded to float.
+    """
+    frames = [m for r in range(order + 1) for m in _frames(r, p)[0]]
+    series = [lambda_coefficient_series(m, mu, p, order).coeffs for m in frames]
+    W = np.array(series, dtype=float).T
+    W.flags.writeable = False
+    return W
 
 
 def _row_col(vals: np.ndarray, n: int, p: int, r: int) -> np.ndarray:
@@ -274,50 +299,68 @@ def multiset_tensors(jet: Jet, n: int, p: int, order: int) -> list[np.ndarray]:
     return out
 
 
-def _check_memory(n: int, p: int, order: int, series: bool = False) -> None:
-    """Raise ``RangeError`` before allocating if a product at this size exceeds the budget.
+@cache
+def _memory_terms(n: int, p: int, order: int, series: bool) -> tuple:
+    """The ``check_memory`` arguments (nvars, order, tensor, matrices) of a product at this size.
 
     ``star_eval`` reads tensors of C(n + order - 1, order) p^order entries
-    (sorted row tuples by column tuples) from a ring of n p variables and
-    pairs each order r through p^r x p^r float64 matrices: the cached
-    spectral projectors of J_r, one per candidate content, up to
-    order - r + 1 coefficient matrices of order r with as many powers
-    of J_r, and the temporaries of their build.  ``series`` adds the
-    associativity jets: a ring of 2 n p variables holding an (n, n, size)
-    projector jet, and per order r the order-r tensor entries by the
-    outer monomials of degree <= order - r.
+    from a ring of n p variables and keeps the projector stacks, F_r p^{2r}
+    floats at order r (F_r the frames of weight r with at most p rows).
+    Beside them it holds one at a time the chart jet point, the build of
+    one order by branching (X, its powers by J_r, one part) and the complex
+    Gram matrix.  ``series`` adds the associativity jets: a ring of 2 n p
+    variables holding an (n, n, size) projector jet, the order-r tensor
+    entries by the outer monomials of degree <= order - r, and those once
+    per frame, complex, as P_[m] DG.  No frame is listed, and the ring and
+    the top order alone are checked first, so a large order is refused
+    before any sum over the orders is formed.
     """
     nz = n * p
+    check_memory(nz, order, comb(n + order - 1, order) * p**order, p ** (2 * order))
+    # F_r: transposed, the frames of weight r with at most p rows are partitions into parts <= p
+    frames = [1] + [0] * order
+    for part in range(1, min(p, order) + 1):
+        for r in range(part, order + 1):
+            frames[r] += frames[r - part]
     tensor = [comb(n + r - 1, r) * p**r for r in range(order + 1)]
-    matrices = sum(
-        p ** (2 * r) * (r + min(p, r) - 1 + 2 * (order - r + 1) + 6) for r in range(1, order + 1)
-    )
+    stacks = sum(frames[r] * p ** (2 * r) for r in range(order + 1))
+    # a frame of weight r - 1 has at most min(p, k + 1) addable boxes, k(k + 1) / 2 <= r - 1
+    addable = [min(p, (isqrt(8 * r - 7) + 1) // 2) for r in range(1, order + 1)]
+    build = max((p ** (2 * r) * (1 + a) for r, a in enumerate(addable, 1)), default=0)
+    transient = max(build, 2 * p ** (2 * order))
+    # the chart jet point: complex Z, Zbar and K, and the gather that builds K's top
+    # degree, beyond the ring's table (5 floats a pair), which is built after it is freed
+    gather = 2 * (n - p) * p * nz * comb(nz + order - 1, order) if order > 1 else 0
+    point = 2 * p * (3 * n - p) * comb(nz + order, order)
+    point += max(gather - 5 * comb(2 * nz + order, order), 0)
+    terms = [(nz, order, tensor[order], stacks + max(point, transient))]
     if series:
-        outer = max(tensor[r] * comb(nz + order - r, order - r) for r in range(order + 1))
-        check_memory(2 * nz, order, max(outer, n * n * comb(2 * nz + order, order)), matrices)
-    check_memory(nz, order, tensor[order], matrices)
+        outer = [tensor[r] * comb(nz + order - r, order - r) for r in range(order + 1)]
+        projected = max(2 * frames[r] * outer[r] for r in range(order + 1))
+        jets = max(*outer, n * n * comb(2 * nz + order, order))
+        terms.insert(0, (2 * nz, order, jets, stacks + transient + projected))
+    return tuple(terms)
 
 
-def _gram(DF: np.ndarray, DG: np.ndarray, n: int, r: int) -> np.ndarray:
-    """sum_A DF[A, I] DG[A, J] over all n^r row tuples, from the sorted ones."""
-    return DF.T @ (sorted_tuples(n, r)[1][:, None] * DG)
+def _check_memory(n: int, p: int, order: int, series: bool = False) -> None:
+    """Raise ``RangeError`` before allocating if a product at this size exceeds the budget."""
+    for args in _memory_terms(n, p, order, series):
+        check_memory(*args)
 
 
-def _pairing_series(DFs, DGs, n: int, p: int, mu, order: int) -> LambdaSeries:
-    """Contract derivative tensors at the sorted row tuples into the formal product series.
+def _frame_pairings(DFs, DGs, n: int, p: int, order: int) -> np.ndarray:
+    """<P_[m], Gram_r> / r! per frame of weight r <= order, in stack order.
 
-    Order r adds sum_{I,J} M_t[I, J] gram[I, J] / r! to lambda^t for every
-    t >= r: one product of the stacked real M_t with the Gram matrix's
-    real and imaginary parts.
+    Gram_r is read at the sorted row tuples, each weighted by its orbit size.
     """
-    mu = Fraction(mu)
-    coeffs = np.zeros(order + 1, dtype=complex)
+    pairs = []
     for r in range(order + 1):
-        gram = _gram(DFs[r], DGs[r], n, r)
-        M = _series_coefficient_matrices(r, p, mu, order)
-        re_im = M.reshape(len(M), -1) @ gram.reshape(-1).view(float).reshape(-1, 2)
-        coeffs[r:] += (re_im[:, 0] + 1j * re_im[:, 1]) / factorial(r)
-    return LambdaSeries(order, [complex(a) for a in coeffs])
+        gram = DFs[r].T @ (sorted_tuples(n, r)[1][:, None] * DGs[r])
+        stack = _isotypic_projectors(r, p)[2]
+        # the real stack meets the Gram matrix's real and imaginary parts in one product
+        re_im = stack.reshape(len(stack), -1) @ gram.reshape(-1).view(float).reshape(-1, 2)
+        pairs.append(re_im / factorial(r))
+    return np.concatenate(pairs).view(complex)[:, 0]
 
 
 def _deformation_c(p: int, mu, lam):
@@ -327,19 +370,6 @@ def _deformation_c(p: int, mu, lam):
         return None if lam == 0 else Fraction(mu) / lam + p
     lam = complex(lam)
     return None if lam == 0 else complex(Fraction(mu)) / lam + p
-
-
-def _pairing_fixed(DFs, DGs, n: int, p: int, mu, c, order: int) -> complex:
-    """Contract derivative tensors at the sorted row tuples at a fixed c = mu / lambda + p.
-
-    ``c=None`` stands for lambda = 0, the pointwise product.
-    """
-    if c is None:
-        return complex(DFs[0][0, 0] * DGs[0][0, 0])
-    total = 0j
-    for r, C in enumerate(_fixed_coefficient_matrices(p, Fraction(mu), c, order)):
-        total += complex(np.sum(C * _gram(DFs[r], DGs[r], n, r))) / factorial(r)
-    return total
 
 
 def _derivative_tensors_at(f: FunctionExpr, g: FunctionExpr, zeta: PointZ, order: int):
@@ -352,7 +382,8 @@ def _derivative_tensors_at(f: FunctionExpr, g: FunctionExpr, zeta: PointZ, order
     n, p = zeta.z.shape
     _, Z, Zbar = holomorphic_jet_point(zeta, order)
     jf, jgbar = eval_function((f, g.conjugate()), Z, Zbar)
-    return multiset_tensors(jf, n, p, order), [D.conj() for D in multiset_tensors(jgbar, n, p, order)]
+    DGs = [D.conj() for D in multiset_tensors(jgbar, n, p, order)]
+    return multiset_tensors(jf, n, p, order), DGs
 
 
 def _check_order(order) -> None:
@@ -403,13 +434,15 @@ def star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
     _check_shapes(f, g, cfg, z)
     _check_memory(cfg.n, cfg.p, order)
     c = None if lam is None else _deformation_c(cfg.p, cfg.mu, lam)
-    if c is not None:
-        _check_poles(cfg.p, c, order)
-    zeta = level_representative(z, cfg.mu)
-    DFs, DGs = _derivative_tensors_at(f, g, zeta, order)
+    _check_poles(cfg.p, c, order)
+    # the projectors first: their build temporaries meet neither the jet point nor a Gram matrix
+    _isotypic_projectors(order, cfg.p)
+    DFs, DGs = _derivative_tensors_at(f, g, level_representative(z, cfg.mu), order)
+    pairs = _frame_pairings(DFs, DGs, cfg.n, cfg.p, order)
     if lam is None:
-        return _pairing_series(DFs, DGs, cfg.n, cfg.p, cfg.mu, order)
-    return _pairing_fixed(DFs, DGs, cfg.n, cfg.p, cfg.mu, c, order)
+        W = _series_weights(cfg.p, Fraction(cfg.mu), order)
+        return LambdaSeries(order, [complex(a) for a in W @ pairs])
+    return complex(_fixed_weights(cfg.p, cfg.mu, c, order) @ pairs)
 
 
 def projective_star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
@@ -424,33 +457,28 @@ def projective_star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None
         raise ValueError("closed form only applies to p = 1")
     _check_shapes(f, g, cfg, z)
     mu = Fraction(cfg.mu)
+    if lam is not None:
+        # mu + s lam = 0 exactly when c = mu/lam + 1 meets the content s - 1
+        _check_poles(1, _deformation_c(1, mu, lam), order)
     zeta = level_representative(z, cfg.mu)
     # sum over slot tuples of order r = r! * sum over monomials m of m! c^f_m c^g_m
     per_order = wick_product(f, g, zeta, order).coeffs
     if lam is not None:
         lam = Fraction(lam) if isinstance(lam, (int, Fraction)) else complex(lam)
-        total = 0j
+        total, factor = 0j, 1
         for r in range(order + 1):
-            factor = Fraction(1) if isinstance(lam, Fraction) else complex(1)
-            for s in range(1, r + 1):
-                denom = mu + s * lam if isinstance(lam, Fraction) else float(mu) + s * lam
-                if denom == 0:
-                    raise PoleError(Frame((r,)), lam)
-                factor = factor * (mu * lam) / denom
+            if r:
+                factor = factor * (mu * lam) / (mu + r * lam)
             total += complex(factor) * per_order[r]
         return total
     out = LambdaSeries(order, [0j] * (order + 1))
+    # mu^r lambda^r / ((mu + lambda) ... (mu + r lambda)) as a series, one factor more per order
+    factor = LambdaSeries.constant(Fraction(1), order)
     for r in range(order + 1):
-        # mu^r lambda^r / ((mu + lambda) ... (mu + r lambda)) as a series
-        factor = LambdaSeries.constant(Fraction(1), order)
-        for s in range(1, r + 1):
-            geom = LambdaSeries(
-                order, [(Fraction(-s) / mu) ** k for k in range(order + 1)]
-            )
-            factor = factor * geom
-        factor = factor.shift(r) if r <= order else LambdaSeries(order)
-        for t in range(order + 1):
-            out.coeffs[t] += float(factor.coeffs[t]) * per_order[r]
+        if r:
+            factor = factor * LambdaSeries(order, [(-r / mu) ** k for k in range(order + 1)])
+        for t, a in enumerate(factor.shift(r).coeffs):
+            out.coeffs[t] += float(a) * per_order[r]
     return out
 
 
@@ -492,12 +520,12 @@ def tensor_power(M: np.ndarray, r: int) -> np.ndarray:
 def slot_coefficient_matrix(r: int, p: int, c) -> np.ndarray:
     """Matrix of the coefficient central element on column-slot tensors.
 
-    Equals sum over frames with at most p rows of projector / t(c), the
-    frames with more rows acting as zero on (C^p)^{x r}; it is built as
-    prod_k 1/(c + J_k) from the Jucys-Murphy elements.
+    sum_[m] P_[m] / t_[m](c) over the stack of frames with at most p rows;
+    frames with more rows act as zero on (C^p)^{x r}.
     """
     _check_poles(p, c, r)
-    return _fixed_coefficient_matrices(p, 1, c, r)[r].astype(complex)
+    stack = _isotypic_projectors(r, p)[2]
+    return np.tensordot(_fixed_weights(p, 1, c, r)[-len(stack) :], stack, axes=1).astype(complex)
 
 
 def proj_sandwich_power(zeta: np.ndarray, mu, lam, r: int) -> np.ndarray:
@@ -599,6 +627,8 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     Zbg = zetabar + MatrixJet.variables(total, nz + slots.T)
     jg = eval_function(g, zeta, Zbg)
 
+    W = _series_weights(p, mu, order)
+    first = 0
     out = [R_out.zero() for _ in range(order + 1)]
     for r in range(order + 1):
         # per sorted row tuple and column tuple: outer-jet coefficient
@@ -610,18 +640,20 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
         w_in = R_out.dfact[R_out.multiset_indices(r, n, p)][..., None]
         DF = jf.coeffs[tidx] * (w_in * sorted_tuples(n, r)[1][:, None, None])
         DG = jg.coeffs[tidx] * w_in
-        inv_rfact = 1.0 / factorial(r)
-        for t, M in enumerate(_series_coefficient_matrices(r, p, mu, order), start=r):
-            if not M.any():  # r = 0 beyond lambda^0
-                continue
+        # P_[m] DG per frame m, as one real product with DG's real and imaginary parts
+        stack = _isotypic_projectors(r, p)[2]
+        PG = (stack[:, None] @ DG.view(float)[None]).view(complex)
+        weights = W[:, first : first + len(stack)] / factorial(r)
+        first += len(stack)
+        for t in range(r, order + 1):
             # the outer degrees <= order - t: the basis of ``ring``
             ring = shared_ring(nz, order - t)
             k = ring.size
             # contract the coefficients into DG first: one jet product per
             # (sorted row tuple, column tuple), summed as one jet matrix product
-            MG = M @ DG[..., :k]
+            MG = np.tensordot(weights[t], PG[..., :k], axes=1)
             prod = ring._matmul(DF[..., :k].reshape(1, -1, k), MG.reshape(-1, 1, k))
-            out[t].coeffs[:k] += prod[0, 0] * inv_rfact
+            out[t].coeffs[:k] += prod[0, 0]
     return R_out, out
 
 
@@ -636,15 +668,17 @@ def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
     zeta0 = level_representative(z, cfg.mu)
     n, p = cfg.n, cfg.p
     DF, DH = _derivative_tensors_at(f, h, zeta0, order)
+    W = _series_weights(p, Fraction(cfg.mu), order)
 
     def associate(a, b, DC, left: bool):
         _, ab = star_jet_series(a, b, zeta0, cfg, order, outer_holomorphic=left)
         out = [0j] * (order + 1)
         for s in range(order + 1):
             D = multiset_tensors(ab[s], n, p, order)
-            ser = _pairing_series(D, DC, n, p, cfg.mu, order) if left else _pairing_series(DC, D, n, p, cfg.mu, order)
+            DF, DG = (D, DC) if left else (DC, D)
+            ser = W @ _frame_pairings(DF, DG, n, p, order)
             for u in range(order + 1 - s):
-                out[s + u] += ser.coeffs[u]
+                out[s + u] += ser[u]
         return out
 
     return [abs(a - b) for a, b in zip(associate(f, g, DH, True), associate(g, h, DF, False))]

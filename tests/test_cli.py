@@ -9,6 +9,7 @@ import pytest
 
 import grastar.cli
 import grastar.jets
+import grastar.star
 from grastar.cli import main
 from grastar.errors import ConvergenceError
 from grastar.geometry import FunctionExpr, SpaceConfig, random_function_expr
@@ -154,6 +155,32 @@ def test_star_negative_order_exit(tmp_path, capsys, lam):
     assert err == "error: order must be a nonnegative integer, got -1\n"
 
 
+@pytest.mark.parametrize("value", ["1/0", "abc", "1/"])
+@pytest.mark.parametrize("command", ["star", "verify"])
+def test_lambda_not_rational_exit(tmp_path, capsys, command, value):
+    # a usage error from the parser, not an internal error (exit 6)
+    fpath = _write_function(tmp_path, "f.json", FunctionExpr.one())
+    argv = ["star", fpath, fpath] if command == "star" else ["verify"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--lambda", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --lambda: not a rational number: {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("closed_form", [[], ["--closed-form"]])
+def test_star_pole_line_names_one_c(tmp_path, capsys, closed_form):
+    # lambda = -1 at mu = 1, p = 1 gives c = mu/lambda + p = 0, the content
+    # of the first box: the engine and the closed form name the same pole
+    fpath = _write_function(tmp_path, "f.json", FunctionExpr.one())
+    argv = ["star", fpath, fpath, "--order", "3", "--lambda", "-1", *closed_form]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "pole: coefficient polynomial of frame Frame([1]) vanishes at c = 0\n"
+
+
 def test_star_deterministic(tmp_path, capsys):
     cfg = SpaceConfig(2, 1, Fraction(2))
     rng = np.random.default_rng(2)
@@ -263,20 +290,23 @@ def test_verify_passes_where_keys_once_overflowed(capsys, p, q, order):
     [
         # the associativity table alone would have C(133, 5) ~ 3.3e8 pairs
         ["verify", "--p", "4", "--q", "4", "--order", "5"],
-        # ten 6561 x 6561 Jucys-Murphy projectors of order 8 alone are 3.4 GB
+        # the ten 6561 x 6561 isotypic projectors of order 8 alone are 3.4 GB
         ["star", "f.json", "g.json", "--p", "3", "--q", "1", "--order", "8", "--lambda", "1/10"],
+        # about a million frames of weight 100 alone, none of them listed
+        ["star", "f.json", "g.json", "--p", "8", "--q", "1", "--order", "100", "--lambda", "1/10"],
     ],
-    ids=["verify-4-4-5", "star-3-1-8"],
+    ids=["verify-4-4-5", "star-3-1-8", "star-8-1-100"],
 )
 def test_over_budget_exits_before_allocating(tmp_path, capsys, monkeypatch, argv):
-    cfg = SpaceConfig(3, 1, Fraction(1))
+    cfg = SpaceConfig(*(int(argv[argv.index(k) + 1]) for k in ("--p", "--q")), Fraction(1))
     rng = np.random.default_rng(8)
     files = {name: _write_function(tmp_path, name, random_function_expr(cfg, rng)) for name in ("f.json", "g.json")}
 
-    def no_ring(*args, **kwargs):
-        raise AssertionError("a jet ring was built")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jet ring was built or a frame listed")
 
-    monkeypatch.setattr(grastar.jets.JetRing, "__init__", no_ring)
+    monkeypatch.setattr(grastar.jets.JetRing, "__init__", refuse)
+    monkeypatch.setattr(grastar.star, "_frames", refuse)
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))

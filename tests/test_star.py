@@ -4,7 +4,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -49,9 +49,13 @@ from grastar.partitions import (
     partitions_of,
 )
 from grastar.star import (
+    _check_memory,
+    _frames,
+    _memory_terms,
     _check_poles,
-    _fixed_coefficient_matrices,
-    _series_coefficient_matrices,
+    _fixed_weights,
+    _isotypic_projectors,
+    _series_weights,
     associativity_residuals,
     coefficient_operator,
     derivative_tensor,
@@ -173,12 +177,25 @@ def _full_tensors(jet, n, p, order):
     return [derivative_tensor(jet, n, p, r) for r in range(order + 1)]
 
 
+def _oracle_series_matrices(r, p, mu, order):
+    """The lambda^r ... lambda^order coefficients of the order-r element.
+
+    Read from the oracle projectors, weighted by ``lambda_coefficient_series``.
+    """
+    return [
+        _projector_sum(
+            r, p, lambda frame: float(lambda_coefficient_series(frame, mu, p, order).coeffs[t])
+        )
+        for t in range(r, order + 1)
+    ]
+
+
 def _reference_series(DFs, DGs, p, mu, order):
     """The formal series paired over every row tuple."""
     out = np.zeros(order + 1, dtype=complex)
     for r in range(order + 1):
         gram = DFs[r].T @ DGs[r]
-        for t, M in enumerate(_series_coefficient_matrices(r, p, Fraction(mu), order), start=r):
+        for t, M in enumerate(_oracle_series_matrices(r, p, Fraction(mu), order), start=r):
             out[t] += np.sum(M * gram) / factorial(r)
     return out
 
@@ -200,7 +217,10 @@ def _reference_star_eval(f, g, cfg, z, order, lam=None):
     if lam is None:
         return _reference_series(DFs, DGs, p, mu, order)
     c = mu / lam + p if isinstance(lam, Fraction) else complex(mu) / lam + p
-    mats = _fixed_coefficient_matrices(p, mu, c, order)
+    mats = [
+        _projector_sum(r, p, lambda frame: complex(mu**r / t_value(frame, c)))
+        for r in range(order + 1)
+    ]
     return sum(complex(np.sum(C * (DFs[r].T @ DGs[r]))) / factorial(r) for r, C in enumerate(mats))
 
 
@@ -231,7 +251,7 @@ def _reference_star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic):
             (jet.coeffs[tidx] * w_in).reshape((n, p) * r + (-1,)).transpose(axes).reshape(n**r, p**r, -1)
             for jet in (jf, jg)
         )
-        for t, M in enumerate(_series_coefficient_matrices(r, p, mu, order), start=r):
+        for t, M in enumerate(_oracle_series_matrices(r, p, mu, order), start=r):
             ring = shared_ring(nz, order - t)
             k = ring.size
             for A in range(n**r):
@@ -708,16 +728,92 @@ def test_slot_coefficient_matrix_matches_projector_sum(r, p):
         _assert_matches_projector_sum(U, r, p, lambda frame: 1 / float(t_value(frame, c)))
 
 
+def _order_columns(r, p):
+    """The columns of the weight matrices that belong to the frames of weight r."""
+    first = sum(len(_isotypic_projectors(s, p)[0]) for s in range(r))
+    return slice(first, first + len(_isotypic_projectors(r, p)[0]))
+
+
 @pytest.mark.parametrize("r,p", JM_SIZES)
 def test_series_coefficient_matrices_match_projector_sum(r, p):
+    # the lambda^t matrix of order r is row t of the series weights on the stack
     mu, order = Fraction(3, 2), r + 2
-    mats = _series_coefficient_matrices(r, p, mu, order)
-    assert len(mats) == order - r + 1
-    for t, M in enumerate(mats, start=r):
+    stack = _isotypic_projectors(r, p)[2]
+    W = _series_weights(p, mu, order)[:, _order_columns(r, p)]
+    assert not W[:r].any()
+    for t in range(r, order + 1):
         _assert_matches_projector_sum(
-            M, r, p,
+            np.tensordot(W[t], stack, axes=1), r, p,
             lambda frame: float(lambda_coefficient_series(frame, mu, p, order).coeffs[t]),
         )
+
+
+@pytest.mark.parametrize("r,p", JM_SIZES)
+def test_isotypic_projectors_match_character_oracle(r, p):
+    frames, contents, stack = _isotypic_projectors(r, p)
+    oracle = dict(_frame_projectors(r, p))
+    assert sorted(frames, key=lambda m: m.rows) == sorted(oracle, key=lambda m: m.rows)
+    assert stack.shape == (len(frames), p**r, p**r) and not stack.flags.writeable
+    for frame, boxes, P in zip(frames, contents, stack):
+        want = [j - i for i, m_i in enumerate(frame.rows) for j in range(m_i)]
+        assert sorted(boxes) == sorted(want)
+        assert np.max(np.abs(P - oracle[frame])) <= 1e-12
+
+
+@pytest.mark.parametrize("r,p", [(4, 2), (3, 3), (6, 2)])
+def test_isotypic_projectors_resolve_the_identity(r, p):
+    stack = _isotypic_projectors(r, p)[2]
+    assert np.max(np.abs(stack.sum(axis=0) - np.eye(p**r))) <= 1e-12
+    for i, P in enumerate(stack):
+        for j, Q in enumerate(stack):
+            assert np.max(np.abs(P @ Q - (P if i == j else 0))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "p,mu,order", [(1, Fraction(1), 6), (2, Fraction(3, 2), 5), (3, Fraction(2, 7), 4)]
+)
+def test_series_weights_are_rounded_lambda_series(p, mu, order):
+    # the weights are center's series, so this checks their column order and
+    # rounding; the series themselves are checked in test_center
+    W = _series_weights(p, mu, order)
+    assert W.shape[0] == order + 1 and not W.flags.writeable
+    for r in range(order + 1):
+        for frame, column in zip(_isotypic_projectors(r, p)[0], W[:, _order_columns(r, p)].T):
+            want = [float(a) for a in lambda_coefficient_series(frame, mu, p, order).coeffs]
+            assert column.tolist() == want
+
+
+@pytest.mark.parametrize("p,order", [(1, 5), (2, 6), (3, 5)])
+def test_fixed_weights_are_reciprocal_t_values(p, order):
+    cases = (
+        (Fraction(1), Fraction(37, 7)),
+        (Fraction(3, 2), Fraction(-23, 2)),
+        (Fraction(2), 4.5 - 0.5j),
+    )
+    for mu, c in cases:
+        got = _fixed_weights(p, mu, c, order)
+        for r in range(order + 1):
+            frames = _isotypic_projectors(r, p)[0]
+            want = [complex(mu) ** r / complex(t_value(frame, c)) for frame in frames]
+            assert np.allclose(got[_order_columns(r, p)], want, rtol=4e-15, atol=0)
+    # lambda = 0 keeps order 0 alone
+    assert _fixed_weights(p, Fraction(1), None, order).tolist() == [1.0] + [0.0] * (len(got) - 1)
+
+
+def test_projector_build_enumerates_no_frames_or_permutations(monkeypatch):
+    # frames come from branching, J_r from slot swaps: p = 1 runs past the
+    # r <= 12 of partitions_of, and no S_r is enumerated
+    def refuse(r):
+        raise AssertionError(f"weight {r} enumerated while building projectors")
+
+    for module in (grastar.star, grastar.tensor_action):
+        monkeypatch.setattr(module, "partitions_of", refuse)
+    monkeypatch.setattr(grastar.tensor_action, "permutations_of", refuse)
+    grastar.star._frames.cache_clear()
+    grastar.star._isotypic_projectors.cache_clear()
+    assert _isotypic_projectors(16, 1)[2].tolist() == [[[1.0]]]
+    frames, _, stack = _isotypic_projectors(5, 3)
+    assert len(frames) == 5 and np.max(np.abs(stack.sum(axis=0) - np.eye(3**5))) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -833,6 +929,43 @@ def test_warm_fixed_lambda_star_eval_reads_sorted_rows_only():
     finally:
         tracemalloc.stop()
     assert peak < 38 * 2**20
+
+
+@pytest.mark.parametrize("n,p,order", [(2, 1, 11), (3, 2, 8), (4, 3, 5), (5, 4, 3)])
+def test_memory_estimate_counts_the_frames_it_does_not_list(n, p, order):
+    # F_r by a partition count and the addable boxes by a bound match the listed frames
+    frames = [len(_frames(r, p)[0]) for r in range(order + 1)]
+    stacks = sum(F * p ** (2 * r) for r, F in enumerate(frames))
+    build = max(p ** (2 * r) * (1 + max(map(len, _frames(r, p)[2]))) for r in range(1, order + 1))
+    outer = [
+        comb(n + r - 1, r) * p**r * comb(n * p + order - r, order - r) for r in range(order + 1)
+    ]
+    projected = max(2 * F * entries for F, entries in zip(frames, outer))
+    (_, _, _, matrices), _ = _memory_terms(n, p, order, True)
+    assert matrices == stacks + max(build, 2 * p ** (2 * order)) + projected
+
+
+def test_memory_estimate_refuses_a_large_order_listing_no_frame(monkeypatch):
+    # (8, 1, 100) has about a million frames of weight 100 alone; listing
+    # them took gigabytes and minutes before the ring was checked
+    def refuse(*args):
+        raise AssertionError("the memory estimate listed frames")
+
+    monkeypatch.setattr(grastar.star, "_frames", refuse)
+    for n, p, order in ((9, 8, 100), (2, 1, 10**6)):
+        with pytest.raises(RangeError, match="budget"):
+            _check_memory(n, p, order)
+    _check_memory(3, 2, 12)
+
+
+def test_memory_estimate_counts_the_chart_jet_point():
+    # at (7, 1, 4) the gather that builds the top degree of the chart
+    # coordinate K alone is 2.66 GiB: an estimate without the jet point let
+    # that product start and end in MemoryError.  (2, 1, 12), whose order-12
+    # stack is 0.88 GiB, peaked at 1.57 GiB resident and fits
+    with pytest.raises(RangeError, match="budget"):
+        _check_memory(8, 7, 4)
+    _check_memory(3, 2, 12)
 
 
 def test_associativity_small():
