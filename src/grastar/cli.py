@@ -180,28 +180,8 @@ def cmd_verify(args) -> int:
         order=args.order,
         seed=args.seed,
         tolerance=args.tolerance,
+        lam=args.lam,
     )
-    lam = args.lam
-    if lam is not None:
-        # also resum at the fixed parameter; poles surface as exit 3
-        rng = np.random.default_rng(args.seed)
-        z = sample_point(cfg, int(rng.integers(0, 2**31)))
-        from grastar.geometry import random_function_expr
-
-        f = random_function_expr(cfg, rng)
-        g = random_function_expr(cfg, rng)
-        value = star_eval(f, g, cfg, z, args.order, lam=lam)
-        finite = bool(np.isfinite(value.real) and np.isfinite(value.imag))
-        report["checks"].append(
-            {
-                "check": "fixed_lambda_finite",
-                "params": {**report["config"], "lambda": _fmt(lam)},
-                "residual": 0.0 if finite else float("inf"),
-                "tolerance": 0.0,
-                "pass": finite,
-            }
-        )
-        report["pass"] = bool(report["pass"] and finite)
     _emit(report)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
 

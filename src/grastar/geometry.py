@@ -17,9 +17,9 @@ of that side, with Y and W linear in the offsets.  ``eval_function`` reads
 the generators off K there, degree by degree, with no jet inverse and no
 n x n jet matrix; given several expressions, it reads every distinct
 generator of all of them off one K in one matrix product.  The generic
-Z (Zbar Z)^-1 Zbar stays for points whose two sides both vary, as in the
-associativity check, and as the reference of the chart route in the
-tests.
+Z (Zbar Z)^-1 Zbar stays for points whose two sides both vary, which only
+the second factor of ``star.star_jet_series`` reads, and as the reference
+of the chart route in the tests.
 """
 
 from __future__ import annotations
@@ -314,8 +314,8 @@ def eval_function(f, Z, Zbar=None):
     constant plus tr(M K) (see ``_chart_generators``): one K serves every
     expression, with no jet inverse and no n x n jet matrix.  This is how
     ``star.star_eval`` reads f and the conjugate of g from one chart.  The
-    degrees Z and Zbar occupy select this route.  Any other jet point,
-    such as those of ``star.star_jet_series`` whose sides both vary, takes
+    degrees Z and Zbar occupy select this route.  Any other jet point, such
+    as that of g in ``star.star_jet_series``, whose sides both vary, takes
     Z @ mat_inverse(Zbar @ Z) @ Zbar, which is also the chart route's
     reference in the tests.  Both routes raise ``ConvergenceError`` when
     the constant Gram matrix zb z is ill-conditioned; ``star_eval`` never

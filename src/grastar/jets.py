@@ -53,10 +53,11 @@ def check_memory(nvars: int, order: int, tensor_entries: int = 0, matrix_entries
 
     Raises ``RangeError`` if they would not fit.  The estimate allocates
     nothing.  It counts 40 B per pair of the ring's table (three indices
-    and two scatter targets; C(2 nvars + order, order) pairs), 48 B per
-    pair of a product's largest chunk, at most ``_CHUNK`` pairs, for the
-    shared work buffers, 16 B per monomial and variable for the index map
-    and its inverse, 96 B per entry of the largest tensor array a caller reads
+    and two scatter targets; C(2 nvars + order, order) pairs), 64 B per
+    pair of a product's largest chunk (at most ``_CHUNK``) for the shared
+    work buffers and its targets, copied when it spans several ranges, 16 B
+    per monomial and variable for the index map and its inverse, 96 B per
+    entry of the largest tensor array a caller reads
     from the ring (its index, the gathered coefficients, their weights,
     the products formed from them and the lower orders held beside it)
     and 8 B per entry of the float64 matrices a caller holds beside them.
@@ -64,7 +65,7 @@ def check_memory(nvars: int, order: int, tensor_entries: int = 0, matrix_entries
     if nvars < 0 or order < 0:
         raise ValueError("nvars and order must be nonnegative")
     pairs = comb(2 * nvars + order, order)
-    need = 40 * pairs + 48 * min(pairs, _CHUNK) + 16 * (comb(nvars + order, order) + 1) * nvars
+    need = 40 * pairs + 64 * min(pairs, _CHUNK) + 16 * (comb(nvars + order, order) + 1) * nvars
     need += 96 * tensor_entries + 8 * matrix_entries
     if need > MEMORY_BUDGET:
         raise RangeError(
@@ -100,6 +101,7 @@ _work = np.empty((3, 0), dtype=complex)
 def _work_buffers(pairs: int) -> np.ndarray:
     global _work
     if _work.shape[1] < pairs:
+        _work = None  # the old set is freed before the larger one is allocated
         _work = np.empty((3, pairs), dtype=complex)
     return _work
 
@@ -687,10 +689,10 @@ def linear_fraction(L: np.ndarray, V: MatrixJet, R: np.ndarray) -> MatrixJet:
     W is linear, so the degree-d block of K is Y for d = 1 and -K_{d-1} W
     above it: the coefficient of a degree-d monomial m is
     -sum_v K_{d-1}[m - e_v] W_v, with W_v the coefficient matrix of x_v.
-    Each degree is one gather through the ring's degree-shift map and one
-    matrix product summing over (v, i); no table product and no inverse is
-    involved.  Only the degree-1 coefficients of V are read, so an affine
-    jet matrix z + V may be passed whole.
+    Each degree is gathered through the ring's degree-shift map in slices
+    of at most ``_CHUNK`` entries, each summed over (v, i) by one matrix
+    product; no table product or inverse is involved.  Only V's degree-1
+    coefficients are read, so an affine z + V may be passed whole.
     """
     ring = V.ring
     rows, m = L.shape[0], V.cols
@@ -706,8 +708,12 @@ def linear_fraction(L: np.ndarray, V: MatrixJet, R: np.ndarray) -> MatrixJet:
         K[:, lin, :] = (L @ V1).transpose(1, 0, 2)
         # rows (v, i) against the v-major, i-minor columns of the gather
         Wv = (R @ V1).reshape(-1, m)
+        # a monomial gathers rows x nvars x m entries: at most _CHUNK of them a slice
+        step = max(1, _CHUNK // (rows * ring.nvars * m))
         for mons, below in shift[1:]:
-            # take, not fancy indexing: several times faster on the middle axis
-            G = K.take(below, axis=1).reshape(rows * (mons.stop - mons.start), -1)
-            K[:, mons, :] = -(G @ Wv).reshape(rows, -1, m)
+            for lo in range(0, len(below), step):
+                # take, not fancy indexing: several times faster on the middle axis
+                G = K.take(below[lo : lo + step], axis=1).reshape(-1, len(Wv))
+                K[:, mons][:, lo : lo + step] = -(G @ Wv).reshape(rows, -1, m)
+                del G  # one slice at a time
     return MatrixJet(ring, K[:, :-1, :].transpose(0, 2, 1))

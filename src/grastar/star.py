@@ -46,7 +46,11 @@ every generator tr(B Pi) of f and gbar off one chart coordinate
 K = S V (1 + W)^-1: one SVD set-up, one ``linear_fraction`` and one matrix
 product for all of them.  ``antiholomorphic_jet_point`` stays off the
 product path; the Wick product, the Poisson bracket and the references
-in the tests read g there, independently of this identity.
+in the tests read g there, independently of this identity.  With real
+weights and real symmetric P_[m], the antiholomorphic jets of g*h are the
+conjugates of the holomorphic ones of hbar*gbar, so ``star_jet_series``
+takes holomorphic outer offsets only, and only its g, whose two sides both
+vary, takes the generic route through Z (Zbar Z)^-1 Zbar.
 
 Poles are checked up front, before any jet is built: some t_[m](c)
 vanishes exactly when c = -e for a content e, and the ``PoleError`` names
@@ -78,7 +82,8 @@ from grastar.geometry import (
     sample_point,
     wick_product,
 )
-from grastar.jets import Jet, MatrixJet, check_memory, mat_inverse, shared_ring, sorted_tuples
+from grastar import jets
+from grastar.jets import Jet, MatrixJet, check_memory, shared_ring, sorted_tuples
 from grastar.partitions import Frame, conj_classes_of, partitions_of
 from grastar.tensor_action import rho_central
 
@@ -167,14 +172,18 @@ def _frames(r: int, p: int):
     return tuple(index), contents, tuple(branches)
 
 
-@cache
+_stacks: dict = {}  # the stacks built so far by (r, p); ``_check_memory`` may drop some
+
+
 def _isotypic_projectors(r: int, p: int):
     """(frames, contents, stack): ``_frames`` and the read-only (F, p^r, p^r) stack of the P_[m].
 
     Each box addable to m' but the last gets the Lagrange interpolant of J_r
     at the addable contents applied to X = P_[m'] x 1, a sum of the powers
-    J_r^j X; the last box gets X minus the others.
+    J_r^j X; the last box gets X minus the others.  Kept in ``_stacks``.
     """
+    if (r, p) in _stacks:
+        return _stacks[r, p]
     frames, contents, branches = _frames(r, p)
     dim = p**r
     stack = np.zeros((len(frames), dim, dim))
@@ -203,7 +212,8 @@ def _isotypic_projectors(r: int, p: int):
                     stack[k] += part
                     last -= part
     stack.flags.writeable = False
-    return frames, contents, stack
+    _stacks[r, p] = frames, contents, stack
+    return _stacks[r, p]
 
 
 @cache
@@ -306,16 +316,22 @@ def _memory_terms(n: int, p: int, order: int, series: bool) -> tuple:
     ``star_eval`` reads tensors of C(n + order - 1, order) p^order entries
     from a ring of n p variables and keeps the projector stacks, F_r p^{2r}
     floats at order r (F_r the frames of weight r with at most p rows).
-    Beside them it holds one at a time the chart jet point, the build of
-    one order by branching (X, its powers by J_r, one part) and the complex
-    Gram matrix.  ``series`` adds the associativity jets: a ring of 2 n p
-    variables holding an (n, n, size) projector jet, the order-r tensor
-    entries by the outer monomials of degree <= order - r, and those once
-    per frame, complex, as P_[m] DG.  No frame is listed, and the ring and
-    the top order alone are checked first, so a large order is refused
-    before any sum over the orders is formed.
+    Beside them it holds one at a time the chart jet point (Z, Zbar, K, a
+    slice of K's gather), the build of one order by branching (X, its
+    powers by J_r, one part) and the complex Gram matrix.  ``series`` adds
+    the jets of ``star_jet_series`` on a ring of 2 n p variables, the
+    order-r tensor entries by the outer monomials of degree <= order - r,
+    those once per frame as P_[m] DG, and the ring of its results.  No
+    frame is listed, and the ring and the top order alone are checked
+    first, so a large order is refused before any sum over orders is formed.
     """
     nz = n * p
+
+    def point(nvars, floats):
+        # jets of nvars variables, and a complex gather slice of at most _CHUNK entries
+        top = (n - p) * p * nvars * comb(nvars + order - 1, order) if order > 1 else 0
+        return floats * comb(nvars + order, order) + 2 * min(jets._CHUNK, top)
+
     check_memory(nz, order, comb(n + order - 1, order) * p**order, p ** (2 * order))
     # F_r: transposed, the frames of weight r with at most p rows are partitions into parts <= p
     frames = [1] + [0] * order
@@ -328,24 +344,28 @@ def _memory_terms(n: int, p: int, order: int, series: bool) -> tuple:
     addable = [min(p, (isqrt(8 * r - 7) + 1) // 2) for r in range(1, order + 1)]
     build = max((p ** (2 * r) * (1 + a) for r, a in enumerate(addable, 1)), default=0)
     transient = max(build, 2 * p ** (2 * order))
-    # the chart jet point: complex Z, Zbar and K, and the gather that builds K's top
-    # degree, beyond the ring's table (5 floats a pair), which is built after it is freed
-    gather = 2 * (n - p) * p * nz * comb(nz + order - 1, order) if order > 1 else 0
-    point = 2 * p * (3 * n - p) * comb(nz + order, order)
-    point += max(gather - 5 * comb(2 * nz + order, order), 0)
-    terms = [(nz, order, tensor[order], stacks + max(point, transient))]
+    terms = [(nz, order, tensor[order], stacks + max(point(nz, 2 * p * (3 * n - p)), transient))]
     if series:
         outer = [tensor[r] * comb(nz + order - r, order - r) for r in range(order + 1)]
         projected = max(2 * frames[r] * outer[r] for r in range(order + 1))
-        jets = max(*outer, n * n * comb(2 * nz + order, order))
-        terms.insert(0, (2 * nz, order, jets, stacks + transient + projected))
+        # complex zeta, zetabar0 and g's side, n x p, and f's chart or g's generic route,
+        # which holds Z X and Pi or mat_inverse's six complex p x p jets and a real one
+        held = point(2 * nz, 6 * n * p + max(2 * n * p + 2 * n * n, 13 * p * p))
+        held += stacks + transient + projected + check_memory(nz, order) // 8
+        terms.insert(0, (2 * nz, order, max(outer), held))
     return tuple(terms)
 
 
 def _check_memory(n: int, p: int, order: int, series: bool = False) -> None:
-    """Raise ``RangeError`` before allocating if a product at this size exceeds the budget."""
-    for args in _memory_terms(n, p, order, series):
-        check_memory(*args)
+    """Raise ``RangeError`` before allocating if a product at this size exceeds the budget.
+
+    Stacks cached for other sizes count too, and go when the product fits only without them.
+    """
+    need = max(check_memory(*args) for args in _memory_terms(n, p, order, series))
+    others = [key for key in _stacks if key[1] != p or key[0] > order]
+    if need + sum(_stacks[key][2].nbytes for key in others) > jets.MEMORY_BUDGET:
+        for key in others:
+            del _stacks[key]
 
 
 def _frame_pairings(DFs, DGs, n: int, p: int, order: int) -> np.ndarray:
@@ -578,32 +598,24 @@ def unsandwich(X: np.ndarray, zeta: np.ndarray, mu, r: int) -> np.ndarray:
 # the product with a jet-valued result (for associativity)
 
 
-def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_holomorphic: bool):
-    """The deformed product as jets around a base point on the level set.
+def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
+    """The deformed product as jets in holomorphic offsets O around a base point on the level set.
 
-    Returns (ring, [jet per lambda order]): the lambda^t coefficient of
-    f*g as a truncated expansion in offsets of the base point, either in
-    the holomorphic matrix entries (``outer_holomorphic=True``, conjugate
-    entries frozen) or in the antiholomorphic ones.
+    Returns (ring, [jet per lambda order]); the antiholomorphic jets of f*g
+    are the conjugates of those of gbar*fbar.  The lambda^t jet is exact up
+    to outer degree ``order - t`` and zero above it, all that a pairing
+    truncated at ``order`` reads, so every jet lives in one ring of total
+    degree ``order`` in outer and inner offsets, and the order-r tensors on
+    the outer monomials of degree <= order - r.
 
-    The lambda^t jet is exact up to outer degree ``order - t`` and zero
-    above it.  That is all a pairing of the product truncated at ``order``
-    reads, and it keeps every jet in one ring of total degree ``order`` in
-    the outer offsets and the inner ones together: the lambda^t jet
-    differentiates the factors to inner order r <= t, and order r needs
-    outer degree <= ``order - r`` only.  Those outer monomials are a prefix
-    of the graded outer ring, the basis of ``shared_ring(n p, order - r)``:
-    the order-r tensors are held on it alone, and the lambda^t product runs
-    in the ring of order ``order - t`` on its prefix.
-
-    Invariant functions depend on (Z, Zbar) only through
-    Pi = Z (Zbar Z)^-1 Zbar, which is unchanged by Zbar -> A Zbar.  So the
-    offset point is represented by the pair (Z, mu (Zbar Z)^-1 Zbar), whose
-    Gram matrix is mu to every jet order: one p x p jet inverse, no inverse
-    square root.  The base point must already satisfy zetabar zeta = mu,
-    because the outer pairing happens at zeta0, where that pair reduces to
-    (zeta0, zeta0^t).  Raises ``RangeError`` for an order that is not a
-    nonnegative integer and over the memory budget.
+    Pi = Z (Zbar Z)^-1 Zbar is unchanged by Zbar -> A Zbar; with
+    A = mu (zetabar0 zeta)^-1 the pair (zeta0 + O, A zetabar0) stays on the
+    level set, given zetabar0 zeta0 = mu.  So f, with holomorphic inner
+    offsets V, is read at (zeta + V, zetabar0) by the chart route, and g,
+    with antiholomorphic ones W, at (zeta, zetabar0 + A^-1 W^T), A^-1
+    affine in O, by the generic route and its one p x p jet inverse.
+    Raises ``RangeError`` for an order that is not a nonnegative integer
+    and over the memory budget.
     """
     _check_order(order)
     n, p = cfg.n, cfg.p
@@ -614,17 +626,10 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int, outer_hol
     R_out = shared_ring(nz, order)
     # variables 0..nz-1 are the outer offsets, nz..2nz-1 the inner ones
     total = shared_ring(2 * nz, order)
-    zeta = MatrixJet.from_numeric(total, zeta0.z)
+    zeta = MatrixJet.from_numeric(total, zeta0.z) + MatrixJet.variables(total, slots)
     Zbpt = MatrixJet.from_numeric(total, zeta0.zbar)
-    if outer_holomorphic:
-        zeta = zeta + MatrixJet.variables(total, slots)
-    else:
-        Zbpt = Zbpt + MatrixJet.variables(total, slots.T)
-    zetabar = mat_inverse(Zbpt @ zeta).scale(float(mu)) @ Zbpt
-    # factor f sees fresh holomorphic inner offsets, g antiholomorphic ones
-    Zf = zeta + MatrixJet.variables(total, nz + slots)
-    jf = eval_function(f, Zf, zetabar)
-    Zbg = zetabar + MatrixJet.variables(total, nz + slots.T)
+    jf = eval_function(f, zeta + MatrixJet.variables(total, nz + slots), Zbpt)
+    Zbg = Zbpt + (Zbpt @ zeta).scale(1 / float(mu)) @ MatrixJet.variables(total, nz + slots.T)
     jg = eval_function(g, zeta, Zbg)
 
     W = _series_weights(p, mu, order)
@@ -661,9 +666,9 @@ def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
     """Per-lambda-order residual of ((f*g)*h - f*(g*h)) at a point.
 
     The left association pairs the jets of f*g in holomorphic offsets with
-    h, the right one pairs f with the jets of g*h in antiholomorphic ones.
-    The third factors are read as in ``star_eval``: f's holomorphic and
-    h's antiholomorphic tensors, from one chart.
+    h, the right one pairs f with those of g*h in antiholomorphic ones, the
+    conjugates of the jets of hbar*gbar.  The third factors are read as in
+    ``star_eval``: f's holomorphic and h's antiholomorphic tensors, from one chart.
     """
     zeta0 = level_representative(z, cfg.mu)
     n, p = cfg.n, cfg.p
@@ -671,17 +676,18 @@ def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
     W = _series_weights(p, Fraction(cfg.mu), order)
 
     def associate(a, b, DC, left: bool):
-        _, ab = star_jet_series(a, b, zeta0, cfg, order, outer_holomorphic=left)
+        _, ab = star_jet_series(a, b, zeta0, cfg, order)
         out = [0j] * (order + 1)
         for s in range(order + 1):
             D = multiset_tensors(ab[s], n, p, order)
-            DF, DG = (D, DC) if left else (DC, D)
+            DF, DG = (D, DC) if left else (DC, [x.conj() for x in D])
             ser = W @ _frame_pairings(DF, DG, n, p, order)
             for u in range(order + 1 - s):
                 out[s + u] += ser[u]
         return out
 
-    return [abs(a - b) for a, b in zip(associate(f, g, DH, True), associate(g, h, DF, False))]
+    right = associate(h.conjugate(), g.conjugate(), DF, False)
+    return [abs(a - b) for a, b in zip(associate(f, g, DH, True), right)]
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +699,16 @@ def verify_suite(
     order: int = 2,
     seed: int = 0,
     tolerance: float = 1e-7,
+    lam=None,
 ) -> dict:
     """Run the structural checks of the product at desk scale.
 
     Returns a JSON-serializable report; each entry records the check name,
     its parameters, the residual, the tolerance and a pass flag.  Fully
-    deterministic for a fixed seed.  Raises ``RangeError`` for an order
-    below 1, which has no commutator to check, for a tolerance that is
-    negative or not finite, and before allocating for a size whose memory
+    deterministic for a fixed seed.  A rational ``lam`` adds a check that
+    f*g is finite there, or raises ``PoleError``.  Raises ``RangeError`` for
+    an order below 1, which has no commutator to check, for a tolerance that
+    is negative or not finite, and before allocating for a size whose memory
     estimate exceeds the budget.
     """
     if order < 1:
@@ -718,11 +726,11 @@ def verify_suite(
         "seed": seed,
     }
 
-    def record(name, residual, tol):
+    def record(name, residual, tol, extra=None):
         checks.append(
             {
                 "check": name,
-                "params": params,
+                "params": {**params, **(extra or {})},
                 "residual": float(residual),
                 "tolerance": float(tol),
                 "pass": bool(residual <= tol),
@@ -748,6 +756,7 @@ def verify_suite(
 
     fg = star_eval(f, g, cfg, z, order)
     gf = star_eval(g, f, cfg, z, order)
+    value = None if lam is None else star_eval(f, g, cfg, z, order, lam=lam)
     pb = poisson_bracket(f, g, zeta)
     record("first_order_commutator", abs(fg.coeffs[1] - gf.coeffs[1] - 0.5j * pb), 1e-9)
 
@@ -764,5 +773,9 @@ def verify_suite(
 
     res_assoc = max(associativity_residuals(f, g, h, cfg, z, order))
     record("associativity", res_assoc, tolerance)
+
+    if lam is not None:
+        extra = {"lambda": "%d/%d" % Fraction(lam).as_integer_ratio()}
+        record("fixed_lambda_finite", 0.0 if np.isfinite(value) else float("inf"), 0.0, extra)
 
     return {"config": params, "checks": checks, "pass": all(c["pass"] for c in checks)}

@@ -9,6 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import grastar.jets
 from grastar.errors import ConvergenceError, RangeError
 from grastar.geometry import PointZ, SpaceConfig, holomorphic_jet_point, sample_point
 from grastar.jets import (
@@ -18,6 +19,7 @@ from grastar.jets import (
     MatrixJet,
     check_memory,
     extract_partial,
+    linear_fraction,
     mat_inverse,
     shared_ring,
     sorted_tuples,
@@ -385,6 +387,30 @@ def test_table_multiply_allocates_only_its_result():
     # the result is 16 bytes per monomial; one product per pair would be 16 per pair
     assert len(ring._table[0]) > 10 * ring.size
     assert peak < 2 * 16 * ring.size
+
+
+def test_linear_fraction_gathers_in_bounded_slices(monkeypatch):
+    # each degree of K is gathered in slices of at most _CHUNK entries; in
+    # one shot the top degree's gather here is twelve times K itself
+    n, m, rows = 4, 3, 2
+    ring = shared_ring(n * m, 5)
+    ring.degree_shift()
+    rng = np.random.default_rng(5)
+    L = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    R = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    V = MatrixJet.variables(ring, np.arange(n * m).reshape(n, m))
+    monkeypatch.setattr(grastar.jets, "_CHUNK", 1 << 40)
+    whole = linear_fraction(L, V, R).coeffs
+    monkeypatch.setattr(grastar.jets, "_CHUNK", 1000)
+    tracemalloc.start()
+    try:
+        sliced = linear_fraction(L, V, R).coeffs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(sliced - whole)) <= 1e-14 * np.max(np.abs(whole))
+    # K and a few slices of 16-byte entries, not the 7 MB of the one-shot gather
+    assert peak < whole.nbytes + 4 * 16 * 1000
 
 
 def test_var_at_order_zero_is_constant():

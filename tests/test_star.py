@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import grastar.geometry
+import grastar.jets
 import grastar.star
 import grastar.tensor_action
 from grastar.center import LambdaSeries, c_power_element, lambda_coefficient_series
@@ -34,6 +35,7 @@ from grastar.jets import (
     Jet,
     JetRing,
     MatrixJet,
+    check_memory,
     extract_partial,
     linear_fraction,
     mat_inverse,
@@ -309,9 +311,14 @@ def test_star_jet_series_matches_full_tensor_reference(p, q, order, outer_holomo
     rng = np.random.default_rng(p + 5 * q)
     f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
     zeta0 = level_representative(sample_point(cfg, p + 5 * q), cfg.mu)
-    _, jets = star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic)
+    if outer_holomorphic:
+        got = [jet.coeffs for jet in star_jet_series(f, g, zeta0, cfg, order)[1]]
+    else:
+        # the antiholomorphic jets of f*g are the conjugates of the holomorphic ones of gbar*fbar
+        _, jets = star_jet_series(g.conjugate(), f.conjugate(), zeta0, cfg, order)
+        got = [jet.coeffs.conj() for jet in jets]
     want = _reference_star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic)
-    assert _close(np.array([jet.coeffs for jet in jets]), np.array(want))
+    assert _close(np.array(got), np.array(want))
 
 
 @pytest.mark.parametrize("p,q,order", [(2, 1, 3), (1, 2, 3), (2, 2, 2)])
@@ -526,9 +533,9 @@ def test_star_eval_builds_one_chart(monkeypatch):
         raise AssertionError("a second jet point or a jet inverse on the star_eval path")
 
     monkeypatch.setattr(grastar.geometry, "linear_fraction", counting_fraction)
+    monkeypatch.setattr(grastar.geometry, "mat_inverse", refuse)
     for module in (grastar.geometry, grastar.star):
         monkeypatch.setattr(module, "antiholomorphic_jet_point", refuse, raising=False)
-        monkeypatch.setattr(module, "mat_inverse", refuse)
     cfg = SpaceConfig(2, 2, Fraction(1))
     rng = np.random.default_rng(71)
     f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
@@ -540,24 +547,33 @@ def test_star_eval_builds_one_chart(monkeypatch):
 
 
 def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch):
-    charts = []
+    charts, inverses = [], []
 
     def counting_fraction(*args):
         charts.append(1)
         return linear_fraction(*args)
 
+    def counting_inverse(M):
+        inverses.append(M.rows)
+        return mat_inverse(M)
+
     def refuse(*args):
         raise AssertionError("an antiholomorphic jet point on the associativity path")
 
     monkeypatch.setattr(grastar.geometry, "linear_fraction", counting_fraction)
+    monkeypatch.setattr(grastar.geometry, "mat_inverse", counting_inverse)
     for module in (grastar.geometry, grastar.star):
         monkeypatch.setattr(module, "antiholomorphic_jet_point", refuse, raising=False)
     cfg = SpaceConfig(2, 1, Fraction(2))
     rng = np.random.default_rng(72)
     f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
     assert max(associativity_residuals(f, g, h, cfg, sample_point(cfg, 72), 2)) < 1e-10
-    # the jet series points vary on both sides and take the generic route
-    assert len(charts) == 1
+    # one chart for the third factors f and hbar, and one for the first
+    # factor of each jet series, f*g and hbar*gbar, read with one side
+    # constant; their second factors g and gbar vary on both sides and take
+    # the generic route, one p x p jet inverse each
+    assert len(charts) == 3
+    assert inverses == [cfg.p, cfg.p]
 
 
 def test_star_eval_rejects_a_callable_factor():
@@ -587,9 +603,8 @@ def test_order_must_be_a_nonnegative_integer(order):
         star_eval(f, g, cfg, z, order, lam=Fraction(1, 10))
     with pytest.raises(RangeError, match="nonnegative integer"):
         projective_star_eval(f, g, cfg, z, order)
-    for outer_holomorphic in (True, False):
-        with pytest.raises(RangeError, match="nonnegative integer"):
-            star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic)
+    with pytest.raises(RangeError, match="nonnegative integer"):
+        star_jet_series(f, g, zeta0, cfg, order)
     # order 0 is the pointwise product
     assert star_eval(f, g, cfg, z, np.int64(0)).coeffs[0] == pytest.approx(
         eval_function(f, zeta0) * eval_function(g, zeta0), rel=1e-12
@@ -810,7 +825,7 @@ def test_projector_build_enumerates_no_frames_or_permutations(monkeypatch):
         monkeypatch.setattr(module, "partitions_of", refuse)
     monkeypatch.setattr(grastar.tensor_action, "permutations_of", refuse)
     grastar.star._frames.cache_clear()
-    grastar.star._isotypic_projectors.cache_clear()
+    grastar.star._stacks.clear()
     assert _isotypic_projectors(16, 1)[2].tolist() == [[[1.0]]]
     frames, _, stack = _isotypic_projectors(5, 3)
     assert len(frames) == 5 and np.max(np.abs(stack.sum(axis=0) - np.eye(3**5))) <= 1e-12
@@ -872,7 +887,12 @@ def test_star_jet_series_first_order_matches_finite_differences(p, q, mu, outer_
     f = random_function_expr(cfg, rng)
     g = random_function_expr(cfg, rng)
     zeta0 = level_representative(sample_point(cfg, 14), mu)
-    ring, jets = star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic)
+    if outer_holomorphic:
+        ring, jets = star_jet_series(f, g, zeta0, cfg, order)
+    else:
+        # the antiholomorphic jets of f*g are the conjugates of the holomorphic ones of gbar*fbar
+        ring, jets = star_jet_series(g.conjugate(), f.conjugate(), zeta0, cfg, order)
+        jets = [Jet(ring, jet.coeffs.conj()) for jet in jets]
     # the lambda^t jet is exact up to outer degree order - t and zero above
     for t, jet in enumerate(jets):
         assert not jet.coeffs[ring.degree > order - t].any()
@@ -903,10 +923,10 @@ def test_star_jet_series_holds_tensors_on_the_graded_prefix():
     rng = np.random.default_rng(0)
     f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
     zeta0 = level_representative(sample_point(cfg, 3), cfg.mu)
-    star_jet_series(f, g, zeta0, cfg, 3, outer_holomorphic=True)
+    star_jet_series(f, g, zeta0, cfg, 3)
     tracemalloc.start()
     try:
-        star_jet_series(f, g, zeta0, cfg, 3, outer_holomorphic=True)
+        star_jet_series(f, g, zeta0, cfg, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -941,8 +961,14 @@ def test_memory_estimate_counts_the_frames_it_does_not_list(n, p, order):
         comb(n + r - 1, r) * p**r * comb(n * p + order - r, order - r) for r in range(order + 1)
     ]
     projected = max(2 * F * entries for F, entries in zip(frames, outer))
+    # beside them, terms that list no frame: the jet point of star_jet_series,
+    # with one slice of its chart's gather, and the ring of the returned jets
+    nz = n * p
+    gather = (n - p) * p * 2 * nz * comb(2 * nz + order - 1, order)
+    point = (6 * n * p + max(2 * n * p + 2 * n * n, 13 * p * p)) * comb(2 * nz + order, order)
+    point += 2 * min(grastar.jets._CHUNK, gather) + check_memory(nz, order) // 8
     (_, _, _, matrices), _ = _memory_terms(n, p, order, True)
-    assert matrices == stacks + max(build, 2 * p ** (2 * order)) + projected
+    assert matrices == stacks + max(build, 2 * p ** (2 * order)) + projected + point
 
 
 def test_memory_estimate_refuses_a_large_order_listing_no_frame(monkeypatch):
@@ -959,13 +985,73 @@ def test_memory_estimate_refuses_a_large_order_listing_no_frame(monkeypatch):
 
 
 def test_memory_estimate_counts_the_chart_jet_point():
-    # at (7, 1, 4) the gather that builds the top degree of the chart
-    # coordinate K alone is 2.66 GiB: an estimate without the jet point let
-    # that product start and end in MemoryError.  (2, 1, 12), whose order-12
-    # stack is 0.88 GiB, peaked at 1.57 GiB resident and fits
-    with pytest.raises(RangeError, match="budget"):
-        _check_memory(8, 7, 4)
+    # the chart jet point holds dense complex Z, Zbar and K: at (24, 1, 2)
+    # Z alone is 1.6 GiB.  The gather that builds K goes in slices of at most
+    # _CHUNK entries, and one slice is counted: (7, 1, 4), whose one-shot
+    # gather was 2.66 GiB, peaked at 1.33 GiB resident against its 1.85 GiB
+    # estimate, and (2, 1, 12), whose order-12 stack is 0.88 GiB, at
+    # 1.57 GiB; both fit
+    n, p, order = 8, 7, 4
+    stacks = sum(len(_frames(r, p)[0]) * p ** (2 * r) for r in range(order + 1))
+    gather = (n - p) * p * n * p * comb(n * p + order - 1, order)
+    point = 2 * p * (3 * n - p) * comb(n * p + order, order) + 2 * min(grastar.jets._CHUNK, gather)
+    ((_, _, _, matrices),) = _memory_terms(n, p, order, False)
+    assert matrices == stacks + point
+    _check_memory(n, p, order)
     _check_memory(3, 2, 12)
+    with pytest.raises(RangeError, match="budget"):
+        _check_memory(25, 24, 2)
+
+
+def test_memory_check_counts_and_drops_the_stacks_of_other_sizes(monkeypatch):
+    # the stacks of another p stay cached: (3, 1, 7) then (2, 1, 12) in one
+    # process peaked at 1946 MiB resident against the 1684 MiB estimated for
+    # (2, 1, 12) alone.  They count now, and are dropped when only they would
+    # push a product over the budget
+    monkeypatch.setattr(grastar.star, "_stacks", {})
+    _isotypic_projectors(5, 3)
+    _isotypic_projectors(4, 2)
+    own = {(r, 2) for r in range(4)}
+    others = {(r, 3) for r in range(6)} | {(4, 2)}
+    held = sum(grastar.star._stacks[key][2].nbytes for key in others)
+    need = max(check_memory(*args) for args in _memory_terms(3, 2, 3, False))
+    # under the default budget, as when star-fixed-high alternates p, nothing goes
+    _check_memory(3, 2, 3)
+    assert set(grastar.star._stacks) == own | others
+    monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + held)
+    _check_memory(3, 2, 3)
+    assert set(grastar.star._stacks) == own | others
+    monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + held - 1)
+    _check_memory(3, 2, 3)
+    assert set(grastar.star._stacks) == own
+    # a product over the budget on its own is refused and drops nothing
+    _isotypic_projectors(2, 1)
+    monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need - 1)
+    with pytest.raises(RangeError, match="budget"):
+        _check_memory(3, 2, 3)
+    assert set(grastar.star._stacks) == own | {(0, 1), (1, 1), (2, 1)}
+
+
+@pytest.mark.parametrize("p,q,order", [(3, 1, 3), (4, 1, 3)])
+def test_series_memory_estimate_covers_the_cold_peak(monkeypatch, p, q, order):
+    # a cold associativity check once traced 8.5 MiB against 7.2 MiB
+    # estimated at (3, 1, 3) and 51.1 against 43.8 MiB at (4, 1, 3): the jet
+    # point's n x p and p x p jets went uncounted, and growing the work
+    # buffers held the old set beside the new one
+    verify_suite(SpaceConfig(1, 1), order=1)  # imports and one-off set-up, untraced
+    monkeypatch.setattr(grastar.star, "_stacks", {})
+    monkeypatch.setattr(grastar.jets, "_work", np.empty((3, 0), dtype=complex))
+    for cached in (shared_ring, sorted_tuples, _frames, _series_weights, grastar.star._box_indices):
+        cached.cache_clear()
+    cfg = SpaceConfig(p, q)
+    estimate = max(check_memory(*args) for args in _memory_terms(cfg.n, p, order, True))
+    tracemalloc.start()
+    try:
+        verify_suite(cfg, order=order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate
 
 
 def test_associativity_small():
