@@ -11,15 +11,15 @@ Holomorphic and antiholomorphic arguments are passed separately (Z, Zbar)
 so that jet evaluation can differentiate them independently; for a plain
 numeric point Zbar is just the conjugate transpose of Z.
 
-Because Pi is unchanged by Z -> Z g, at a jet point with offsets on one
-side only it depends only on the affine-chart coordinate K = Y (1 + W)^-1
-of that side, with Y and W linear in the offsets.  ``eval_function`` reads
-the generators off K there, degree by degree, with no jet inverse and no
-n x n jet matrix; given several expressions, it reads every distinct
-generator of all of them off one K in one matrix product.  The generic
-Z (Zbar Z)^-1 Zbar stays for points whose two sides both vary, which only
-the second factor of ``star.star_jet_series`` reads, and as the reference
-of the chart route in the tests.
+Jets of the generators come by two independent routes.  Pi is unchanged
+by Z -> Z g, so at a jet point with Zbar = zb constant and Z = z + V
+affine it depends only on the affine-chart coordinate K = S V (1 + W)^-1:
+``chart_jets``, which the product calls by name, reads the generators off
+K with no jet inverse and no n x n jet matrix.  ``eval_function`` at any
+jet point forms Z (Zbar Z)^-1 Zbar as a jet matrix.  Only the second
+factor of ``star.star_jet_series``, whose two sides both vary, needs it on
+a product path; it is the chart's reference in the tests, and serves the
+Wick product and the Poisson bracket.
 """
 
 from __future__ import annotations
@@ -239,62 +239,34 @@ def _trace_products(Bs: np.ndarray, X: MatrixJet) -> np.ndarray:
     return Bs.transpose(0, 2, 1).reshape(len(Bs), -1) @ X.coeffs.reshape(-1, X.ring.size)
 
 
-def _chart_generators(Z: MatrixJet, Zbar: MatrixJet, holomorphic: bool):
-    """Bs -> the jets tr(B Pi), B in the stack Bs, at a point with one side constant, the other affine.
+def chart_jets(fs, Z: MatrixJet, zb: np.ndarray) -> list:
+    """The jets of the expressions fs at (Z, zb), Z = z + V affine and zb constant.
 
-    ``holomorphic`` says that Zbar = zb is the constant side and Z = z + V
-    the affine one.  With x0 = zb z, A = x0^-1 zb and W = A V, the rank-q
+    Pi is unchanged by Z -> Z g, so it depends only on the affine-chart
+    coordinate K.  With x0 = zb z, A = x0^-1 zb and W = A V, the rank-q
     projector 1 - z A factors as U S, and
     Pi = (z + V)(1 + W)^-1 A = z A + U K A,  K = S V (1 + W)^-1,
-    since V = z W + U S V.  Antiholomorphically (Z = z constant,
-    Zbar = zb + V) the mirror image holds with C = z x0^-1, W = V C and
-    Pi = z A + C K S, K = (1 + W)^-1 V U.  K, q x p or p x q, comes from
-    ``linear_fraction`` with no jet inverse, once for every B.
+    since V = z W + U S V.  So tr(B Pi) = tr(B z A) + tr((A B U) K), and
+    every distinct B of all of fs is read off one q x p K, from
+    ``linear_fraction``, in one matrix product: no jet inverse and no
+    n x n jet matrix.  Only V's degree-1 coefficients are read.  Raises
+    ``ConvergenceError`` when zb z is ill-conditioned, with the message of
+    ``mat_inverse``; expressions with no generator at all build no K.
     """
-    ring = Z.ring
-    z, zb = Z.value(), Zbar.value()
-    n, p = z.shape
-    xinv = conditioned_inverse(zb @ z)
-    A, C = xinv @ zb, z @ xinv
-    P = z @ A
-    u, s, vh = np.linalg.svd(np.eye(n) - P)
-    U, S = u[:, : n - p], s[: n - p, None] * vh[: n - p]
-    if holomorphic:
-        K = linear_fraction(S, Z, A)
-        # tr(B Pi) = tr(B z A) + tr((A B U) K)
-        left, right = A, U
-    else:
-        # K^t = U^t V^t (1 + C^t V^t)^-1 is of the form linear_fraction takes
-        Vt = MatrixJet(ring, Zbar.coeffs.transpose(1, 0, 2))
-        K = MatrixJet(ring, linear_fraction(U.T, Vt, C.T).coeffs.transpose(1, 0, 2))
-        # tr(B Pi) = tr(B z A) + tr((S B C) K)
-        left, right = S, C
-    one = ring.index_of((0,) * ring.nvars)
 
-    def generators(Bs):
-        out = _trace_products(left @ Bs @ right, K)
-        out[:, one] += Bs.reshape(len(Bs), -1) @ P.T.reshape(-1)
+    def traces(Bs):
+        z = Z.value()
+        n, p = z.shape
+        A = conditioned_inverse(zb @ z) @ zb
+        P = z @ A
+        u, s, vh = np.linalg.svd(np.eye(n) - P)
+        U, S = u[:, : n - p], s[: n - p, None] * vh[: n - p]
+        out = _trace_products(A @ Bs @ U, linear_fraction(S, Z, A))
+        # tr(B z A) goes to the constant monomial, which leads every ring
+        out[:, 0] += Bs.reshape(len(Bs), -1) @ P.T.reshape(-1)
         return out
 
-    return generators
-
-
-def _generators(Z: MatrixJet, Zbar: MatrixJet):
-    """Bs -> the jets tr(B Pi), Pi = Z (Zbar Z)^-1 Zbar, by the cheapest exact route.
-
-    When one side is constant and the other affine, which the degrees they
-    occupy show, the chart route needs no jet inverse; otherwise Pi is
-    formed as a jet matrix.  Either way the whole stack of B is read off
-    the chart coordinate K, or off Pi, in one matrix product.
-    """
-    ring = Z.ring
-    top_z, top_zb = ((ring._degree_range(M.coeffs) or (0, 0))[1] for M in (Z, Zbar))
-    if top_zb == 0 and top_z <= 1:
-        return _chart_generators(Z, Zbar, holomorphic=True)
-    if top_z == 0 and top_zb <= 1:
-        return _chart_generators(Z, Zbar, holomorphic=False)
-    Pi = Z @ mat_inverse(Zbar @ Z) @ Zbar
-    return lambda Bs: _trace_products(Bs, Pi)
+    return _eval_jets(fs, Z.ring, traces)
 
 
 def eval_function(f, Z, Zbar=None):
@@ -305,23 +277,16 @@ def eval_function(f, Z, Zbar=None):
     result is a complex number; with ``MatrixJet`` arguments (Z
     holomorphic, Zbar antiholomorphic, both required) it is a jet.
 
-    Every generator is tr(B Pi) with Pi = Z (Zbar Z)^-1 Zbar, unchanged
-    by Z -> Z g.  All expressions share one Pi: at a jet point, the
-    distinct B of all of them are stacked and read off it in one matrix
-    product.  At a jet point with Zbar constant and Z = z + V affine, as
-    at ``holomorphic_jet_point``, or the mirror image, Pi depends only on
-    the affine-chart coordinate K = S V (1 + W)^-1, and tr(B Pi) is a
-    constant plus tr(M K) (see ``_chart_generators``): one K serves every
-    expression, with no jet inverse and no n x n jet matrix.  This is how
-    ``star.star_eval`` reads f and the conjugate of g from one chart.  The
-    degrees Z and Zbar occupy select this route.  Any other jet point, such
-    as that of g in ``star.star_jet_series``, whose sides both vary, takes
-    Z @ mat_inverse(Zbar @ Z) @ Zbar, which is also the chart route's
-    reference in the tests.  Both routes raise ``ConvergenceError`` when
-    the constant Gram matrix zb z is ill-conditioned; ``star_eval`` never
-    meets that, because it jets at the level representative, whose Gram
-    matrix is mu times the identity.  Expressions with no generator at
-    all build neither.
+    Every generator is tr(B Pi) with Pi = Z (Zbar Z)^-1 Zbar.  All
+    expressions share one Pi: at a jet point it is formed as the jet
+    matrix Z @ mat_inverse(Zbar @ Z) @ Zbar, whatever the degrees of Z and
+    Zbar, and the distinct B of all of them are read off it in one matrix
+    product.  This generic route serves the second factor of
+    ``star.star_jet_series``, whose two sides both vary, and is the
+    reference for everything else: it never calls ``linear_fraction``,
+    which ``chart_jets`` reads where one side is constant.  It raises
+    ``ConvergenceError`` when the constant Gram matrix zb z is
+    ill-conditioned.  Expressions with no generator at all form no Pi.
     """
     fs = [f] if isinstance(f, FunctionExpr) else list(f)
     if isinstance(Z, PointZ):
@@ -330,7 +295,7 @@ def eval_function(f, Z, Zbar=None):
     if isinstance(Z, MatrixJet):
         if Zbar is None:
             raise ValueError("a jet point needs Zbar, its antiholomorphic matrix jet")
-        out = _eval_jets(fs, Z, Zbar)
+        out = _eval_jets(fs, Z.ring, lambda Bs: _trace_products(Bs, Z @ mat_inverse(Zbar @ Z) @ Zbar))
     else:
         Z = np.asarray(Z, dtype=complex)
         if Zbar is None:
@@ -348,15 +313,18 @@ def eval_function(f, Z, Zbar=None):
     return out[0] if isinstance(f, FunctionExpr) else out
 
 
-def _eval_jets(fs, Z: MatrixJet, Zbar: MatrixJet) -> list:
-    """The jets of the expressions fs, their distinct generators read in one batch."""
-    ring = Z.ring
+def _eval_jets(fs, ring, traces) -> list:
+    """The jets of the expressions fs, their distinct generators read in one batch.
+
+    ``traces`` maps a (k, n, n) stack of B to the (k, size) coefficients
+    of the jets tr(B Pi); it is called once, and only if there is a B.
+    """
     distinct = {}
     for fn in fs:
         for _, factors in fn.terms:
             for B in factors:
                 distinct.setdefault(B.tobytes(), B)
-    rows = _generators(Z, Zbar)(np.array(list(distinct.values()))) if distinct else ()
+    rows = traces(np.array(list(distinct.values()))) if distinct else ()
     generator = {key: Jet(ring, row) for key, row in zip(distinct, rows)}
     out = []
     for fn in fs:

@@ -23,7 +23,8 @@ The only size limit is memory: ``check_memory`` estimates the bytes of a
 ring's maps and table, of the largest tensor array read from it and of
 the matrices a caller holds beside them, and raises ``RangeError`` above
 ``MEMORY_BUDGET`` before anything is allocated; every ring checks itself.  Jet points share their rings, with
-everything cached on them, through ``shared_ring``, a small bounded cache.
+everything cached on them, through ``shared_ring``, a small bounded cache
+whose rings ``star`` counts against the budget.
 All rings share one set of work buffers: products are not thread-safe.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from math import comb, factorial, prod
 
 import numpy as np
@@ -440,6 +441,15 @@ class JetRing:
                         out[i, j] = self._dot(A[i], B[:, j], chunks)
         return out
 
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the arrays the ring holds, its table and cached indices included once built."""
+        held = [self._up, self._parent, self._last, self.degree, self.dfact, self.__dict__.get("monos")]
+        held += [*(self._table or ()), self._offsets, self._targets]
+        held += [below for _, below in self._shift or ()]
+        held += [*self._tuples.values(), *self._multisets.values()]
+        return sum(a.nbytes for a in held if a is not None)
+
     def warm(self) -> "JetRing":
         """Force construction of the multiplication table."""
         self._mult_table()
@@ -465,14 +475,26 @@ class JetRing:
         return f"JetRing(nvars={self.nvars}, order={self.order}, size={self.size})"
 
 
-@lru_cache(maxsize=8)
+# the shared rings by (nvars, order), least recently used first
+_rings: dict[tuple[int, int], JetRing] = {}
+_RINGS_KEPT = 8
+
+
 def shared_ring(nvars: int, order: int) -> JetRing:
     """The ring of this shape, shared among the eight most recently used shapes.
 
     Products return fresh arrays, so callers may share a ring as long as
-    they do not run concurrently.
+    they do not run concurrently.  ``star`` counts the rings kept in
+    ``_rings`` against the memory budget, and may drop some.
     """
-    return JetRing(nvars, order)
+    key = (nvars, order)
+    ring = _rings.pop(key, None)
+    if ring is None:
+        ring = JetRing(nvars, order)
+    _rings[key] = ring
+    if len(_rings) > _RINGS_KEPT:
+        del _rings[next(iter(_rings))]
+    return ring
 
 
 class Jet:
@@ -662,8 +684,10 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
     The constant term must be well conditioned, and the residual of the
     full product M X is bounded relative to ``max(|M| |X|, 1)``, because
     the inverse of a jet whose constant term is small has coefficients far
-    larger than 1.  A jet point with one side constant takes
-    ``linear_fraction`` instead.
+    larger than 1; the identity is subtracted in place from the constant
+    term of M X, and each degree's sum is freed before the next.
+    ``geometry.chart_jets`` reads a jet point with one side constant
+    through ``linear_fraction`` instead.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
@@ -676,7 +700,11 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
         blocks = [(k, d - k, d - k) for k in range(1, min(top, d) + 1)]
         T = ring._matmul(M.coeffs, X.coeffs, blocks)
         X.coeffs -= (X0 @ T.reshape(M.rows, -1)).reshape(T.shape)
-    resid = ((M @ X) - MatrixJet.identity(ring, M.rows)).max_abs()
+        del T  # freed before the next degree's, and before the residual
+    # M X - 1, the identity subtracted in place from the constant term
+    MX = M @ X
+    MX.coeffs[range(M.rows), range(M.rows), 0] -= 1
+    resid = MX.max_abs()
     if resid > 1e-10 * max(M.max_abs() * X.max_abs(), 1.0):
         raise ConvergenceError(f"jet matrix inverse misses its residual bound ({resid:.2e})")
     return X

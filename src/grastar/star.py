@@ -41,16 +41,18 @@ of offsets x_{A p + i}, the jets g(zeta, zetabar + V^T) (the plain
 transpose: ``antiholomorphic_jet_point``) and gbar(zeta + V, zetabar)
 (``holomorphic_jet_point``) have complex conjugate coefficients.  So the
 antiholomorphic slot-(A, i) derivatives of g are the conjugates of the
-holomorphic slot-(A, i) derivatives of gbar, and ``eval_function`` reads
-every generator tr(B Pi) of f and gbar off one chart coordinate
+holomorphic slot-(A, i) derivatives of gbar, and ``geometry.chart_jets``
+reads every generator tr(B Pi) of f and gbar off one chart coordinate
 K = S V (1 + W)^-1: one SVD set-up, one ``linear_fraction`` and one matrix
-product for all of them.  ``antiholomorphic_jet_point`` stays off the
-product path; the Wick product, the Poisson bracket and the references
-in the tests read g there, independently of this identity.  With real
-weights and real symmetric P_[m], the antiholomorphic jets of g*h are the
-conjugates of the holomorphic ones of hbar*gbar, so ``star_jet_series``
-takes holomorphic outer offsets only, and only its g, whose two sides both
-vary, takes the generic route through Z (Zbar Z)^-1 Zbar.
+product for all of them.  With real weights and real symmetric P_[m], the
+antiholomorphic jets of g*h are the conjugates of the holomorphic ones of
+hbar*gbar, so ``star_jet_series`` takes holomorphic outer offsets only and
+reads its f from the chart too.  Only its g, whose two sides both vary,
+takes ``eval_function``, the generic route through Z (Zbar Z)^-1 Zbar.
+That route never reads the chart and is its reference: the Wick
+product, the Poisson bracket and the references in the tests read every
+factor through it, g at ``antiholomorphic_jet_point``, independently of
+the conjugation identity.
 
 Poles are checked up front, before any jet is built: some t_[m](c)
 vanishes exactly when c = -e for a content e, and the ``PoleError`` names
@@ -74,6 +76,7 @@ from grastar.geometry import (
     FunctionExpr,
     PointZ,
     SpaceConfig,
+    chart_jets,
     eval_function,
     holomorphic_jet_point,
     level_representative,
@@ -359,13 +362,23 @@ def _memory_terms(n: int, p: int, order: int, series: bool) -> tuple:
 def _check_memory(n: int, p: int, order: int, series: bool = False) -> None:
     """Raise ``RangeError`` before allocating if a product at this size exceeds the budget.
 
-    Stacks cached for other sizes count too, and go when the product fits only without them.
+    Stacks and shared rings cached for other sizes count too.  When the
+    product fits only without them, the rings go first, then the stacks.
     """
     need = max(check_memory(*args) for args in _memory_terms(n, p, order, series))
-    others = [key for key in _stacks if key[1] != p or key[0] > order]
-    if need + sum(_stacks[key][2].nbytes for key in others) > jets.MEMORY_BUDGET:
-        for key in others:
-            del _stacks[key]
+    nz = n * p
+    own = {(nz, order)}
+    if series:  # star_jet_series' ring of outer and inner offsets, and those of its results
+        own |= {(2 * nz, order)} | {(nz, d) for d in range(order)}
+    rings = [key for key in jets._rings if key not in own]
+    stacks = [key for key in _stacks if key[1] != p or key[0] > order]
+    held = sum(_stacks[key][2].nbytes for key in stacks)
+    if need + held + sum(jets._rings[key].nbytes for key in rings) > jets.MEMORY_BUDGET:
+        for key in rings:
+            del jets._rings[key]
+        if need + held > jets.MEMORY_BUDGET:
+            for key in stacks:
+                del _stacks[key]
 
 
 def _frame_pairings(DFs, DGs, n: int, p: int, order: int) -> np.ndarray:
@@ -395,13 +408,13 @@ def _deformation_c(p: int, mu, lam):
 def _derivative_tensors_at(f: FunctionExpr, g: FunctionExpr, zeta: PointZ, order: int):
     """f's holomorphic and g's antiholomorphic tensors at the level representative.
 
-    Both come from one holomorphic jet point and one chart (see
-    ``eval_function``), at the sorted row tuples: g's are the conjugates of
-    those of ``g.conjugate()`` (see the module docstring).
+    Both come from one holomorphic jet point and one ``chart_jets`` call,
+    at the sorted row tuples: g's are the conjugates of those of
+    ``g.conjugate()`` (see the module docstring).
     """
     n, p = zeta.z.shape
-    _, Z, Zbar = holomorphic_jet_point(zeta, order)
-    jf, jgbar = eval_function((f, g.conjugate()), Z, Zbar)
+    _, Z, _ = holomorphic_jet_point(zeta, order)
+    jf, jgbar = chart_jets((f, g.conjugate()), Z, zeta.zbar)
     DGs = [D.conj() for D in multiset_tensors(jgbar, n, p, order)]
     return multiset_tensors(jf, n, p, order), DGs
 
@@ -611,9 +624,10 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
     Pi = Z (Zbar Z)^-1 Zbar is unchanged by Zbar -> A Zbar; with
     A = mu (zetabar0 zeta)^-1 the pair (zeta0 + O, A zetabar0) stays on the
     level set, given zetabar0 zeta0 = mu.  So f, with holomorphic inner
-    offsets V, is read at (zeta + V, zetabar0) by the chart route, and g,
-    with antiholomorphic ones W, at (zeta, zetabar0 + A^-1 W^T), A^-1
-    affine in O, by the generic route and its one p x p jet inverse.
+    offsets V, is read at (zeta + V, zetabar0) by ``chart_jets``, the
+    affine jet passed whole, and g, with antiholomorphic ones W, at
+    (zeta, zetabar0 + A^-1 W^T), A^-1 affine in O, by ``eval_function``
+    and its one p x p jet inverse.
     Raises ``RangeError`` for an order that is not a nonnegative integer
     and over the memory budget.
     """
@@ -627,8 +641,8 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
     # variables 0..nz-1 are the outer offsets, nz..2nz-1 the inner ones
     total = shared_ring(2 * nz, order)
     zeta = MatrixJet.from_numeric(total, zeta0.z) + MatrixJet.variables(total, slots)
+    (jf,) = chart_jets([f], zeta + MatrixJet.variables(total, nz + slots), zeta0.zbar)
     Zbpt = MatrixJet.from_numeric(total, zeta0.zbar)
-    jf = eval_function(f, zeta + MatrixJet.variables(total, nz + slots), Zbpt)
     Zbg = Zbpt + (Zbpt @ zeta).scale(1 / float(mu)) @ MatrixJet.variables(total, nz + slots.T)
     jg = eval_function(g, zeta, Zbg)
 

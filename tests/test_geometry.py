@@ -13,6 +13,7 @@ from grastar.geometry import (
     PointZ,
     SpaceConfig,
     antiholomorphic_jet_point,
+    chart_jets,
     check_invariant_u,
     eval_function,
     gram,
@@ -218,16 +219,20 @@ def _one_sided_point(z, zb, order, holomorphic, mix):
     return MatrixJet.from_numeric(ring, z), MatrixJet.from_numeric(ring, zb) + MatrixJet(ring, V)
 
 
+def _conjugate_transpose(M):
+    """The jet matrix whose (i, j) entry has the conjugate coefficients of M's (j, i) entry."""
+    return MatrixJet(M.ring, M.coeffs.conj().transpose(1, 0, 2))
+
+
 @pytest.mark.parametrize("holomorphic", [True, False])
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
-def test_chart_route_matches_generic_route(p, q, holomorphic, monkeypatch):
-    # a point with one constant side takes the chart route in eval_function,
-    # which never inverts a jet; the reference forms Pi = Z (Zbar Z)^-1 Zbar
-    # with the jet inverse
-    def no_inverse(M):
-        raise AssertionError("the chart route inverted a jet matrix")
-
-    monkeypatch.setattr(geometry, "mat_inverse", no_inverse)
+def test_chart_route_matches_generic_route(p, q, holomorphic):
+    # chart_jets reads tr(B Pi) off the chart coordinate K at a point with Z
+    # affine and Zbar constant; generic eval_function forms
+    # Pi = Z (Zbar Z)^-1 Zbar with the jet inverse.  At a point whose
+    # antiholomorphic side is the affine one, Pi(Z, Zbar) is the conjugate
+    # transpose of Pi(Zbar^H, Z^H), so the chart of B^H there, conjugated,
+    # is the generic jet: the identity star_eval reads g's tensors by
     cfg = SpaceConfig(p, q)
     n = cfg.n
     rng = np.random.default_rng(40 + 10 * p + q)
@@ -240,20 +245,26 @@ def test_chart_route_matches_generic_route(p, q, holomorphic, monkeypatch):
     oblique = cplx(p, n)  # not z^t: 1 - z (zb z)^-1 zb is an oblique projector
     bases = [(zeta, zeta.conj().T), (zeta, oblique), (raw.z, oblique)]
     B = cplx(n, n)
+    f = FunctionExpr.generator(B)
     for order in range(6):
         for z, zb in bases:
             Z, Zbar = _one_sided_point(z, zb, order, holomorphic, (cplx(n, n), cplx(p, p)))
-            ref = _trace_reference(B, Z @ mat_inverse(Zbar @ Z) @ Zbar)
-            got = eval_function(FunctionExpr.generator(B), Z, Zbar).coeffs
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (order, z is zeta)
+            ref = eval_function(f, Z, Zbar).coeffs
+            if holomorphic:
+                (got,) = chart_jets([f], Z, Zbar.value())
+            else:
+                (got,) = chart_jets([f.conjugate()], _conjugate_transpose(Zbar), Z.value().conj().T)
+                got.coeffs = got.coeffs.conj()
+            assert np.max(np.abs(got.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref)), (order, z is zeta)
 
 
 @pytest.mark.parametrize("route", ["holomorphic", "antiholomorphic", "generic"])
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (3, 1)])
 def test_batched_generators_match_per_generator_reference(p, q, route, monkeypatch):
-    # eval_function reads the distinct B of all its expressions off one K,
-    # or one Pi, in a single matrix product; each must equal tr(B Pi) with
-    # Pi = Z (Zbar Z)^-1 Zbar formed on its own
+    # eval_function reads the distinct B of all its expressions off one Pi,
+    # with one jet inverse and no chart, at any jet point; chart_jets reads
+    # them off one K, with no inverse, where Zbar is constant.  Each must
+    # equal tr(B Pi) with Pi = Z (Zbar Z)^-1 Zbar formed on its own
     charts, inverses = [], []
     monkeypatch.setattr(geometry, "linear_fraction", lambda *a: charts.append(1) or linear_fraction(*a))
     monkeypatch.setattr(geometry, "mat_inverse", lambda M: inverses.append(1) or mat_inverse(M))
@@ -279,8 +290,11 @@ def test_batched_generators_match_per_generator_reference(p, q, route, monkeypat
         FunctionExpr([(1.0, [Bs[0]]), (0.5, [])]),
         FunctionExpr([(-1.0, [Bs[3], Bs[0]])]),
     ]
-    jets = eval_function(fs, Z, Zbar)
-    assert (len(charts), len(inverses)) == ((0, 1) if route == "generic" else (1, 0))
+    results = [eval_function(fs, Z, Zbar)]
+    assert (len(charts), len(inverses)) == (0, 1)
+    if route == "holomorphic":
+        results.append(chart_jets(fs, Z, Zbar.value()))
+        assert (len(charts), len(inverses)) == (1, 1)
     Pi = Z @ mat_inverse(Zbar @ Z) @ Zbar
     ring = Z.ring
     tr = [Jet(ring, _trace_reference(B, Pi)) for B in Bs]
@@ -289,11 +303,33 @@ def test_batched_generators_match_per_generator_reference(p, q, route, monkeypat
         tr[0] + 0.5,
         tr[3] * tr[0] * -1.0,
     ]
-    for got, ref in zip(jets, want):
-        assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
+    for jets in results:
+        for got, ref in zip(jets, want):
+            assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
     # one expression alone gives its jet, not a list
     alone = eval_function(fs[2], Z, Zbar)
-    assert np.array_equal(alone.coeffs, jets[2].coeffs)
+    assert np.array_equal(alone.coeffs, results[0][2].coeffs)
+
+
+@pytest.mark.parametrize("route", ["holomorphic", "antiholomorphic", "generic"])
+def test_eval_function_at_a_jet_point_never_reads_the_chart(route, monkeypatch):
+    # the generic route is the chart's reference only while it shares no
+    # code with it: at every jet point it forms Pi with the jet inverse
+    def refuse(*args):
+        raise AssertionError("eval_function read the chart")
+
+    monkeypatch.setattr(geometry, "linear_fraction", refuse)
+    monkeypatch.setattr(geometry, "chart_jets", refuse)
+    cfg = SpaceConfig(2, 1)
+    rng = np.random.default_rng(17)
+    zeta = level_representative(sample_point(cfg, 17), cfg.mu).z
+    mix = (np.eye(cfg.n), np.eye(cfg.p))
+    Z, Zbar = _one_sided_point(zeta, zeta.conj().T, 3, route != "antiholomorphic", mix)
+    if route == "generic":
+        Zbar = _one_sided_point(zeta, zeta.conj().T, 3, False, mix)[1]
+    fs = [random_function_expr(cfg, rng) for _ in range(2)]
+    jets = eval_function(fs, Z, Zbar)
+    assert [jet.value() for jet in jets] == pytest.approx(eval_function(fs, PointZ(zeta)), rel=1e-12)
 
 
 def test_eval_function_of_several_expressions_at_a_numeric_point():
@@ -308,18 +344,21 @@ def test_eval_function_of_several_expressions_at_a_numeric_point():
 @pytest.mark.parametrize("jet_point", [holomorphic_jet_point, antiholomorphic_jet_point])
 def test_chart_route_keeps_conditioning_check(jet_point):
     # singular values 1 and 1e-5 give the Gram matrix condition number 1e10,
-    # past the jet inverse's bound; both routes refuse it with one message
+    # past the jet inverse's bound; the chart and the generic route refuse
+    # it with one message
     rng = np.random.default_rng(13)
     Q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     z = PointZ(Q[:, :2] @ np.diag([1.0, 1e-5]))
     _, Z, Zbar = jet_point(z, 2)
-    with pytest.raises(ConvergenceError) as generic:
+    with pytest.raises(ConvergenceError) as inverse:
         mat_inverse(Zbar @ Z)
-    assert "cond 1.00e+10" in str(generic.value)
+    assert "cond 1.00e+10" in str(inverse.value)
     f = FunctionExpr.generator(np.eye(3))
-    with pytest.raises(ConvergenceError) as chart:
+    with pytest.raises(ConvergenceError) as generic:
         eval_function(f, Z, Zbar)
-    assert str(chart.value) == str(generic.value)
+    with pytest.raises(ConvergenceError) as chart:
+        chart_jets([f], Z, Zbar.value())
+    assert str(generic.value) == str(chart.value) == str(inverse.value)
 
 
 def test_eval_function_jet_needs_zbar():

@@ -105,6 +105,25 @@ def test_mat_inverse_of_gram_jet_at_any_scale(scale, order):
     assert resid / (M.max_abs() * X.max_abs()) < 1e-12
 
 
+def test_mat_inverse_frees_its_work_before_the_residual():
+    # the last degree's T, an identity jet and M X - 1 beside M X held the
+    # peak at five jet matrices of M's size; M X alone, with X and the
+    # (X0 T) of one degree before it, holds three
+    ring = shared_ring(16, 4)
+    rng = np.random.default_rng(4)
+    M = MatrixJet.from_numeric(ring, np.eye(4) + 0.1 * rng.standard_normal((4, 4)))
+    M = M + MatrixJet.variables(ring, np.arange(16).reshape(4, 4))
+    mat_inverse(M)  # the table and the work buffers, untraced
+    tracemalloc.start()
+    try:
+        X = mat_inverse(M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * M.coeffs.nbytes
+    assert (M @ X - MatrixJet.identity(ring, 4)).max_abs() < 1e-12 * M.max_abs() * X.max_abs()
+
+
 def test_mat_inverse_rejects_singular():
     ring = JetRing(1, 2)
     M = MatrixJet.from_numeric(ring, np.zeros((2, 2)))
@@ -360,15 +379,29 @@ def test_mat_inverse_of_full_matrix_in_associativity_ring():
     assert (X @ M - identity).max_abs() / scale < 1e-12
 
 
-def test_shared_ring_cache_is_bounded():
+def test_shared_ring_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(grastar.jets, "_rings", {})
     ring = shared_ring(1, 0)
     assert shared_ring(1, 0) is ring
     for order in range(1, 20):
         shared_ring(1, order)
-    info = shared_ring.cache_info()
-    assert info.currsize <= info.maxsize == 8
+    assert list(grastar.jets._rings) == [(1, order) for order in range(12, 20)]
     # the oldest shape was evicted and is built afresh
     assert shared_ring(1, 0) is not ring
+
+
+def test_ring_nbytes_counts_what_it_builds():
+    ring = JetRing(4, 3)
+    maps = ring.nbytes
+    assert maps == sum(a.nbytes for a in (ring._up, ring._parent, ring._last, ring.degree, ring.dfact))
+    ring.warm()
+    table = sum(a.nbytes for a in ring._table) + ring._offsets.nbytes + ring._targets.nbytes
+    assert ring.nbytes == maps + table
+    ring.degree_shift()
+    idx = ring.multiset_indices(2, 2, 2)
+    # the shift map of every degree above 0, and the cached indices
+    below = (ring.size - 1) * ring.nvars * np.dtype(np.intp).itemsize
+    assert ring.nbytes == maps + table + below + idx.nbytes
 
 
 def test_table_multiply_allocates_only_its_result():

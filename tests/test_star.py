@@ -32,6 +32,7 @@ from grastar.geometry import (
     wick_product,
 )
 from grastar.jets import (
+    MEMORY_BUDGET,
     Jet,
     JetRing,
     MatrixJet,
@@ -52,6 +53,7 @@ from grastar.partitions import (
 )
 from grastar.star import (
     _check_memory,
+    _derivative_tensors_at,
     _frames,
     _memory_terms,
     _check_poles,
@@ -501,7 +503,9 @@ def test_shape_mismatch_rejected():
 def test_antiholomorphic_tensors_are_conjugates_of_the_conjugate_function(p, q, order):
     # with V the offsets, g(z, zb + V^T) and gbar(z + V, zb) have complex
     # conjugate coefficients: star_eval reads g's antiholomorphic tensors as
-    # the conjugates of g.conjugate()'s holomorphic ones, at one jet point
+    # the conjugates of g.conjugate()'s holomorphic ones, at one jet point,
+    # from chart_jets.  Both that production route and the generic one at the
+    # holomorphic point must give the generic g at the antiholomorphic point
     cfg = SpaceConfig(p, q, Fraction(3, 2))
     n = cfg.n
     rng = np.random.default_rng(70 + 10 * p + q)
@@ -511,13 +515,16 @@ def test_antiholomorphic_tensors_are_conjugates_of_the_conjugate_function(p, q, 
     _, Z, Zbar = holomorphic_jet_point(zeta, order)
     gbar_jets = eval_function([g.conjugate() for g in gs], Z, Zbar)
     _, Za, Zbara = antiholomorphic_jet_point(zeta, order)
-    g_jets = [eval_function(g, Za, Zbara) for g in gs]
-    for gbar_jet, g_jet in zip(gbar_jets, g_jets):
-        got = [D.conj() for D in multiset_tensors(gbar_jet, n, p, order)]
-        want = multiset_tensors(g_jet, n, p, order)
-        scale = max(np.max(np.abs(D)) for D in want)
-        for G, W in zip(got, want):
-            assert np.max(np.abs(G - W)) <= 1e-13 * scale
+    for g, gbar_jet in zip(gs, gbar_jets):
+        want = multiset_tensors(eval_function(g, Za, Zbara), n, p, order)
+        generic = [D.conj() for D in multiset_tensors(gbar_jet, n, p, order)]
+        # f = g: the first tensors are g's holomorphic ones, checked against the generic route too
+        DFs, chart = _derivative_tensors_at(g, g, zeta, order)
+        holomorphic = multiset_tensors(eval_function(g, Z, Zbar), n, p, order)
+        for got, ref in ((generic, want), (chart, want), (DFs, holomorphic)):
+            scale = max(np.max(np.abs(D)) for D in ref)
+            for G, W in zip(got, ref):
+                assert np.max(np.abs(G - W)) <= 1e-13 * scale
 
 
 def test_star_eval_builds_one_chart(monkeypatch):
@@ -1032,6 +1039,70 @@ def test_memory_check_counts_and_drops_the_stacks_of_other_sizes(monkeypatch):
     assert set(grastar.star._stacks) == own | {(0, 1), (1, 1), (2, 1)}
 
 
+def test_memory_check_counts_and_drops_the_rings_of_other_shapes(monkeypatch):
+    # the shared rings of other shapes stay cached too: (2, 1, 12) after
+    # (3, 1, 7) in one process peaked at 2127 MiB resident, above the budget.
+    # They count now, and go before the stacks when only they would push a
+    # product over the budget
+    monkeypatch.setattr(grastar.star, "_stacks", {})
+    monkeypatch.setattr(grastar.jets, "_rings", {})
+    _isotypic_projectors(4, 2)
+    own = {(6, 3)}
+    # a star_jet_series at (3, 2, 3) reads the rings of 12 variables at order 3 and of 6 below it
+    series = {(12, 3), (6, 2), (6, 0)}
+    others = {(4, 5), (3, 2)}
+    for key in own | series | others:
+        shared_ring(*key).warm()
+    stacks = sum(grastar.star._stacks[key][2].nbytes for key in grastar.star._stacks if key[0] > 3)
+    # the series rings are other shapes to star_eval
+    held = sum(grastar.jets._rings[key].nbytes for key in series | others)
+    need = max(check_memory(*args) for args in _memory_terms(3, 2, 3, False))
+    _check_memory(3, 2, 3)
+    assert set(grastar.jets._rings) == own | series | others
+    monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + stacks + held)
+    _check_memory(3, 2, 3)
+    assert set(grastar.jets._rings) == own | series | others
+    # one byte less: the rings go, the stacks stay
+    monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + stacks + held - 1)
+    _check_memory(3, 2, 3)
+    assert set(grastar.jets._rings) == own
+    assert (4, 2) in grastar.star._stacks
+    # a star_jet_series keeps its own rings and drops the others
+    monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", MEMORY_BUDGET)
+    for key in series | others:
+        shared_ring(*key)
+    need = max(check_memory(*args) for args in _memory_terms(3, 2, 3, True))
+    monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + stacks)
+    _check_memory(3, 2, 3, series=True)
+    assert set(grastar.jets._rings) == own | series
+    assert (4, 2) in grastar.star._stacks
+    # the rings and then the stacks go when the product fits only without both
+    shared_ring(4, 5)
+    monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + stacks - 1)
+    _check_memory(3, 2, 3, series=True)
+    assert set(grastar.jets._rings) == own | series
+    assert (4, 2) not in grastar.star._stacks
+
+
+def test_star_fixed_high_sizes_drop_no_cached_ring_or_stack():
+    # the benchmark's star-fixed-high cycle alternates p and order at lambda
+    # = 1/10: under the default budget each product keeps what the others cached
+    def cached():
+        return [("ring", key, ring) for key, ring in grastar.jets._rings.items()] + [
+            ("stack", key, stack) for key, stack in grastar.star._stacks.items()
+        ]
+
+    sizes = [(2, 1, 6), (1, 1, 8), (1, 2, 6)]
+    for p, q, order in sizes + sizes:
+        cfg = SpaceConfig(p, q)
+        rng = np.random.default_rng(p + q + order)
+        f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+        before = cached()
+        star_eval(f, g, cfg, sample_point(cfg, order), order, lam=Fraction(1, 10))
+        after = cached()
+        assert all(any(entry[2] is other[2] for other in after) for entry in before)
+
+
 @pytest.mark.parametrize("p,q,order", [(3, 1, 3), (4, 1, 3)])
 def test_series_memory_estimate_covers_the_cold_peak(monkeypatch, p, q, order):
     # a cold associativity check once traced 8.5 MiB against 7.2 MiB
@@ -1041,7 +1112,8 @@ def test_series_memory_estimate_covers_the_cold_peak(monkeypatch, p, q, order):
     verify_suite(SpaceConfig(1, 1), order=1)  # imports and one-off set-up, untraced
     monkeypatch.setattr(grastar.star, "_stacks", {})
     monkeypatch.setattr(grastar.jets, "_work", np.empty((3, 0), dtype=complex))
-    for cached in (shared_ring, sorted_tuples, _frames, _series_weights, grastar.star._box_indices):
+    monkeypatch.setattr(grastar.jets, "_rings", {})
+    for cached in (sorted_tuples, _frames, _series_weights, grastar.star._box_indices):
         cached.cache_clear()
     cfg = SpaceConfig(p, q)
     estimate = max(check_memory(*args) for args in _memory_terms(cfg.n, p, order, True))
