@@ -5,6 +5,9 @@ the center; the base change is given by characters.  Inverting the central
 element sum_alpha c^|alpha| k_alpha yields the coefficient functions
 s_alpha(c) = sum_a n_a chi^a_alpha / (r! t_a(c)), with t_a the
 characteristic polynomials that factor over the boxes of the frame.
+``t_value`` is that box product, one factor (c + column - row) per box,
+for an exact, a complex or a polynomial c: ``t_poly`` and the frame
+route of ``star.coefficient_operator`` both read it.
 
 Everything in this module is exact: coefficients are ``fractions.Fraction``
 throughout, and brute-force structure constants (full enumeration of S_r
@@ -190,9 +193,6 @@ class LambdaSeries:
         """Multiply by lambda^k, truncating."""
         return LambdaSeries(self.order, [Fraction(0)] * k + self.coeffs[: self.order + 1 - k])
 
-    def map(self, fn) -> "LambdaSeries":
-        return LambdaSeries(self.order, [fn(a) for a in self.coeffs])
-
     def __eq__(self, other):
         return (
             isinstance(other, LambdaSeries)
@@ -276,6 +276,21 @@ def e_to_k(v: dict[Frame, Fraction], r: int) -> CentralElement:
     return CentralElement(r, coeffs)
 
 
+def t_value(frame: Frame, c):
+    """The coefficient polynomial of a frame at c: prod of (c + col - row) over its boxes.
+
+    Exact for Fraction c, a ``RationalPoly`` for polynomial c, complex otherwise.
+    """
+    if isinstance(c, RationalPoly):
+        acc = RationalPoly.const(1)
+    else:
+        acc = Fraction(1) if isinstance(c, Fraction) else complex(1)
+    for i, m_i in enumerate(frame.rows, start=1):
+        for j in range(1, m_i + 1):
+            acc = acc * (c + (j - i))
+    return acc
+
+
 def t_poly(frame: Frame, p: int) -> RationalPoly:
     """Closed-form coefficient polynomial [c]_{m_1} [c-1]_{m_2} ... [c-p+1]_{m_p}.
 
@@ -285,11 +300,7 @@ def t_poly(frame: Frame, p: int) -> RationalPoly:
         raise ValueError(
             f"frame {frame} has more than p = {p} nonzero rows"
         )
-    c = RationalPoly.variable()
-    acc = RationalPoly.const(1)
-    for i, m_i in enumerate(frame.rows, start=1):
-        acc = acc * pochhammer(c - Fraction(i - 1), m_i)
-    return acc
+    return t_value(frame, RationalPoly.variable())
 
 
 def t_from_characters(frame: Frame) -> RationalPoly:

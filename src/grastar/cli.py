@@ -25,6 +25,7 @@ from grastar.geometry import (
     FunctionExpr,
     PointZ,
     SpaceConfig,
+    matrix_from_json,
     sample_point,
 )
 from grastar.partitions import class_size, conj_classes_of, partitions_of
@@ -67,12 +68,6 @@ def _complex_pair(value: complex) -> list[float]:
 
 def _matrix_json(M: np.ndarray) -> list:
     return [[_complex_pair(complex(x)) for x in row] for row in M]
-
-
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array(
-        [[complex(x[0], x[1]) for x in row] for row in rows], dtype=complex
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +136,10 @@ def _load_function(path: str) -> FunctionExpr:
 def _resolve_point(args, cfg: SpaceConfig) -> PointZ:
     if args.point:
         with open(args.point, "r", encoding="utf-8") as fh:
-            return PointZ(_matrix_from_json(json.load(fh)["z"]))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError('expected a point as {"z": rows}')
+        return PointZ(matrix_from_json(doc.get("z")))
     return sample_point(cfg, args.seed)
 
 

@@ -24,6 +24,7 @@ Wick product and the Poisson bracket.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,19 +194,22 @@ class FunctionExpr:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "FunctionExpr":
-        terms = []
-        for t in obj["terms"]:
-            coeff = complex(t["coeff"][0], t["coeff"][1])
-            factors = [
-                np.array(
-                    [[complex(x[0], x[1]) for x in row] for row in f["B"]],
-                    dtype=complex,
-                )
-                for f in t.get("factors", [])
-            ]
-            terms.append((coeff, factors))
-        return cls(terms)
+    def from_json_obj(cls, obj) -> "FunctionExpr":
+        """The expression of a ``to_json_obj`` document.
+
+        Raises ``ValueError`` for a document of any other shape or with a
+        number that is not finite.
+        """
+        terms = obj.get("terms") if isinstance(obj, dict) else None
+        if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+            raise ValueError('expected a function as {"terms": [{"coeff": [re, im], "factors": [{"B": rows}]}]}')
+        out = []
+        for t in terms:
+            factors = t.get("factors", [])
+            if not isinstance(factors, list) or not all(isinstance(f, dict) for f in factors):
+                raise ValueError('expected the factors of a term as [{"B": rows}, ...]')
+            out.append((complex_from_json(t.get("coeff")), [matrix_from_json(f.get("B")) for f in factors]))
+        return cls(out)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -213,6 +217,27 @@ class FunctionExpr:
     @classmethod
     def loads(cls, text: str) -> "FunctionExpr":
         return cls.from_json_obj(json.loads(text))
+
+
+def complex_from_json(x) -> complex:
+    """The complex number of a JSON pair [re, im]; ``ValueError`` unless both are finite reals."""
+    if isinstance(x, list) and len(x) == 2 and all(type(a) in (int, float) for a in x):
+        try:
+            value = complex(x[0], x[1])
+        except OverflowError:  # an integer beyond the float range
+            value = complex("inf")
+        if cmath.isfinite(value):
+            return value
+    raise ValueError(f"expected a finite complex number as [re, im], got {x!r}")
+
+
+def matrix_from_json(rows) -> np.ndarray:
+    """The complex matrix of a JSON list of equally long rows of [re, im] pairs; ``ValueError`` otherwise."""
+    if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"expected a matrix as a nonempty list of rows of [re, im] pairs, got {rows!r}")
+    if len({len(row) for row in rows}) != 1:
+        raise ValueError("matrix rows differ in length")
+    return np.array([[complex_from_json(x) for x in row] for row in rows], dtype=complex)
 
 
 def random_function_expr(cfg: SpaceConfig, rng, nterms: int = 2, maxdeg: int = 2) -> FunctionExpr:

@@ -56,10 +56,14 @@ the conjugation identity.
 
 Poles are checked up front, before any jet is built: some t_[m](c)
 vanishes exactly when c = -e for a content e, and the ``PoleError`` names
-the frame in which e first occurs.  The exact projectors, class sums
-and characters of ``tensor_action``, ``center`` and ``characters`` stay
-out of the product and serve as its oracles; so does ``derivative_tensor``,
-which reads the tensors at every row tuple.
+the frame in which e first occurs.  The exact projectors, class sums,
+characters and tensor-power reduction identities of ``tensor_action``,
+``center`` and ``characters`` stay out of the product and serve as its
+oracles, and ``star`` imports nothing from ``tensor_action``.
+``derivative_tensor``, which reads the tensors at every row tuple, is an
+oracle too.  ``coefficient_operator`` builds the coefficient element
+exactly, in the class basis, and ``slot_coefficient_matrix`` sums the
+product's own stack into its matrix, for the tests to hold against them.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from math import comb, factorial, isqrt
 
 import numpy as np
 
-from grastar.center import CentralElement, LambdaSeries, e_to_k, lambda_coefficient_series, s_coeffs
+from grastar.center import CentralElement, LambdaSeries, e_to_k, lambda_coefficient_series, s_coeffs, t_value
 from grastar.errors import PoleError, RangeError
 from grastar.geometry import (
     FunctionExpr,
@@ -87,20 +91,7 @@ from grastar.geometry import (
 )
 from grastar import jets
 from grastar.jets import Jet, MatrixJet, check_memory, shared_ring, sorted_tuples
-from grastar.partitions import Frame, conj_classes_of, partitions_of
-from grastar.tensor_action import rho_central
-
-
-def t_value(frame: Frame, c):
-    """The coefficient polynomial of a frame at c: prod of (c + col - row).
-
-    Exact for Fraction c, complex otherwise.
-    """
-    acc = Fraction(1) if isinstance(c, Fraction) else complex(1)
-    for i, m_i in enumerate(frame.rows, start=1):
-        for j in range(1, m_i + 1):
-            acc = acc * (c + (j - i))
-    return acc
+from grastar.partitions import Frame, partitions_of
 
 
 def coefficient_operator(r: int, c_value, method: str = "frames") -> CentralElement:
@@ -253,6 +244,17 @@ def _fixed_weights(p: int, mu, c, order: int) -> np.ndarray:
     return np.prod(np.array(factors + [1.0])[boxes], axis=1)
 
 
+def slot_coefficient_matrix(r: int, p: int, c) -> np.ndarray:
+    """Matrix of the coefficient central element on column-slot tensors.
+
+    sum_[m] P_[m] / t_[m](c) over the stack of frames with at most p rows;
+    frames with more rows act as zero on (C^p)^{x r}.
+    """
+    _check_poles(p, c, r)
+    stack = _isotypic_projectors(r, p)[2]
+    return np.tensordot(_fixed_weights(p, 1, c, r)[-len(stack) :], stack, axes=1).astype(complex)
+
+
 @cache
 def _series_weights(p: int, mu: Fraction, order: int) -> np.ndarray:
     """Read-only (order + 1, sum_r F_r): each frame's lambda series, in stack order.
@@ -368,8 +370,8 @@ def _check_memory(n: int, p: int, order: int, series: bool = False) -> None:
     need = max(check_memory(*args) for args in _memory_terms(n, p, order, series))
     nz = n * p
     own = {(nz, order)}
-    if series:  # star_jet_series' ring of outer and inner offsets, and those of its results
-        own |= {(2 * nz, order)} | {(nz, d) for d in range(order)}
+    if series:  # star_jet_series' ring of outer and inner offsets
+        own.add((2 * nz, order))
     rings = [key for key in jets._rings if key not in own]
     stacks = [key for key in _stacks if key[1] != p or key[0] > order]
     held = sum(_stacks[key][2].nbytes for key in stacks)
@@ -516,98 +518,6 @@ def projective_star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None
 
 
 # ---------------------------------------------------------------------------
-# reductions of non-invariant building blocks (identity checks)
-
-
-def proj_scalar_power(r: int, mu, lam):
-    """Reduction of the r-th power of the squared radius for p = 1.
-
-    For positive powers this is prod_{s=0}^{r-1} (mu - lam*s); the
-    reduction of the (-r)-th power is prod_{s=1}^{r} 1/(mu + lam*s).
-    Pass a negative ``r`` for the inverse power.
-    """
-    mu = Fraction(mu)
-    lam = Fraction(lam)
-    if r >= 0:
-        acc = Fraction(1)
-        for s in range(r):
-            acc *= mu - lam * s
-        return acc
-    acc = Fraction(1)
-    for s in range(1, -r + 1):
-        denom = mu + lam * s
-        if denom == 0:
-            raise PoleError(Frame((-r,)), lam)
-        acc /= denom
-    return acc
-
-
-def tensor_power(M: np.ndarray, r: int) -> np.ndarray:
-    """r-fold Kronecker power (first factor most significant)."""
-    out = np.eye(1, dtype=complex)
-    for _ in range(r):
-        out = np.kron(out, np.asarray(M, dtype=complex))
-    return out
-
-
-def slot_coefficient_matrix(r: int, p: int, c) -> np.ndarray:
-    """Matrix of the coefficient central element on column-slot tensors.
-
-    sum_[m] P_[m] / t_[m](c) over the stack of frames with at most p rows;
-    frames with more rows act as zero on (C^p)^{x r}.
-    """
-    _check_poles(p, c, r)
-    stack = _isotypic_projectors(r, p)[2]
-    return np.tensordot(_fixed_weights(p, 1, c, r)[-len(stack) :], stack, axes=1).astype(complex)
-
-
-def proj_sandwich_power(zeta: np.ndarray, mu, lam, r: int) -> np.ndarray:
-    """Reduction of the r-th tensor power of z x^-2 z^t (x the Gram matrix).
-
-    The result factors through the level representative as
-    (lam*mu)^-r  zeta^{x r} . rho(coefficient element) . zetabar^{x r}.
-    """
-    mu = Fraction(mu)
-    lam = Fraction(lam)
-    p = zeta.shape[1]
-    c = mu / lam + p
-    U = rho_central(coefficient_operator(r, c), p).to_complex().entries
-    Zk = tensor_power(zeta, r)
-    scale = (float(mu) * float(lam)) ** (-r)
-    return scale * (Zk @ U @ Zk.conj().T)
-
-
-def proj_outer_power(zeta: np.ndarray, mu, lam, r: int) -> np.ndarray:
-    """Reduction of the r-th tensor power of z z^t.
-
-    Each conjugacy class alpha contributes (-lam/mu)^(transposition count)
-    times its class sum, sandwiched between tensor powers of the level
-    representative.
-    """
-    mu = Fraction(mu)
-    lam = Fraction(lam)
-    p = zeta.shape[1]
-    ratio = -lam / mu
-    w = CentralElement(
-        r, {alpha: ratio ** (r - alpha.num_cycles) for alpha in conj_classes_of(r)}
-    )
-    U = rho_central(w, p).to_complex().entries
-    Zk = tensor_power(zeta, r)
-    return Zk @ U @ Zk.conj().T
-
-
-def unsandwich(X: np.ndarray, zeta: np.ndarray, mu, r: int) -> np.ndarray:
-    """Recover the column-slot operator from a zeta-sandwiched tensor.
-
-    Uses the left inverse (zetabar/mu)^{x r} of zeta^{x r}, valid because
-    zetabar zeta = mu * identity on the level set.
-    """
-    mu = float(Fraction(mu))
-    Zplus = tensor_power(zeta.conj().T / mu, r)
-    return Zplus @ X @ Zplus.conj().T
-
-
-# ---------------------------------------------------------------------------
 # the product with a jet-valued result (for associativity)
 
 
@@ -619,7 +529,10 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
     to outer degree ``order - t`` and zero above it, all that a pairing
     truncated at ``order`` reads, so every jet lives in one ring of total
     degree ``order`` in outer and inner offsets, and the order-r tensors on
-    the outer monomials of degree <= order - r.
+    the outer monomials of degree <= order - r.  Lower orders are
+    prefixes of the ring of outer offsets, so each lambda^t product runs
+    on that ring's own table, over the degree blocks up to order - t, and
+    the series opens no ring but its two.
 
     Pi = Z (Zbar Z)^-1 Zbar is unchanged by Zbar -> A Zbar; with
     A = mu (zetabar0 zeta)^-1 the pair (zeta0 + O, A zetabar0) stays on the
@@ -665,14 +578,16 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
         weights = W[:, first : first + len(stack)] / factorial(r)
         first += len(stack)
         for t in range(r, order + 1):
-            # the outer degrees <= order - t: the basis of ``ring``
-            ring = shared_ring(nz, order - t)
-            k = ring.size
+            # the outer degrees <= order - t, a prefix of R_out of k monomials:
+            # its blocks pair degrees a and b with a + b <= order - t, so
+            # R_out's table reads indices below k only
+            k = comb(nz + order - t, order - t)
+            blocks = [(a, 0, order - t - a) for a in range(order - t + 1)]
             # contract the coefficients into DG first: one jet product per
             # (sorted row tuple, column tuple), summed as one jet matrix product
             MG = np.tensordot(weights[t], PG[..., :k], axes=1)
-            prod = ring._matmul(DF[..., :k].reshape(1, -1, k), MG.reshape(-1, 1, k))
-            out[t].coeffs[:k] += prod[0, 0]
+            prod = R_out._matmul(DF[..., :k].reshape(1, -1, k), MG.reshape(-1, 1, k), blocks)
+            out[t].coeffs[:k] += prod[0, 0, :k]
     return R_out, out
 
 

@@ -4,6 +4,12 @@ Permutations act by shuffling tensor slots, matrices by Kronecker powers.
 Young projectors (images of the central idempotents) are exact rational;
 the Frobenius and Schur character checks run in complex floats.
 
+The reductions of the non-invariant tensor powers z z^t and z x^-2 z^t
+(x the Gram matrix) through the level representative live here too.
+They are identities that check the product's coefficient element, with
+``tensor_power`` the one Kronecker power they and ``d_power`` share; no
+product path reads them.
+
 Index convention: the basis vector e_{A_1} x ... x e_{A_r} has flat index
 sum_k A_k * s^(r-1-k) (row-major, first slot most significant).  A
 permutation acts by rho(sigma): e_{A_1...A_r} -> e_{B_1...B_r} with
@@ -19,18 +25,20 @@ from math import factorial
 
 import numpy as np
 
+from grastar.center import CentralElement, s_coeffs
 from grastar.characters import character
-from grastar.errors import RangeError
+from grastar.errors import PoleError, RangeError
 from grastar.partitions import (
     ConjClass,
     Frame,
     Permutation,
+    class_size,
+    conj_classes_of,
     cycle_type,
     dim_symmetric,
     partitions_of,
     permutations_of,
 )
-from grastar.center import CentralElement
 
 #: Largest dense operator dimension s^r we are willing to materialize.
 MAX_DIM = 4096
@@ -172,10 +180,7 @@ def d_power(S: np.ndarray, r: int) -> TensorOperator:
         raise ValueError("S must be square")
     s = S.shape[0]
     _check_dim(s, r)
-    entries = np.eye(1, dtype=complex)
-    for _ in range(r):
-        entries = np.kron(entries, S)
-    return TensorOperator(s, r, entries, exact=False)
+    return TensorOperator(s, r, tensor_power(S, r), exact=False)
 
 
 def projector(frame: Frame, s: int) -> TensorOperator:
@@ -225,9 +230,6 @@ def power_traces(A: np.ndarray, r: int) -> list[complex]:
 
 def schur_character(frame: Frame, A: np.ndarray) -> complex:
     """Character of the Gl irreducible at A, by the Frobenius class sum."""
-    from grastar.center import conj_classes_of  # local import to avoid cycle
-    from grastar.partitions import class_size
-
     r = frame.weight
     if r == 0:
         return 1.0 + 0.0j
@@ -240,3 +242,85 @@ def schur_character(frame: Frame, A: np.ndarray) -> complex:
                 prod *= a[k - 1] ** mult
         total += class_size(alpha) * prod * character(frame, alpha)
     return total / factorial(r)
+
+
+# ---------------------------------------------------------------------------
+# reductions of non-invariant building blocks (identity checks)
+
+
+def tensor_power(M: np.ndarray, r: int) -> np.ndarray:
+    """r-fold Kronecker power (first factor most significant)."""
+    out = np.eye(1, dtype=complex)
+    for _ in range(r):
+        out = np.kron(out, np.asarray(M, dtype=complex))
+    return out
+
+
+def proj_scalar_power(r: int, mu, lam):
+    """Reduction of the r-th power of the squared radius for p = 1.
+
+    For positive powers this is prod_{s=0}^{r-1} (mu - lam*s); the
+    reduction of the (-r)-th power is prod_{s=1}^{r} 1/(mu + lam*s).
+    Pass a negative ``r`` for the inverse power.
+    """
+    mu = Fraction(mu)
+    lam = Fraction(lam)
+    if r >= 0:
+        acc = Fraction(1)
+        for s in range(r):
+            acc *= mu - lam * s
+        return acc
+    acc = Fraction(1)
+    for s in range(1, -r + 1):
+        denom = mu + lam * s
+        if denom == 0:
+            raise PoleError(Frame((-r,)), lam)
+        acc /= denom
+    return acc
+
+
+def proj_sandwich_power(zeta: np.ndarray, mu, lam, r: int) -> np.ndarray:
+    """Reduction of the r-th tensor power of z x^-2 z^t (x the Gram matrix).
+
+    The result factors through the level representative as
+    (lam*mu)^-r  zeta^{x r} . rho(coefficient element) . zetabar^{x r},
+    the coefficient element taken along the class route, ``s_coeffs``.
+    """
+    mu = Fraction(mu)
+    lam = Fraction(lam)
+    p = zeta.shape[1]
+    c = mu / lam + p
+    U = rho_central(CentralElement(r, s_coeffs(r, c)), p).to_complex().entries
+    Zk = tensor_power(zeta, r)
+    scale = (float(mu) * float(lam)) ** (-r)
+    return scale * (Zk @ U @ Zk.conj().T)
+
+
+def proj_outer_power(zeta: np.ndarray, mu, lam, r: int) -> np.ndarray:
+    """Reduction of the r-th tensor power of z z^t.
+
+    Each conjugacy class alpha contributes (-lam/mu)^(transposition count)
+    times its class sum, sandwiched between tensor powers of the level
+    representative.
+    """
+    mu = Fraction(mu)
+    lam = Fraction(lam)
+    p = zeta.shape[1]
+    ratio = -lam / mu
+    w = CentralElement(
+        r, {alpha: ratio ** (r - alpha.num_cycles) for alpha in conj_classes_of(r)}
+    )
+    U = rho_central(w, p).to_complex().entries
+    Zk = tensor_power(zeta, r)
+    return Zk @ U @ Zk.conj().T
+
+
+def unsandwich(X: np.ndarray, zeta: np.ndarray, mu, r: int) -> np.ndarray:
+    """Recover the column-slot operator from a zeta-sandwiched tensor.
+
+    Uses the left inverse (zetabar/mu)^{x r} of zeta^{x r}, valid because
+    zetabar zeta = mu * identity on the level set.
+    """
+    mu = float(Fraction(mu))
+    Zplus = tensor_power(zeta.conj().T / mu, r)
+    return Zplus @ X @ Zplus.conj().T

@@ -20,6 +20,7 @@ from grastar.center import (
     s_coeffs,
     t_from_characters,
     t_poly,
+    t_value,
 )
 from grastar.cli import main as cli_main
 from grastar.geometry import (
@@ -43,20 +44,19 @@ from grastar.partitions import (
 from grastar.star import (
     associativity_residuals,
     coefficient_operator,
-    proj_sandwich_power,
-    proj_scalar_power,
     projective_star_eval,
     star_eval,
-    t_value,
-    tensor_power,
 )
 from grastar.tensor_action import (
     TensorOperator,
     frobenius_trace,
     power_traces,
+    proj_sandwich_power,
+    proj_scalar_power,
     projector,
     rho_central,
     rho_perm,
+    tensor_power,
 )
 from grastar.partitions import cycle_type
 

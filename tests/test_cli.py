@@ -1,12 +1,16 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import grastar
 import grastar.cli
 import grastar.jets
 import grastar.star
@@ -238,6 +242,52 @@ def test_star_point_shape_mismatch(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: point has shape") and err.count("\n") == 1
+
+
+_ONE = {"terms": [{"coeff": [1, 0], "factors": []}]}
+
+
+@pytest.mark.parametrize(
+    "function, point",
+    [
+        ('{"terms": [{"coeff": [1]}]}', None),
+        ('{"terms": [{"coeff": "xy"}]}', None),
+        ('[{"coeff": [1, 0]}]', None),
+        ('{"terms": 5}', None),
+        ('{"terms": [{"coeff": [1, 0], "factors": [{"B": [[1, 0], [0, 1]]}]}]}', None),
+        ('{"terms": [{"coeff": [1e400, 0]}]}', None),
+        ('{"terms": [{"coeff": [1%s, 0]}]}' % ("0" * 400), None),
+        (None, '{"z": [[1, 0]]}'),
+        (None, '{"z": [[[1e400, 0]], [[0, 1]]]}'),
+    ],
+    ids=[
+        "short-coeff", "string-coeff", "list", "terms-int", "B-not-pairs",
+        "inf-coeff", "huge-int-coeff", "z-not-pairs", "inf-z",
+    ],
+)
+def test_star_malformed_input_exits_2(tmp_path, capsys, function, point):
+    # a malformed or non-finite input file is a usage error: exit 2, one
+    # stderr line and nothing on stdout, not an internal error or a NaN
+    fpath = tmp_path / "f.json"
+    fpath.write_text(function or json.dumps(_ONE))
+    argv = ["star", str(fpath), str(fpath)]
+    if point is not None:
+        ppath = tmp_path / "point.json"
+        ppath.write_text(point)
+        argv += ["--point", str(ppath)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_tensor_action():
+    # the product and the commands need none of the exact operators
+    src = os.path.dirname(os.path.dirname(grastar.__file__))
+    code = "import sys, grastar.cli; print('grastar.tensor_action' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_verify_default_passes(capsys):

@@ -15,7 +15,7 @@ import grastar.geometry
 import grastar.jets
 import grastar.star
 import grastar.tensor_action
-from grastar.center import LambdaSeries, c_power_element, lambda_coefficient_series
+from grastar.center import LambdaSeries, c_power_element, lambda_coefficient_series, t_value
 from grastar.characters import character
 from grastar.errors import PoleError, RangeError
 from grastar.geometry import (
@@ -64,19 +64,21 @@ from grastar.star import (
     coefficient_operator,
     derivative_tensor,
     multiset_tensors,
-    proj_outer_power,
-    proj_sandwich_power,
-    proj_scalar_power,
     projective_star_eval,
     slot_coefficient_matrix,
     star_eval,
     star_jet_series,
-    t_value,
-    tensor_power,
-    unsandwich,
     verify_suite,
 )
-from grastar.tensor_action import projector, rho_central
+from grastar.tensor_action import (
+    proj_outer_power,
+    proj_sandwich_power,
+    proj_scalar_power,
+    projector,
+    rho_central,
+    tensor_power,
+    unsandwich,
+)
 
 
 def test_t_value_matches_box_description():
@@ -1048,9 +1050,10 @@ def test_memory_check_counts_and_drops_the_rings_of_other_shapes(monkeypatch):
     monkeypatch.setattr(grastar.jets, "_rings", {})
     _isotypic_projectors(4, 2)
     own = {(6, 3)}
-    # a star_jet_series at (3, 2, 3) reads the rings of 12 variables at order 3 and of 6 below it
-    series = {(12, 3), (6, 2), (6, 0)}
-    others = {(4, 5), (3, 2)}
+    # a star_jet_series at (3, 2, 3) reads the ring of 12 variables at order 3 beside (6, 3);
+    # it opens no ring of 6 variables below order 3, so those are other shapes
+    series = {(12, 3)}
+    others = {(4, 5), (3, 2), (6, 2), (6, 0)}
     for key in own | series | others:
         shared_ring(*key).warm()
     stacks = sum(grastar.star._stacks[key][2].nbytes for key in grastar.star._stacks if key[0] > 3)
@@ -1181,6 +1184,24 @@ def test_second_star_eval_builds_no_ring(monkeypatch):
     monkeypatch.setattr(JetRing, "_build_degree_shift", counting_shift)
     star_eval(g, f, cfg, sample_point(cfg, 2), 3)
     star_eval(f, g, cfg, sample_point(cfg, 3), 3, lam=Fraction(1, 7))
+    assert built == []
+
+
+def test_warm_verify_suite_at_order_seven_builds_no_ring(monkeypatch):
+    # the jet series runs every lambda order on its ring of outer offsets:
+    # a ring per lower order would outnumber the eight that shared_ring
+    # keeps from order 7 on, and every warm check would rebuild them
+    cfg = SpaceConfig(1, 1)
+    verify_suite(cfg, order=7)
+    built = []
+    init = JetRing.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetRing, "__init__", counting_init)
+    assert verify_suite(cfg, order=7, seed=1)["pass"]
     assert built == []
 
 
