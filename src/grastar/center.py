@@ -103,25 +103,6 @@ def _as_poly(x) -> RationalPoly:
     return RationalPoly.const(x)
 
 
-def pochhammer(y, r: int):
-    """Rising factorial [y]_r = y (y+1) ... (y+r-1), with [y]_0 = 1.
-
-    Works for exact rationals and for ``RationalPoly`` arguments alike.
-    """
-    if r < 0:
-        raise ValueError(f"pochhammer order must be >= 0, got {r}")
-    if isinstance(y, RationalPoly):
-        acc = RationalPoly.const(1)
-        for s in range(r):
-            acc = acc * (y + Fraction(s))
-        return acc
-    y = Fraction(y)
-    acc = Fraction(1)
-    for s in range(r):
-        acc *= y + s
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # truncated power series in the deformation parameter
 

@@ -1,8 +1,9 @@
 """Commuting actions of S_r and Gl(s, C) on tensor powers of C^s.
 
 Permutations act by shuffling tensor slots, matrices by Kronecker powers.
-Young projectors (images of the central idempotents) are exact rational;
-the Frobenius and Schur character checks run in complex floats.
+Exact operators, such as the Young projectors (images of the central
+idempotents), are stored as integer numerators over one denominator; the
+Frobenius and Schur character checks run in complex floats.
 
 The reductions of the non-invariant tensor powers z z^t and z x^-2 z^t
 (x the Gram matrix) through the level representative live here too.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
@@ -53,72 +54,65 @@ def _check_dim(s: int, r: int) -> int:
 
 @dataclass
 class TensorOperator:
-    """Dense linear map on (C^s)^{x r}, exact rational or complex backed."""
+    """Dense linear map on (C^s)^{x r}, exact or complex.
+
+    An exact operator stores integer numerators, an object array of Python
+    ints, over one positive int denominator ``den``; a complex operator has
+    ``den=None``.
+    """
 
     s: int
     r: int
-    entries: np.ndarray  # (s^r, s^r); object dtype of Fractions iff exact
-    exact: bool
+    entries: np.ndarray  # (s^r, s^r); int numerators over den, or complex
+    den: int | None
 
     @classmethod
-    def zero(cls, s: int, r: int, exact: bool = True) -> "TensorOperator":
+    def zero(cls, s: int, r: int) -> "TensorOperator":
         dim = _check_dim(s, r)
-        if exact:
-            entries = np.full((dim, dim), Fraction(0), dtype=object)
-        else:
-            entries = np.zeros((dim, dim), dtype=complex)
-        return cls(s, r, entries, exact)
+        return cls(s, r, np.zeros((dim, dim), dtype=object), 1)
 
     @classmethod
-    def identity(cls, s: int, r: int, exact: bool = True) -> "TensorOperator":
-        out = cls.zero(s, r, exact)
-        for i in range(s**r):
-            out.entries[i, i] = Fraction(1) if exact else 1.0
-        return out
+    def identity(cls, s: int, r: int) -> "TensorOperator":
+        return cls(s, r, np.eye(_check_dim(s, r), dtype=object), 1)
 
     @property
     def dim(self) -> int:
         return self.s**self.r
 
-    def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
+    def _operands(self, other: "TensorOperator"):
+        """Both entry arrays and denominators: exact if both are, else complex."""
         if (self.s, self.r) != (other.s, other.r):
             raise ValueError("operator shapes differ")
-        exact = self.exact and other.exact
-        a = self.entries if self.exact == exact else self.to_complex().entries
-        b = other.entries if other.exact == exact else other.to_complex().entries
-        return TensorOperator(self.s, self.r, a @ b, exact)
+        if self.den is None or other.den is None:
+            return self.to_complex().entries, other.to_complex().entries, None, None
+        return self.entries, other.entries, self.den, other.den
+
+    def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
+        a, b, da, db = self._operands(other)
+        return TensorOperator(self.s, self.r, a @ b, None if da is None else da * db)
 
     def __add__(self, other: "TensorOperator") -> "TensorOperator":
-        if (self.s, self.r) != (other.s, other.r):
-            raise ValueError("operator shapes differ")
-        exact = self.exact and other.exact
-        a = self.entries if self.exact == exact else self.to_complex().entries
-        b = other.entries if other.exact == exact else other.to_complex().entries
-        return TensorOperator(self.s, self.r, a + b, exact)
-
-    def __sub__(self, other: "TensorOperator") -> "TensorOperator":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "TensorOperator":
-        if self.exact and isinstance(factor, (int, Fraction)):
-            return TensorOperator(self.s, self.r, self.entries * Fraction(factor), True)
-        return TensorOperator(self.s, self.r, self.to_complex().entries * complex(factor), False)
+        a, b, da, db = self._operands(other)
+        if da is None:
+            return TensorOperator(self.s, self.r, a + b, None)
+        return TensorOperator(self.s, self.r, a * db + b * da, da * db)
 
     def trace(self):
-        return sum(self.entries[i, i] for i in range(self.dim))
+        total = sum(np.diagonal(self.entries))
+        return total if self.den is None else Fraction(total, self.den)
 
     def to_complex(self) -> "TensorOperator":
-        if not self.exact:
+        if self.den is None:
             return self
-        return TensorOperator(
-            self.s, self.r, self.entries.astype(complex), False
-        )
+        # int / int is correctly rounded, as Fraction -> float is
+        return TensorOperator(self.s, self.r, (self.entries / self.den).astype(complex), None)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TensorOperator)
-            and (self.s, self.r, self.exact) == (other.s, other.r, other.exact)
-            and bool(np.all(self.entries == other.entries))
+            and (self.s, self.r) == (other.s, other.r)
+            and (self.den is None) == (other.den is None)
+            and bool(np.all(self.entries * (other.den or 1) == other.entries * (self.den or 1)))
         )
 
     def allclose(self, other: "TensorOperator", tol: float = 1e-12) -> bool:
@@ -150,27 +144,33 @@ def perm_index_map(sigma: Permutation, s: int) -> list[int]:
     return out
 
 
-def rho_perm(sigma: Permutation, s: int, exact: bool = True) -> TensorOperator:
+def rho_perm(sigma: Permutation, s: int) -> TensorOperator:
     """Permutation operator on (C^s)^{x r}; rho(sigma)rho(tau) = rho(sigma tau)."""
-    out = TensorOperator.zero(s, sigma.r, exact)
-    one = Fraction(1) if exact else 1.0
-    for src, dst in enumerate(perm_index_map(sigma, s)):
-        out.entries[dst, src] = one
+    out = TensorOperator.zero(s, sigma.r)
+    out.entries[perm_index_map(sigma, s), np.arange(out.dim)] = 1
     return out
+
+
+def _class_operator(s: int, r: int, weights: dict[ConjClass, int], den: int) -> TensorOperator:
+    """sum_sigma weights[cycle type of sigma] rho(sigma) / den, integer weights."""
+    dim = _check_dim(s, r)
+    entries = np.zeros((dim, dim), dtype=object)
+    for sigma in permutations_of(r):
+        w = weights[cycle_type(sigma)]
+        if w:
+            entries[perm_index_map(sigma, s), np.arange(dim)] += w
+    return TensorOperator(s, r, entries, den)
 
 
 def rho_central(u: CentralElement, s: int) -> TensorOperator:
-    """Linear extension of rho to a central element (exact rational entries)."""
-    r = u.r
-    out = TensorOperator.zero(s, r, exact=True)
-    coeffs = u.as_dict()
-    for sigma in permutations_of(r):
-        w = coeffs[cycle_type(sigma)]
-        if w == 0:
-            continue
-        for src, dst in enumerate(perm_index_map(sigma, s)):
-            out.entries[dst, src] += w
-    return out
+    """Linear extension of rho to a central element.
+
+    The class coefficients become integers over the lcm of their
+    denominators, which is the operator's denominator.
+    """
+    den = lcm(*(w.denominator for w in u.coeffs))
+    weights = {alpha: int(w * den) for alpha, w in u.as_dict().items()}
+    return _class_operator(s, u.r, weights, den)
 
 
 def d_power(S: np.ndarray, r: int) -> TensorOperator:
@@ -180,28 +180,19 @@ def d_power(S: np.ndarray, r: int) -> TensorOperator:
         raise ValueError("S must be square")
     s = S.shape[0]
     _check_dim(s, r)
-    return TensorOperator(s, r, tensor_power(S, r), exact=False)
+    return TensorOperator(s, r, tensor_power(S, r), None)
 
 
 def projector(frame: Frame, s: int) -> TensorOperator:
     """Image rho(e_[m]) of the central idempotent: exact Young projector.
 
-    Frames with more than s rows are annihilated by rho and yield the zero
-    operator.
+    The class weights are the integers n_[m] chi^[m] over r!.  Frames with
+    more than s rows are annihilated by rho and yield the zero operator.
     """
     r = frame.weight
-    out = TensorOperator.zero(s, r, exact=True)
     n = dim_symmetric(frame)
-    rfact = factorial(r)
-    chi_cache: dict[ConjClass, Fraction] = {}
-    for sigma in permutations_of(r):
-        alpha = cycle_type(sigma)
-        if alpha not in chi_cache:
-            chi_cache[alpha] = Fraction(n * character(frame, alpha), rfact)
-        w = chi_cache[alpha]
-        for src, dst in enumerate(perm_index_map(sigma, s)):
-            out.entries[dst, src] += w
-    return out
+    weights = {alpha: n * character(frame, alpha) for alpha in conj_classes_of(r)}
+    return _class_operator(s, r, weights, factorial(r))
 
 
 def frobenius_trace(A: np.ndarray, sigma: Permutation) -> complex:

@@ -15,7 +15,6 @@ from grastar.center import (
     k_to_e,
     lambda_coefficient_series,
     multiply_central,
-    pochhammer,
     s_coeffs,
     t_from_characters,
     t_poly,
@@ -30,13 +29,6 @@ def rising(y, r):
     for s in range(r):
         acc *= y + s
     return acc
-
-
-def test_pochhammer_rising():
-    assert pochhammer(Fraction(3), 4) == 3 * 4 * 5 * 6
-    assert pochhammer(Fraction(1, 2), 0) == 1
-    x = RationalPoly.variable()
-    assert pochhammer(x, 2).eval(Fraction(5)) == 30
 
 
 def test_t_poly_equals_character_sum():
