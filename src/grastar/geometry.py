@@ -12,14 +12,17 @@ so that jet evaluation can differentiate them independently; for a plain
 numeric point Zbar is just the conjugate transpose of Z.
 
 Jets of the generators come by two independent routes.  Pi is unchanged
-by Z -> Z g, so at a jet point with Zbar = zb constant and Z = z + V
-affine it depends only on the affine-chart coordinate K = S V (1 + W)^-1:
-``chart_jets``, which the product calls by name, reads the generators off
-K with no jet inverse and no n x n jet matrix.  ``eval_function`` at any
-jet point forms Z (Zbar Z)^-1 Zbar as a jet matrix.  Only the second
-factor of ``star.star_jet_series``, whose two sides both vary, needs it on
-a product path; it is the chart's reference in the tests, and serves the
-Wick product and the Poisson bracket.
+by Z -> Z g, so with Zbar = zb constant and Z = z + V affine it depends
+only on the affine-chart coordinate K = S V (1 + W)^-1: ``chart_jets``,
+which the product calls by name, reads the generators off K, given the
+numeric z and zb and V's degree-1 coefficients, with no jet inverse and
+no jet matrix but K.  ``eval_function`` at any jet point forms
+Z (Zbar Z)^-1 Zbar as a jet matrix.  Only the second factor of
+``star.star_jet_series``, whose two sides both vary, needs it on a
+product path; it is the chart's reference in the tests, and serves the
+Wick product and the Poisson bracket.  Both routes multiply the
+generators of an expression alike: its terms of two generators in one
+table pass.
 """
 
 from __future__ import annotations
@@ -264,34 +267,35 @@ def _trace_products(Bs: np.ndarray, X: MatrixJet) -> np.ndarray:
     return Bs.transpose(0, 2, 1).reshape(len(Bs), -1) @ X.coeffs.reshape(-1, X.ring.size)
 
 
-def chart_jets(fs, Z: MatrixJet, zb: np.ndarray) -> list:
-    """The jets of the expressions fs at (Z, zb), Z = z + V affine and zb constant.
+def chart_jets(fs, ring, z: np.ndarray, V1: np.ndarray, zb: np.ndarray) -> list:
+    """The jets of the expressions fs at (z + V, zb), V = sum_v x_v V1[v] linear and zb constant.
 
-    Pi is unchanged by Z -> Z g, so it depends only on the affine-chart
-    coordinate K.  With x0 = zb z, A = x0^-1 zb and W = A V, the rank-q
-    projector 1 - z A factors as U S, and
+    V1 is the (nvars, n, p) tensor of V's degree-1 coefficients over the
+    variables of ``ring``; no n x p jet matrix is formed.  Pi is unchanged
+    by Z -> Z g, so it depends only on the affine-chart coordinate K.  With
+    x0 = zb z, A = x0^-1 zb and W = A V, the rank-q projector 1 - z A
+    factors as U S, and
     Pi = (z + V)(1 + W)^-1 A = z A + U K A,  K = S V (1 + W)^-1,
     since V = z W + U S V.  So tr(B Pi) = tr(B z A) + tr((A B U) K), and
     every distinct B of all of fs is read off one q x p K, from
     ``linear_fraction``, in one matrix product: no jet inverse and no
-    n x n jet matrix.  Only V's degree-1 coefficients are read.  Raises
-    ``ConvergenceError`` when zb z is ill-conditioned, with the message of
-    ``mat_inverse``; expressions with no generator at all build no K.
+    n x n jet matrix.  Raises ``ConvergenceError`` when zb z is
+    ill-conditioned, with the message of ``mat_inverse``; expressions with
+    no generator at all build no K.
     """
 
     def traces(Bs):
-        z = Z.value()
         n, p = z.shape
         A = conditioned_inverse(zb @ z) @ zb
         P = z @ A
         u, s, vh = np.linalg.svd(np.eye(n) - P)
         U, S = u[:, : n - p], s[: n - p, None] * vh[: n - p]
-        out = _trace_products(A @ Bs @ U, linear_fraction(S, Z, A))
+        out = _trace_products(A @ Bs @ U, linear_fraction(ring, S, V1, A))
         # tr(B z A) goes to the constant monomial, which leads every ring
         out[:, 0] += Bs.reshape(len(Bs), -1) @ P.T.reshape(-1)
         return out
 
-    return _eval_jets(fs, Z.ring, traces)
+    return _eval_jets(fs, ring, traces)
 
 
 def eval_function(f, Z, Zbar=None):
@@ -343,6 +347,8 @@ def _eval_jets(fs, ring, traces) -> list:
 
     ``traces`` maps a (k, n, n) stack of B to the (k, size) coefficients
     of the jets tr(B Pi); it is called once, and only if there is a B.
+    The terms of two generators of one expression, sum_t c_t g_t1 g_t2,
+    are summed in one table pass; longer terms multiply pairwise.
     """
     distinct = {}
     for fn in fs:
@@ -350,17 +356,26 @@ def _eval_jets(fs, ring, traces) -> list:
             for B in factors:
                 distinct.setdefault(B.tobytes(), B)
     rows = traces(np.array(list(distinct.values()))) if distinct else ()
-    generator = {key: Jet(ring, row) for key, row in zip(distinct, rows)}
+    generator = dict(zip(distinct, rows))
     out = []
     for fn in fs:
-        total = ring.zero()
+        total = np.zeros(ring.size, dtype=complex)
+        firsts, seconds = [], []
         for coeff, factors in fn.terms:
-            term = None
-            for B in factors:
-                jet = generator[B.tobytes()]
-                term = jet if term is None else term * jet
-            total = total + (coeff if term is None else term * coeff)
-        out.append(total)
+            gens = [generator[B.tobytes()] for B in factors]
+            if len(gens) == 2:
+                firsts.append(coeff * gens[0])
+                seconds.append(gens[1])
+            elif not gens:
+                total[0] += coeff  # the constant monomial leads every ring
+            else:
+                term = coeff * gens[0]
+                for row in gens[1:]:
+                    term = ring.multiply(term, row)
+                total += term
+        if firsts:
+            total += ring.products_sum(np.array(firsts), np.array(seconds))
+        out.append(Jet(ring, total))
     return out
 
 

@@ -15,17 +15,19 @@ ring of k variables.  One index map, built with the ring, gives the index
 of m x_v for every monomial m and variable v; ``index_of``, the
 multiplication table, the degree-shift map that inverts it and the
 indices of slot-tuple monomials, all tuples or one per sorted row tuple
-of a matrix of variables, all derive from it.  The table lists the
-pairs whose product lies in the truncation in blocks of their degrees, so
-a product uses only the blocks its factors' degrees occupy.
+of a matrix of variables (every order concatenated, for one gather), all
+derive from it.  The table lists the pairs whose product lies in the
+truncation in blocks of their degrees, so a product, or a sum of
+products, uses only the blocks its factors' degrees occupy.
 
 The only size limit is memory: ``check_memory`` estimates the bytes of a
 ring's maps and table, of the largest tensor array read from it and of
 the matrices a caller holds beside them, and raises ``RangeError`` above
-``MEMORY_BUDGET`` before anything is allocated; every ring checks itself.  Jet points share their rings, with
-everything cached on them, through ``shared_ring``, a small bounded cache
-whose rings ``star`` counts against the budget.
-All rings share one set of work buffers: products are not thread-safe.
+``MEMORY_BUDGET`` before anything is allocated; every ring checks itself.
+Products and jet points share their rings, with everything cached on
+them, through ``shared_ring``, a small bounded cache whose rings ``star``
+counts against the budget.  All rings share one set of work buffers:
+products are not thread-safe.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ class JetRing:
         self.size = comb(nvars + order, order)
         self._build_index()
         self._tuples: dict[tuple[int, range], np.ndarray] = {}
-        self._multisets: dict[tuple[int, int, int, int], np.ndarray] = {}
+        self._multisets: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, list, list]] = {}
         self._shift = self._table = self._offsets = self._targets = None
 
     def _build_index(self) -> None:
@@ -236,25 +238,45 @@ class JetRing:
         lexicographic with the first slot most significant, and axis 2,
         given ``start``, over the monomials m = ``start``.  Without
         ``start`` m is the constant, and the (C(rows + r - 1, r), cols^r)
-        array is cached on the ring.  ``KeyError`` if a product passes the
-        truncation.
+        array is a read-only view of ``multiset_gather``'s.  ``KeyError``
+        if a product passes the truncation.
         """
-        key = (r, rows, cols, first)
-        if start is None and key in self._multisets:
-            return self._multisets[key]
+        if start is None:
+            if not 0 <= r <= self.order:
+                raise KeyError(f"degree-{r} products of the variables are not all in the truncation at order {self.order}")
+            return self.multiset_gather(rows, cols, first)[3][r]
         A = sorted_tuples(rows, r)[0]
         I = np.array(list(itertools.product(range(cols), repeat=r)), dtype=np.intp).reshape(cols**r, r)
         slots = first + A[:, None, :] * cols + I[None, :, :]
-        m = np.zeros(1, dtype=np.intp) if start is None else np.asarray(start, dtype=np.intp)
+        m = np.asarray(start, dtype=np.intp)
         idx = np.broadcast_to(m, slots.shape[:2] + m.shape)
         up = self._up.ravel()
         for k in range(r):
             idx = up.take(idx * self.nvars + slots[:, :, k, None])
         if idx.size and idx.max() == self.size:
             raise KeyError(f"degree-{r} products of the variables are not all in the truncation at order {self.order}")
-        if start is None:
-            idx = self._multisets[key] = idx[:, :, 0]
         return idx
+
+    def multiset_gather(self, rows: int, cols: int, first: int = 0):
+        """The slot-tuple monomials of ``multiset_indices`` for orders 0 ... order, in one array.
+
+        Returns (idx, weights, bounds, views): the indices of orders 0 ...
+        order, each raveled, concatenated; ``dfact`` at them; the offset
+        ``bounds[r]`` where order r starts, ``bounds[order + 1]`` being the
+        end; and the per-order (C(rows + r - 1, r), cols^r) views of idx.
+        So one gather reads every order's tensor.  Built once per (rows,
+        cols, first) and kept on the ring, read-only.
+        """
+        key = (rows, cols, first)
+        if key not in self._multisets:
+            blocks = [self.multiset_indices(r, rows, cols, first, start=[0])[:, :, 0] for r in range(self.order + 1)]
+            bounds = np.cumsum([0] + [b.size for b in blocks]).tolist()
+            idx = np.concatenate([b.ravel() for b in blocks])
+            weights = self.dfact[idx]
+            idx.flags.writeable = weights.flags.writeable = False
+            views = [idx[s:e].reshape(b.shape) for s, e, b in zip(bounds, bounds[1:], blocks)]
+            self._multisets[key] = idx, weights, bounds, views
+        return self._multisets[key]
 
     def _mult_table(self):
         """Pairs (i, j) of monomials whose product lies in the truncation, and its index k.
@@ -323,10 +345,11 @@ class JetRing:
         """Lowest and highest degree at which any vector of a stack is nonzero.
 
         ``coeffs`` holds coefficient vectors along its last axis; returns
-        None when they are all zero.
+        None when they are all zero.  The basis is graded, so these are the
+        degrees of the first and the last monomial at which any is nonzero.
         """
-        degrees = self.degree[np.any(coeffs.reshape(-1, self.size) != 0, axis=0)]
-        return (int(degrees.min()), int(degrees.max())) if len(degrees) else None
+        nonzero = np.flatnonzero(np.any(coeffs.reshape(-1, self.size) != 0, axis=0))
+        return (int(self.degree[nonzero[0]]), int(self.degree[nonzero[-1]])) if len(nonzero) else None
 
     def _rectangle(self, A: np.ndarray, B: np.ndarray):
         """The blocks that products of A's vectors with B's vectors can use.
@@ -410,8 +433,10 @@ class JetRing:
 
     def multiply(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         """Product of two coefficient vectors, through the blocks their degrees occupy."""
-        C1 = np.asarray(c1, dtype=complex)[None]
-        C2 = np.asarray(c2, dtype=complex)[None]
+        return self.products_sum(np.asarray(c1, dtype=complex)[None], np.asarray(c2, dtype=complex)[None])
+
+    def products_sum(self, C1: np.ndarray, C2: np.ndarray) -> np.ndarray:
+        """sum_k C1[k] * C2[k] for two (k, size) stacks: one table pass, over the blocks their degrees occupy."""
         swap, blocks = self._rectangle(C1, C2)
         chunks = self._chunks(blocks)
         if not chunks:
@@ -447,7 +472,8 @@ class JetRing:
         held = [self._up, self._parent, self._last, self.degree, self.dfact, self.__dict__.get("monos")]
         held += [*(self._table or ()), self._offsets, self._targets]
         held += [below for _, below in self._shift or ()]
-        held += [*self._tuples.values(), *self._multisets.values()]
+        held += [*self._tuples.values()]
+        held += [a for idx, weights, _, _ in self._multisets.values() for a in (idx, weights)]
         return sum(a.nbytes for a in held if a is not None)
 
     def warm(self) -> "JetRing":
@@ -686,8 +712,8 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
     the inverse of a jet whose constant term is small has coefficients far
     larger than 1; the identity is subtracted in place from the constant
     term of M X, and each degree's sum is freed before the next.
-    ``geometry.chart_jets`` reads a jet point with one side constant
-    through ``linear_fraction`` instead.
+    ``geometry.chart_jets`` reads the generators where one side is
+    constant through ``linear_fraction`` instead.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
@@ -710,21 +736,21 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
     return X
 
 
-def linear_fraction(L: np.ndarray, V: MatrixJet, R: np.ndarray) -> MatrixJet:
-    """K = Y (1 + W)^-1 with Y = L V and W = R V, for a linear jet matrix V.
+def linear_fraction(ring: JetRing, L: np.ndarray, V1: np.ndarray, R: np.ndarray) -> MatrixJet:
+    """K = Y (1 + W)^-1 with Y = L V and W = R V, for the linear jet matrix V = sum_v x_v V1[v].
 
-    V is n x m, L (rows x n) and R (m x n) are constant.  K = Y - K W, and
-    W is linear, so the degree-d block of K is Y for d = 1 and -K_{d-1} W
-    above it: the coefficient of a degree-d monomial m is
-    -sum_v K_{d-1}[m - e_v] W_v, with W_v the coefficient matrix of x_v.
-    Each degree is gathered through the ring's degree-shift map in slices
-    of at most ``_CHUNK`` entries, each summed over (v, i) by one matrix
-    product; no table product or inverse is involved.  Only V's degree-1
-    coefficients are read, so an affine z + V may be passed whole.
+    V1 is the (nvars, n, m) tensor of V's degree-1 coefficients, one n x m
+    matrix per variable of ``ring``; L (rows x n) and R (m x n) are
+    constant.  K = Y - K W, and W is linear, so the degree-d block of K is
+    Y for d = 1 and -K_{d-1} W above it: the coefficient of a degree-d
+    monomial m is -sum_v K_{d-1}[m - e_v] W_v, with W_v = R V1[v].  Each
+    degree is gathered through the ring's degree-shift map in slices of at
+    most ``_CHUNK`` entries, each summed over (v, i) by one matrix product;
+    no table product or inverse is involved.
     """
-    ring = V.ring
-    rows, m = L.shape[0], V.cols
-    if L.shape[1] != V.rows or R.shape != (m, V.rows):
+    n, m = V1.shape[1:]
+    rows = L.shape[0]
+    if V1.shape[0] != ring.nvars or L.shape[1] != n or R.shape != (m, n):
         raise ValueError("shape mismatch")
     # K[a, k, b] is entry (a, b) at monomial k; the extra monomial ``size``
     # stays zero, so the gather reads 0 where x_v does not divide m
@@ -732,7 +758,6 @@ def linear_fraction(L: np.ndarray, V: MatrixJet, R: np.ndarray) -> MatrixJet:
     shift = ring.degree_shift()
     if shift:
         lin = shift[0][0]
-        V1 = V.coeffs[:, :, lin].transpose(2, 0, 1)  # (v, n, m)
         K[:, lin, :] = (L @ V1).transpose(1, 0, 2)
         # rows (v, i) against the v-major, i-minor columns of the gather
         Wv = (R @ V1).reshape(-1, m)

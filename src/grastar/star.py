@@ -32,8 +32,10 @@ amount to sum_A sum_{I,J} DF[A, I] C[I, J] DG[A, J], and the product
 reads its tensors at the C(n + r - 1, r) sorted row tuples only, each
 weighted by the size r! / prod mult! of its orbit, instead of at all n^r.
 
-Both factors are read at one holomorphic jet point, from one affine
-chart.  The invariant functions form a *-algebra: gbar = ``g.conjugate()``
+Both factors are read from one affine chart, in holomorphic offsets of
+the slots at the level representative: ``geometry.chart_jets`` takes the
+numeric point and the unit slot tensor, so no jet point is built.  The
+invariant functions form a *-algebra: gbar = ``g.conjugate()``
 (coefficients conjugated, B -> its conjugate transpose) is the pointwise
 conjugate of g.  Since Pi(Z, Zbar) and Pi(Zbar^H, Z^H) are each other's
 conjugate transposes (H the conjugate transpose), with V the n x p matrix
@@ -44,7 +46,9 @@ antiholomorphic slot-(A, i) derivatives of g are the conjugates of the
 holomorphic slot-(A, i) derivatives of gbar, and ``geometry.chart_jets``
 reads every generator tr(B Pi) of f and gbar off one chart coordinate
 K = S V (1 + W)^-1: one SVD set-up, one ``linear_fraction`` and one matrix
-product for all of them.  With real weights and real symmetric P_[m], the
+product for all of them, then one table pass per expression for its
+products of two generators, and one gather per factor for the tensors of
+every order.  With real weights and real symmetric P_[m], the
 antiholomorphic jets of g*h are the conjugates of the holomorphic ones of
 hbar*gbar, so ``star_jet_series`` takes holomorphic outer offsets only and
 reads its f from the chart too.  Only its g, whose two sides both vary,
@@ -82,7 +86,6 @@ from grastar.geometry import (
     SpaceConfig,
     chart_jets,
     eval_function,
-    holomorphic_jet_point,
     level_representative,
     poisson_bracket,
     random_function_expr,
@@ -304,14 +307,17 @@ def multiset_tensors(jet: Jet, n: int, p: int, order: int) -> list[np.ndarray]:
     Order r is the (C(n + r - 1, r), p^r) array whose row k is row A of
     ``derivative_tensor(jet, n, p, r)`` for A the k-th tuple of
     ``sorted_tuples(n, r)``.  Any other row tuple sigma A holds the same
-    entries with the column slots permuted by sigma.
+    entries with the column slots permuted by sigma.  All orders are read
+    in one gather, through the ring's ``multiset_gather``, and returned as
+    views of one array.  ``KeyError`` beyond the ring's truncation.
     """
     ring = jet.ring
-    out = []
-    for r in range(order + 1):
-        idx = ring.multiset_indices(r, n, p)
-        out.append(jet.coeffs[idx] * ring.dfact[idx])
-    return out
+    if order > ring.order:
+        raise KeyError(f"order {order} lies beyond the truncation at order {ring.order}")
+    idx, weights, bounds, _ = ring.multiset_gather(n, p)
+    stop = bounds[order + 1]
+    values = jet.coeffs.take(idx[:stop]) * weights[:stop]
+    return [values[s:e].reshape(-1, p**r) for r, (s, e) in enumerate(zip(bounds, bounds[1 : order + 2]))]
 
 
 @cache
@@ -321,12 +327,14 @@ def _memory_terms(n: int, p: int, order: int, series: bool) -> tuple:
     ``star_eval`` reads tensors of C(n + order - 1, order) p^order entries
     from a ring of n p variables and keeps the projector stacks, F_r p^{2r}
     floats at order r (F_r the frames of weight r with at most p rows).
-    Beside them it holds one at a time the chart jet point (Z, Zbar, K, a
-    slice of K's gather), the build of one order by branching (X, its
-    powers by J_r, one part) and the complex Gram matrix.  ``series`` adds
-    the jets of ``star_jet_series`` on a ring of 2 n p variables, the
-    order-r tensor entries by the outer monomials of degree <= order - r,
-    those once per frame as P_[m] DG, and the ring of its results.  No
+    Beside them it holds one at a time the chart (K and a slice of its
+    gather; the jets Z and Zbar of a jet point are counted too, though the
+    chart is read at the numeric point: an over-count on the safe side),
+    the build of one order by branching (X, its powers by J_r, one part)
+    and the complex Gram matrix.  ``series`` adds the jets of
+    ``star_jet_series`` on a ring of 2 n p variables, the order-r tensor
+    entries by the outer monomials of degree <= order - r, those once per
+    frame as P_[m] DG, and the ring of its results.  No
     frame is listed, and the ring and the top order alone are checked
     first, so a large order is refused before any sum over orders is formed.
     """
@@ -407,16 +415,25 @@ def _deformation_c(p: int, mu, lam):
     return None if lam == 0 else complex(Fraction(mu)) / lam + p
 
 
+@cache
+def _unit_slots(n: int, p: int) -> np.ndarray:
+    """The read-only (n p, n, p) slot tensor: variable A p + i is matrix entry (A, i)."""
+    V1 = np.eye(n * p).reshape(n * p, n, p)
+    V1.flags.writeable = False
+    return V1
+
+
 def _derivative_tensors_at(f: FunctionExpr, g: FunctionExpr, zeta: PointZ, order: int):
     """f's holomorphic and g's antiholomorphic tensors at the level representative.
 
-    Both come from one holomorphic jet point and one ``chart_jets`` call,
-    at the sorted row tuples: g's are the conjugates of those of
+    Both come from one ``chart_jets`` call in holomorphic offsets of the
+    slots, read at the numeric point zeta with the unit slot tensor and no
+    jet point, at the sorted row tuples: g's are the conjugates of those of
     ``g.conjugate()`` (see the module docstring).
     """
     n, p = zeta.z.shape
-    _, Z, _ = holomorphic_jet_point(zeta, order)
-    jf, jgbar = chart_jets((f, g.conjugate()), Z, zeta.zbar)
+    ring = shared_ring(n * p, order)
+    jf, jgbar = chart_jets((f, g.conjugate()), ring, zeta.z, _unit_slots(n, p), zeta.zbar)
     DGs = [D.conj() for D in multiset_tensors(jgbar, n, p, order)]
     return multiset_tensors(jf, n, p, order), DGs
 
@@ -454,7 +471,7 @@ def star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
     resummed exactly and a single complex value is returned (raising
     ``PoleError`` if the parameter hits a coefficient pole).
 
-    f and g are read at one holomorphic jet point, from one chart: g's
+    f and g are read from one chart, at the numeric point: g's
     antiholomorphic tensors are the conjugates of the holomorphic ones of
     ``g.conjugate()`` (see the module docstring).  So f and g must be
     ``FunctionExpr``s, which can be conjugated; any other factor raises
@@ -470,7 +487,7 @@ def star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
     _check_memory(cfg.n, cfg.p, order)
     c = None if lam is None else _deformation_c(cfg.p, cfg.mu, lam)
     _check_poles(cfg.p, c, order)
-    # the projectors first: their build temporaries meet neither the jet point nor a Gram matrix
+    # the projectors first: their build temporaries meet neither the chart nor a Gram matrix
     _isotypic_projectors(order, cfg.p)
     DFs, DGs = _derivative_tensors_at(f, g, level_representative(z, cfg.mu), order)
     pairs = _frame_pairings(DFs, DGs, cfg.n, cfg.p, order)
@@ -537,8 +554,8 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
     Pi = Z (Zbar Z)^-1 Zbar is unchanged by Zbar -> A Zbar; with
     A = mu (zetabar0 zeta)^-1 the pair (zeta0 + O, A zetabar0) stays on the
     level set, given zetabar0 zeta0 = mu.  So f, with holomorphic inner
-    offsets V, is read at (zeta + V, zetabar0) by ``chart_jets``, the
-    affine jet passed whole, and g, with antiholomorphic ones W, at
+    offsets V, is read at (zeta0 + O + V, zetabar0) by ``chart_jets``, from
+    zeta0 and the slot tensor of O + V, and g, with antiholomorphic ones W, at
     (zeta, zetabar0 + A^-1 W^T), A^-1 affine in O, by ``eval_function``
     and its one p x p jet inverse.
     Raises ``RangeError`` for an order that is not a nonnegative integer
@@ -554,7 +571,8 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
     # variables 0..nz-1 are the outer offsets, nz..2nz-1 the inner ones
     total = shared_ring(2 * nz, order)
     zeta = MatrixJet.from_numeric(total, zeta0.z) + MatrixJet.variables(total, slots)
-    (jf,) = chart_jets([f], zeta + MatrixJet.variables(total, nz + slots), zeta0.zbar)
+    # f's offsets are O + V: outer slot v and inner slot nz + v both move entry v
+    (jf,) = chart_jets([f], total, zeta0.z, np.concatenate([_unit_slots(n, p)] * 2), zeta0.zbar)
     Zbpt = MatrixJet.from_numeric(total, zeta0.zbar)
     Zbg = Zbpt + (Zbpt @ zeta).scale(1 / float(mu)) @ MatrixJet.variables(total, nz + slots.T)
     jg = eval_function(g, zeta, Zbg)

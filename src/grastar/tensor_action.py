@@ -37,7 +37,6 @@ from grastar.partitions import (
     conj_classes_of,
     cycle_type,
     dim_symmetric,
-    partitions_of,
     permutations_of,
 )
 

@@ -25,7 +25,7 @@ from grastar.geometry import (
     sample_point,
     wick_product,
 )
-from grastar.jets import Jet, MatrixJet, linear_fraction, mat_inverse, shared_ring
+from grastar.jets import Jet, JetRing, MatrixJet, linear_fraction, mat_inverse, shared_ring
 
 
 def _cfg(p=2, q=2, mu=Fraction(2)):
@@ -219,6 +219,15 @@ def _one_sided_point(z, zb, order, holomorphic, mix):
     return MatrixJet.from_numeric(ring, z), MatrixJet.from_numeric(ring, zb) + MatrixJet(ring, V)
 
 
+def _chart(fs, Z, zb):
+    """``chart_jets`` at the affine jet matrix Z, read through its value and linear part."""
+    ring = Z.ring
+    V1 = np.zeros((ring.nvars, Z.rows, Z.cols), dtype=complex)
+    if ring.order:  # x_0, x_1, ... follow the constant, in variable order
+        V1[:] = Z.coeffs[:, :, 1 : 1 + ring.nvars].transpose(2, 0, 1)
+    return chart_jets(fs, ring, Z.value(), V1, zb)
+
+
 def _conjugate_transpose(M):
     """The jet matrix whose (i, j) entry has the conjugate coefficients of M's (j, i) entry."""
     return MatrixJet(M.ring, M.coeffs.conj().transpose(1, 0, 2))
@@ -251,9 +260,9 @@ def test_chart_route_matches_generic_route(p, q, holomorphic):
             Z, Zbar = _one_sided_point(z, zb, order, holomorphic, (cplx(n, n), cplx(p, p)))
             ref = eval_function(f, Z, Zbar).coeffs
             if holomorphic:
-                (got,) = chart_jets([f], Z, Zbar.value())
+                (got,) = _chart([f], Z, Zbar.value())
             else:
-                (got,) = chart_jets([f.conjugate()], _conjugate_transpose(Zbar), Z.value().conj().T)
+                (got,) = _chart([f.conjugate()], _conjugate_transpose(Zbar), Z.value().conj().T)
                 got.coeffs = got.coeffs.conj()
             assert np.max(np.abs(got.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref)), (order, z is zeta)
 
@@ -293,7 +302,7 @@ def test_batched_generators_match_per_generator_reference(p, q, route, monkeypat
     results = [eval_function(fs, Z, Zbar)]
     assert (len(charts), len(inverses)) == (0, 1)
     if route == "holomorphic":
-        results.append(chart_jets(fs, Z, Zbar.value()))
+        results.append(_chart(fs, Z, Zbar.value()))
         assert (len(charts), len(inverses)) == (1, 1)
     Pi = Z @ mat_inverse(Zbar @ Z) @ Zbar
     ring = Z.ring
@@ -309,6 +318,37 @@ def test_batched_generators_match_per_generator_reference(p, q, route, monkeypat
     # one expression alone gives its jet, not a list
     alone = eval_function(fs[2], Z, Zbar)
     assert np.array_equal(alone.coeffs, results[0][2].coeffs)
+
+
+def test_two_generator_terms_sum_in_one_table_pass(monkeypatch):
+    # sum_t c_t g_t1 g_t2 over the terms of two generators of one expression
+    # is one scatter through the table, however many terms there are; terms
+    # of one generator and constants take none
+    cfg = SpaceConfig(2, 2)
+    n, order = cfg.n, 3
+    rng = np.random.default_rng(19)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    zeta = level_representative(sample_point(cfg, 19), cfg.mu).z
+    ring = shared_ring(n * cfg.p, order)
+    V1 = np.eye(n * cfg.p).reshape(-1, n, cfg.p)
+    Bs = [cplx(n, n) for _ in range(4)]
+    terms = [(2 - 1j, [Bs[0], Bs[1]]), (0.5, [Bs[2], Bs[2]]), (1j, [Bs[3], Bs[0]])]
+    f = FunctionExpr(terms + [(0.3, [Bs[1]]), (-1.0, [])])
+    dots = []
+    dot = JetRing._dot
+    monkeypatch.setattr(JetRing, "_dot", lambda self, *args: dots.append(1) or dot(self, *args))
+    (got,) = chart_jets([f], ring, zeta, V1, zeta.conj().T)
+    assert len(dots) == 1
+    monkeypatch.undo()
+    gens = chart_jets([FunctionExpr.generator(B) for B in Bs], ring, zeta, V1, zeta.conj().T)
+    tr = {B.tobytes(): jet for B, jet in zip(Bs, gens)}
+    want = tr[Bs[1].tobytes()] * 0.3 - 1.0
+    for coeff, (B1, B2) in terms:
+        want = want + tr[B1.tobytes()] * tr[B2.tobytes()] * coeff
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
 
 
 @pytest.mark.parametrize("route", ["holomorphic", "antiholomorphic", "generic"])
@@ -357,7 +397,7 @@ def test_chart_route_keeps_conditioning_check(jet_point):
     with pytest.raises(ConvergenceError) as generic:
         eval_function(f, Z, Zbar)
     with pytest.raises(ConvergenceError) as chart:
-        chart_jets([f], Z, Zbar.value())
+        _chart([f], Z, Zbar.value())
     assert str(generic.value) == str(chart.value) == str(inverse.value)
 
 

@@ -399,9 +399,12 @@ def test_ring_nbytes_counts_what_it_builds():
     assert ring.nbytes == maps + table
     ring.degree_shift()
     idx = ring.multiset_indices(2, 2, 2)
-    # the shift map of every degree above 0, and the cached indices
+    # the shift map of every degree above 0, and the one gather of orders
+    # 0 ... 3 with its weights, of which the indices of one order are a view
     below = (ring.size - 1) * ring.nvars * np.dtype(np.intp).itemsize
-    assert ring.nbytes == maps + table + below + idx.nbytes
+    gather, weights, _, _ = ring.multiset_gather(2, 2)
+    assert gather.size == weights.size == 1 + 2 * 2 + 3 * 4 + 4 * 8 and np.shares_memory(idx, gather)
+    assert ring.nbytes == maps + table + below + gather.nbytes + weights.nbytes
 
 
 def test_table_multiply_allocates_only_its_result():
@@ -431,13 +434,14 @@ def test_linear_fraction_gathers_in_bounded_slices(monkeypatch):
     rng = np.random.default_rng(5)
     L = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     R = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    V = MatrixJet.variables(ring, np.arange(n * m).reshape(n, m))
+    # V = sum_v x_v V1[v], variable A m + i the entry (A, i)
+    V1 = np.eye(n * m).reshape(n * m, n, m)
     monkeypatch.setattr(grastar.jets, "_CHUNK", 1 << 40)
-    whole = linear_fraction(L, V, R).coeffs
+    whole = linear_fraction(ring, L, V1, R).coeffs
     monkeypatch.setattr(grastar.jets, "_CHUNK", 1000)
     tracemalloc.start()
     try:
-        sliced = linear_fraction(L, V, R).coeffs
+        sliced = linear_fraction(ring, L, V1, R).coeffs
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

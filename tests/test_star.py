@@ -11,8 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import grastar.center
+import grastar.characters
 import grastar.geometry
 import grastar.jets
+import grastar.partitions
 import grastar.star
 import grastar.tensor_action
 from grastar.center import LambdaSeries, c_power_element, lambda_coefficient_series, t_value
@@ -555,6 +558,54 @@ def test_star_eval_builds_one_chart(monkeypatch):
         assert len(charts) - before == 1
 
 
+def test_product_path_builds_no_jet_point(monkeypatch):
+    # the chart is read at the numeric point with the unit slot tensor:
+    # neither a jet point nor any n x p jet matrix is formed
+    def refuse(*args):
+        raise AssertionError("a jet point on the star_eval path")
+
+    for module in (grastar.geometry, grastar.star):
+        monkeypatch.setattr(module, "holomorphic_jet_point", refuse, raising=False)
+    monkeypatch.setattr(MatrixJet, "from_numeric", refuse)
+    monkeypatch.setattr(MatrixJet, "variables", refuse)
+    cfg = SpaceConfig(2, 2, Fraction(1))
+    rng = np.random.default_rng(74)
+    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+    z = sample_point(cfg, 74)
+    series = star_eval(f, g, cfg, z, 3)
+    value = star_eval(f, g, cfg, z, 3, lam=Fraction(1, 10))
+    DFs, DGs = _derivative_tensors_at(f, g, level_representative(z, cfg.mu), 3)
+    monkeypatch.undo()
+    assert series.coeffs == star_eval(f, g, cfg, z, 3).coeffs
+    assert value == star_eval(f, g, cfg, z, 3, lam=Fraction(1, 10))
+    assert [D.shape for D in DFs] == [D.shape for D in DGs] == [(comb(3 + r, r), 2**r) for r in range(4)]
+
+
+def test_multiset_tensors_read_every_order_in_one_gather():
+    # the tensors of all orders are views of one gathered array, and the
+    # indices of one order views of the ring's one concatenated index
+    cfg = SpaceConfig(2, 1, Fraction(1))
+    n, p, order = cfg.n, cfg.p, 4
+    f = random_function_expr(cfg, np.random.default_rng(75))
+    _, Z, Zbar = holomorphic_jet_point(sample_point(cfg, 75), order)
+    jf = eval_function(f, Z, Zbar)
+    idx, weights, bounds, views = jf.ring.multiset_gather(n, p)
+    assert bounds == [0, *np.cumsum([comb(n + r - 1, r) * p**r for r in range(order + 1)])]
+    assert not idx.flags.writeable and not weights.flags.writeable
+    Ds = multiset_tensors(jf, n, p, order)
+    base = Ds[0].base
+    for r, D in enumerate(Ds):
+        assert D.base is base
+        assert jf.ring.multiset_indices(r, n, p) is views[r]
+        assert np.shares_memory(views[r], idx)
+        ridx = jf.ring.multiset_indices(r, n, p)
+        assert np.array_equal(D, jf.coeffs[ridx] * jf.ring.dfact[ridx])
+    # a lower order reads a prefix; beyond the truncation is a KeyError
+    assert all(np.array_equal(a, b) for a, b in zip(multiset_tensors(jf, n, p, 2), Ds))
+    with pytest.raises(KeyError):
+        multiset_tensors(jf, n, p, order + 1)
+
+
 def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch):
     charts, inverses = [], []
 
@@ -824,15 +875,21 @@ def test_fixed_weights_are_reciprocal_t_values(p, order):
     assert _fixed_weights(p, Fraction(1), None, order).tolist() == [1.0] + [0.0] * (len(got) - 1)
 
 
+def _refuse_enumeration(monkeypatch, names, refuse):
+    """Replace each name where ``partitions`` defines it and in every module that binds it."""
+    for module in (grastar.partitions, grastar.star, grastar.center, grastar.characters, grastar.tensor_action):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
 def test_projector_build_enumerates_no_frames_or_permutations(monkeypatch):
     # frames come from branching, J_r from slot swaps: p = 1 runs past the
     # r <= 12 of partitions_of, and no S_r is enumerated
     def refuse(r):
         raise AssertionError(f"weight {r} enumerated while building projectors")
 
-    for module in (grastar.star, grastar.tensor_action):
-        monkeypatch.setattr(module, "partitions_of", refuse)
-    monkeypatch.setattr(grastar.tensor_action, "permutations_of", refuse)
+    _refuse_enumeration(monkeypatch, ("partitions_of", "permutations_of"), refuse)
     grastar.star._frames.cache_clear()
     grastar.star._stacks.clear()
     assert _isotypic_projectors(16, 1)[2].tolist() == [[[1.0]]]
@@ -874,7 +931,7 @@ def test_product_path_enumerates_no_permutations(monkeypatch):
     def refuse(r):
         raise AssertionError(f"S_{r} enumerated on the product path")
 
-    monkeypatch.setattr(grastar.tensor_action, "permutations_of", refuse)
+    _refuse_enumeration(monkeypatch, ("permutations_of",), refuse)
     cfg = SpaceConfig(2, 1, Fraction(2))
     rng = np.random.default_rng(9)
     z = sample_point(cfg, 9)
