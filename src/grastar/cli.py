@@ -96,8 +96,7 @@ def cmd_coeffs(args) -> int:
         (lam == 0, "lambda must be nonzero for the coefficient map"),
     ):
         if bad:
-            print(message, file=sys.stderr)
-            return EXIT_USAGE
+            raise RangeError(message)
     c = mu / lam + p
     if args.path == "classes":
         s_map = s_coeffs(r, c)
@@ -149,8 +148,7 @@ def cmd_star(args) -> int:
     g = _load_function(args.g)
     z = _resolve_point(args, cfg)
     if args.closed_form and cfg.p != 1:
-        print("--closed-form requires p = 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise RangeError("--closed-form requires p = 1")
     evaluate = projective_star_eval if args.closed_form else star_eval
     lam = args.lam
     out = {

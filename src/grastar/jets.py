@@ -14,11 +14,13 @@ and within a degree those in the first k variables lead, in the order of a
 ring of k variables.  One index map, built with the ring, gives the index
 of m x_v for every monomial m and variable v; ``index_of``, the
 multiplication table, the degree-shift map that inverts it and the
-indices of slot-tuple monomials, all tuples or one per sorted row tuple
-of a matrix of variables (every order concatenated, for one gather), all
-derive from it.  The table lists the pairs whose product lies in the
-truncation in blocks of their degrees, so a product, or a sum of
-products, uses only the blocks its factors' degrees occupy.
+indices of slot-tuple monomials, one per sorted row tuple of a matrix of
+variables (every order concatenated, for one gather; the one row of a
+1 x k matrix lists every tuple), all derive from it.  The table lists the
+pairs whose product lies in the truncation in blocks of their degrees.
+A product, or a sum of products, of expression jets, which fill every
+degree, reads the whole table; a product of jet matrices reads only the
+rectangle of blocks its entries' degrees occupy.
 
 The only size limit is memory: ``check_memory`` estimates the bytes of a
 ring's maps and table, of the largest tensor array read from it and of
@@ -133,7 +135,6 @@ class JetRing:
         self.order = order
         self.size = comb(nvars + order, order)
         self._build_index()
-        self._tuples: dict[tuple[int, range], np.ndarray] = {}
         self._multisets: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, list, list]] = {}
         self._shift = self._table = self._offsets = self._targets = None
 
@@ -203,31 +204,6 @@ class JetRing:
             [self._starts[d] + np.arange(comb(nvars + d - 1, d)) for d in range(order + 1)]
         )
 
-    def tuple_indices(self, r: int, variables: range, start=None) -> np.ndarray:
-        """Index of m x_{v_1} ... x_{v_r} for every r-tuple of ``variables`` and monomial m.
-
-        Rows are the tuples, lexicographic with the first variable most
-        significant, and columns the monomial indices ``start``.  Without
-        ``start`` m is the constant, and the indices, one per tuple, are
-        cached on the ring.  ``KeyError`` if a product passes the truncation.
-        """
-        key = (r, variables)
-        if start is None and key in self._tuples:
-            return self._tuples[key]
-        var = np.asarray(variables, dtype=np.intp)
-        idx = np.zeros((1, 1), dtype=np.intp) if start is None else np.asarray(start, dtype=np.intp)[None, :]
-        up = self._up.ravel()
-        for _ in range(r):
-            # rows (tuple, v), tuple major
-            idx = up.take(idx[:, None, :] * self.nvars + var[None, :, None])
-            idx = idx.reshape(idx.shape[0] * idx.shape[1], idx.shape[2])
-        if idx.size and idx.max() == self.size:
-            raise KeyError(f"degree-{r} products of the variables are not all in the truncation at order {self.order}")
-        if start is None:
-            idx = idx[:, 0]
-            self._tuples[key] = idx
-        return idx
-
     def multiset_indices(self, r: int, rows: int, cols: int, first: int = 0, start=None) -> np.ndarray:
         """Index of m x_{s_1} ... x_{s_r} for every sorted row tuple, column tuple and monomial m.
 
@@ -238,15 +214,19 @@ class JetRing:
         lexicographic with the first slot most significant, and axis 2,
         given ``start``, over the monomials m = ``start``.  Without
         ``start`` m is the constant, and the (C(rows + r - 1, r), cols^r)
-        array is a read-only view of ``multiset_gather``'s.  ``KeyError``
-        if a product passes the truncation.
+        array is a read-only view of ``multiset_gather``'s.  A 1 x k matrix
+        has one row tuple, so row 0 of ``multiset_indices(r, 1, k, first,
+        start)`` lists every ordered r-tuple of the k variables from
+        ``first`` on; given ``start`` nothing is cached.  ``KeyError`` if a
+        product passes the truncation.
         """
         if start is None:
             if not 0 <= r <= self.order:
                 raise KeyError(f"degree-{r} products of the variables are not all in the truncation at order {self.order}")
             return self.multiset_gather(rows, cols, first)[3][r]
         A = sorted_tuples(rows, r)[0]
-        I = np.array(list(itertools.product(range(cols), repeat=r)), dtype=np.intp).reshape(cols**r, r)
+        # the column tuples, lexicographic: the first slot is the most significant digit
+        I = np.indices((cols,) * r).reshape(r, cols**r).T
         slots = first + A[:, None, :] * cols + I[None, :, :]
         m = np.asarray(start, dtype=np.intp)
         idx = np.broadcast_to(m, slots.shape[:2] + m.shape)
@@ -432,18 +412,17 @@ class JetRing:
         return out.view(complex)
 
     def multiply(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """Product of two coefficient vectors, through the blocks their degrees occupy."""
+        """Product of two coefficient vectors, in one pass over the whole table."""
         return self.products_sum(np.asarray(c1, dtype=complex)[None], np.asarray(c2, dtype=complex)[None])
 
     def products_sum(self, C1: np.ndarray, C2: np.ndarray) -> np.ndarray:
-        """sum_k C1[k] * C2[k] for two (k, size) stacks: one table pass, over the blocks their degrees occupy."""
-        swap, blocks = self._rectangle(C1, C2)
-        chunks = self._chunks(blocks)
-        if not chunks:
-            return np.zeros(self.size, dtype=complex)
-        if swap:
-            C1, C2 = C2, C1
-        return self._dot(C1, C2, chunks)
+        """sum_k C1[k] * C2[k] for two nonempty (k, size) stacks, in one pass over the whole table.
+
+        Its callers multiply jets of expressions, which fill every degree,
+        so their degrees are not scanned.
+        """
+        N = self.order
+        return self._dot(C1, C2, self._chunks([(a, 0, N - a) for a in range(N + 1)]))
 
     def _matmul(self, A: np.ndarray, B: np.ndarray, blocks=None) -> np.ndarray:
         """Coefficients of sum_k A[i, k] B[k, j] for stacks (rows, m, size) and (m, cols, size).
@@ -472,7 +451,6 @@ class JetRing:
         held = [self._up, self._parent, self._last, self.degree, self.dfact, self.__dict__.get("monos")]
         held += [*(self._table or ()), self._offsets, self._targets]
         held += [below for _, below in self._shift or ()]
-        held += [*self._tuples.values()]
         held += [a for idx, weights, _, _ in self._multisets.values() for a in (idx, weights)]
         return sum(a.nbytes for a in held if a is not None)
 

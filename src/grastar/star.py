@@ -50,9 +50,11 @@ product for all of them, then one table pass per expression for its
 products of two generators, and one gather per factor for the tensors of
 every order.  With real weights and real symmetric P_[m], the
 antiholomorphic jets of g*h are the conjugates of the holomorphic ones of
-hbar*gbar, so ``star_jet_series`` takes holomorphic outer offsets only and
-reads its f from the chart too.  Only its g, whose two sides both vary,
-takes ``eval_function``, the generic route through Z (Zbar Z)^-1 Zbar.
+hbar*gbar, so ``star_jet_series`` takes holomorphic outer offsets only,
+and re-indexes its f, a function of the outer and inner offsets' sum,
+from the same chart by binomial weights.  Only its g, whose two sides
+both vary, takes ``eval_function``, the generic route through
+Z (Zbar Z)^-1 Zbar.
 That route never reads the chart and is its reference: the Wick
 product, the Poisson bracket and the references in the tests read every
 factor through it, g at ``antiholomorphic_jet_point``, independently of
@@ -297,7 +299,8 @@ def derivative_tensor(jet: Jet, n: int, p: int, r: int) -> np.ndarray:
     tensor is their reference.
     """
     ring = jet.ring
-    ridx = ring.tuple_indices(r, range(n * p))
+    # every slot tuple: the column tuples of a 1 x n p matrix of variables
+    ridx = ring.multiset_indices(r, 1, n * p, start=[0])[0, :, 0]
     return _row_col(jet.coeffs[ridx] * ring.dfact[ridx], n, p, r)
 
 
@@ -331,20 +334,15 @@ def _memory_terms(n: int, p: int, order: int, series: bool) -> tuple:
     gather; the jets Z and Zbar of a jet point are counted too, though the
     chart is read at the numeric point: an over-count on the safe side),
     the build of one order by branching (X, its powers by J_r, one part)
-    and the complex Gram matrix.  ``series`` adds the jets of
-    ``star_jet_series`` on a ring of 2 n p variables, the order-r tensor
-    entries by the outer monomials of degree <= order - r, those once per
-    frame as P_[m] DG, and the ring of its results.  No
-    frame is listed, and the ring and the top order alone are checked
-    first, so a large order is refused before any sum over orders is formed.
+    and the complex Gram matrix.  ``series`` adds ``star_jet_series``: its
+    jets of g's side on a ring of 2 n p variables (f is read off a chart
+    on the ring of n p variables before any of them is formed), the order-r
+    tensor entries by the outer monomials of degree <= order - r, those
+    once per frame as P_[m] DG, and the ring of its results.  No frame is
+    listed, and the ring and the top order alone are checked first, so a
+    large order is refused before any sum over orders is formed.
     """
     nz = n * p
-
-    def point(nvars, floats):
-        # jets of nvars variables, and a complex gather slice of at most _CHUNK entries
-        top = (n - p) * p * nvars * comb(nvars + order - 1, order) if order > 1 else 0
-        return floats * comb(nvars + order, order) + 2 * min(jets._CHUNK, top)
-
     check_memory(nz, order, comb(n + order - 1, order) * p**order, p ** (2 * order))
     # F_r: transposed, the frames of weight r with at most p rows are partitions into parts <= p
     frames = [1] + [0] * order
@@ -357,13 +355,16 @@ def _memory_terms(n: int, p: int, order: int, series: bool) -> tuple:
     addable = [min(p, (isqrt(8 * r - 7) + 1) // 2) for r in range(1, order + 1)]
     build = max((p ** (2 * r) * (1 + a) for r, a in enumerate(addable, 1)), default=0)
     transient = max(build, 2 * p ** (2 * order))
-    terms = [(nz, order, tensor[order], stacks + max(point(nz, 2 * p * (3 * n - p)), transient))]
+    # the chart's complex jets, n x p, p x n and q x p, and a complex gather slice of at most _CHUNK entries
+    gather = (n - p) * p * nz * comb(nz + order - 1, order) if order > 1 else 0
+    chart = 2 * p * (3 * n - p) * comb(nz + order, order) + 2 * min(jets._CHUNK, gather)
+    terms = [(nz, order, tensor[order], stacks + max(chart, transient))]
     if series:
         outer = [tensor[r] * comb(nz + order - r, order - r) for r in range(order + 1)]
         projected = max(2 * frames[r] * outer[r] for r in range(order + 1))
-        # complex zeta, zetabar0 and g's side, n x p, and f's chart or g's generic route,
-        # which holds Z X and Pi or mat_inverse's six complex p x p jets and a real one
-        held = point(2 * nz, 6 * n * p + max(2 * n * p + 2 * n * n, 13 * p * p))
+        # complex zeta, zetabar0 and g's side, n x p, and g's generic route, which holds Z X
+        # and Pi, or mat_inverse's complex p x p jets M, X, one degree's sum T and X0 T
+        held = (6 * n * p + max(2 * n * p + 2 * n * n, 8 * p * p)) * comb(2 * nz + order, order)
         held += stacks + transient + projected + check_memory(nz, order) // 8
         terms.insert(0, (2 * nz, order, max(outer), held))
     return tuple(terms)
@@ -544,9 +545,10 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
     Returns (ring, [jet per lambda order]); the antiholomorphic jets of f*g
     are the conjugates of those of gbar*fbar.  The lambda^t jet is exact up
     to outer degree ``order - t`` and zero above it, all that a pairing
-    truncated at ``order`` reads, so every jet lives in one ring of total
-    degree ``order`` in outer and inner offsets, and the order-r tensors on
-    the outer monomials of degree <= order - r.  Lower orders are
+    truncated at ``order`` reads, so g's jet lives in one ring of total
+    degree ``order`` in outer and inner offsets, f's in the ring of the
+    slots, and the order-r tensors on the outer monomials of degree
+    <= order - r.  Lower orders are
     prefixes of the ring of outer offsets, so each lambda^t product runs
     on that ring's own table, over the degree blocks up to order - t, and
     the series opens no ring but its two.
@@ -554,8 +556,12 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
     Pi = Z (Zbar Z)^-1 Zbar is unchanged by Zbar -> A Zbar; with
     A = mu (zetabar0 zeta)^-1 the pair (zeta0 + O, A zetabar0) stays on the
     level set, given zetabar0 zeta0 = mu.  So f, with holomorphic inner
-    offsets V, is read at (zeta0 + O + V, zetabar0) by ``chart_jets``, from
-    zeta0 and the slot tensor of O + V, and g, with antiholomorphic ones W, at
+    offsets V, is read at (zeta0 + O + V, zetabar0), a function of O + V
+    alone: with c its jet at zeta0 + x in the slot variables x, its
+    coefficient at O^m V^s is c_(m+s) prod_v C(m_v + s_v, m_v), so its
+    inner tensors on the outer monomials m are c_(m+s) (m+s)! / m!, read
+    off a ``chart_jets`` call like ``star_eval``'s, on the outer ring.
+    g, with antiholomorphic inner offsets W, is read at
     (zeta, zetabar0 + A^-1 W^T), A^-1 affine in O, by ``eval_function``
     and its one p x p jet inverse.
     Raises ``RangeError`` for an order that is not a nonnegative integer
@@ -568,28 +574,29 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
     mu = Fraction(cfg.mu)
     slots = np.arange(nz).reshape(n, p)
     R_out = shared_ring(nz, order)
+    (jf,) = chart_jets([f], R_out, zeta0.z, _unit_slots(n, p), zeta0.zbar)
     # variables 0..nz-1 are the outer offsets, nz..2nz-1 the inner ones
     total = shared_ring(2 * nz, order)
     zeta = MatrixJet.from_numeric(total, zeta0.z) + MatrixJet.variables(total, slots)
-    # f's offsets are O + V: outer slot v and inner slot nz + v both move entry v
-    (jf,) = chart_jets([f], total, zeta0.z, np.concatenate([_unit_slots(n, p)] * 2), zeta0.zbar)
     Zbpt = MatrixJet.from_numeric(total, zeta0.zbar)
     Zbg = Zbpt + (Zbpt @ zeta).scale(1 / float(mu)) @ MatrixJet.variables(total, nz + slots.T)
     jg = eval_function(g, zeta, Zbg)
 
+    # f's coefficients c_k times k!, read at the monomials m + s below
+    jf_k = jf.coeffs * R_out.dfact
     W = _series_weights(p, mu, order)
     first = 0
     out = [R_out.zero() for _ in range(order + 1)]
     for r in range(order + 1):
         # per sorted row tuple and column tuple: outer-jet coefficient
-        # vectors of the r-th inner partials on the outer monomials of
-        # degree <= order - r, DF[row tuple, column tuple, outer monomial];
-        # DF's rows carry their orbit sizes
-        outer = total.leading(nz, order - r)
-        tidx = total.multiset_indices(r, n, p, first=nz, start=outer)
-        w_in = R_out.dfact[R_out.multiset_indices(r, n, p)][..., None]
-        DF = jf.coeffs[tidx] * (w_in * sorted_tuples(n, r)[1][:, None, None])
-        DG = jg.coeffs[tidx] * w_in
+        # vectors of the r-th inner partials on the outer monomials m of
+        # degree <= order - r, DF[row tuple, column tuple, m]; DF's rows
+        # carry their orbit sizes.  Those m are R_out's first monomials
+        outer = np.arange(comb(nz + order - r, order - r))
+        DF = jf_k[R_out.multiset_indices(r, n, p, start=outer)]
+        DF *= sorted_tuples(n, r)[1][:, None, None] / R_out.dfact[outer]
+        tidx = total.multiset_indices(r, n, p, first=nz, start=total.leading(nz, order - r))
+        DG = jg.coeffs[tidx] * R_out.dfact[R_out.multiset_indices(r, n, p)][..., None]
         # P_[m] DG per frame m, as one real product with DG's real and imaginary parts
         stack = _isotypic_projectors(r, p)[2]
         PG = (stack[:, None] @ DG.view(float)[None]).view(complex)

@@ -195,11 +195,11 @@ def test_index_map_matches_brute_force(ring):
     start = np.flatnonzero(ring.degree < ring.order)
     assert np.all(expect[start] >= 0)
     assert np.all(expect[ring.degree == ring.order] == -1)
-    got = ring.tuple_indices(1, range(ring.nvars), start=start)
+    got = ring.multiset_indices(1, 1, ring.nvars, 0, start)[0]
     assert np.array_equal(got.T, expect[start])
     if ring.nvars:
         with pytest.raises(KeyError):
-            ring.tuple_indices(1, range(ring.nvars), start=[ring.size - 1])
+            ring.multiset_indices(1, 1, ring.nvars, 0, [ring.size - 1])
 
 
 @pytest.mark.parametrize("ring", _INDEX_RINGS, ids=repr)
@@ -233,15 +233,16 @@ def test_lower_orders_are_prefixes(ring):
 
 
 def test_slot_tuple_indices_are_lexicographic():
+    # every ordered tuple: the column tuples of the one row of a 1 x 3 matrix
     ring = JetRing(3, 3)
-    idx = ring.tuple_indices(2, range(3))
+    idx = ring.multiset_indices(2, 1, 3)
     expect = [ring.index_of(np.bincount([a, b], minlength=3)) for a in range(3) for b in range(3)]
-    assert idx.tolist() == expect
-    assert ring.tuple_indices(2, range(3)) is idx  # cached on the ring
-    assert ring.tuple_indices(0, range(3)).tolist() == [0]
-    assert ring.tuple_indices(1, range(1, 3)).tolist() == [2, 3]
+    assert idx[0].tolist() == expect
+    assert ring.multiset_indices(2, 1, 3) is idx  # cached on the ring
+    assert ring.multiset_indices(0, 1, 3)[0].tolist() == [0]
+    assert ring.multiset_indices(1, 1, 2, 1)[0].tolist() == [2, 3]
     with pytest.raises(KeyError):
-        ring.tuple_indices(4, range(3))
+        ring.multiset_indices(4, 1, 3)
 
 
 def test_multiset_indices_read_sorted_row_tuples():

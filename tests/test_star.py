@@ -252,8 +252,8 @@ def _reference_star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic):
     out = [np.zeros(R_out.size, dtype=complex) for _ in range(order + 1)]
     for r in range(order + 1):
         outer = total.leading(nz, order - r)
-        tidx = total.tuple_indices(r, range(nz, 2 * nz), start=outer)
-        w_in = R_out.dfact[R_out.tuple_indices(r, range(nz))][:, None]
+        tidx = total.multiset_indices(r, 1, nz, nz, outer)[0]
+        w_in = R_out.dfact[R_out.multiset_indices(r, 1, nz)[0]][:, None]
         # (slot tuple, outer monomial) -> (row tuple, column tuple, outer monomial)
         axes = tuple(range(0, 2 * r, 2)) + tuple(range(1, 2 * r, 2)) + (2 * r,)
         DF, DG = (
@@ -634,6 +634,54 @@ def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch):
     # the generic route, one p x p jet inverse each
     assert len(charts) == 3
     assert inverses == [cfg.p, cfg.p]
+
+
+def test_jet_series_reads_f_on_the_ring_of_slots(monkeypatch):
+    # f of a jet series depends on O + V alone, so its tensors are re-indexed
+    # from the chart on the ring of n p variables: a cold check charts nothing
+    # and builds no degree-shift map on the ring of 2 n p outer and inner offsets
+    charted, shifted = [], []
+
+    def counting_fraction(ring, *args):
+        charted.append(ring.nvars)
+        return linear_fraction(ring, *args)
+
+    shift = JetRing._build_degree_shift
+
+    def counting_shift(self):
+        shifted.append(self.nvars)
+        return shift(self)
+
+    monkeypatch.setattr(grastar.jets, "_rings", {})
+    monkeypatch.setattr(grastar.geometry, "linear_fraction", counting_fraction)
+    monkeypatch.setattr(JetRing, "_build_degree_shift", counting_shift)
+    cfg = SpaceConfig(2, 1)
+    nz = cfg.n * cfg.p
+    rng = np.random.default_rng(76)
+    f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
+    assert max(associativity_residuals(f, g, h, cfg, sample_point(cfg, 76), 3)) < 1e-10
+    assert charted == [nz] * 3
+    assert shifted == [nz]
+
+
+def test_star_eval_scans_no_degrees(monkeypatch):
+    # the jets of expressions fill every degree, so their products pass over
+    # the whole table; only a product of jet matrices scans its factors' degrees
+    cfg = SpaceConfig(2, 2)
+    rng = np.random.default_rng(77)
+    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+    z = sample_point(cfg, 77)
+    want = [star_eval(f, g, cfg, z, 3).coeffs, star_eval(f, g, cfg, z, 3, lam=Fraction(1, 10))]
+
+    def refuse(self, coeffs):
+        raise AssertionError("a degree scan")
+
+    monkeypatch.setattr(JetRing, "_degree_range", refuse)
+    assert star_eval(f, g, cfg, z, 3).coeffs == want[0]
+    assert star_eval(f, g, cfg, z, 3, lam=Fraction(1, 10)) == want[1]
+    _, Z, Zbar = holomorphic_jet_point(level_representative(z, cfg.mu), 3)
+    with pytest.raises(AssertionError, match="a degree scan"):
+        eval_function(f, Z, Zbar)
 
 
 def test_star_eval_rejects_a_callable_factor():
@@ -1028,11 +1076,10 @@ def test_memory_estimate_counts_the_frames_it_does_not_list(n, p, order):
     ]
     projected = max(2 * F * entries for F, entries in zip(frames, outer))
     # beside them, terms that list no frame: the jet point of star_jet_series,
-    # with one slice of its chart's gather, and the ring of the returned jets
+    # which reads g alone, and the ring of the returned jets
     nz = n * p
-    gather = (n - p) * p * 2 * nz * comb(2 * nz + order - 1, order)
-    point = (6 * n * p + max(2 * n * p + 2 * n * n, 13 * p * p)) * comb(2 * nz + order, order)
-    point += 2 * min(grastar.jets._CHUNK, gather) + check_memory(nz, order) // 8
+    point = (6 * n * p + max(2 * n * p + 2 * n * n, 8 * p * p)) * comb(2 * nz + order, order)
+    point += check_memory(nz, order) // 8
     (_, _, _, matrices), _ = _memory_terms(n, p, order, True)
     assert matrices == stacks + max(build, 2 * p ** (2 * order)) + projected + point
 
@@ -1163,12 +1210,14 @@ def test_star_fixed_high_sizes_drop_no_cached_ring_or_stack():
         assert all(any(entry[2] is other[2] for other in after) for entry in before)
 
 
-@pytest.mark.parametrize("p,q,order", [(3, 1, 3), (4, 1, 3)])
+@pytest.mark.parametrize("p,q,order", [(3, 1, 3), (4, 1, 3), (3, 1, 4), (2, 2, 5)])
 def test_series_memory_estimate_covers_the_cold_peak(monkeypatch, p, q, order):
     # a cold associativity check once traced 8.5 MiB against 7.2 MiB
     # estimated at (3, 1, 3) and 51.1 against 43.8 MiB at (4, 1, 3): the jet
     # point's n x p and p x p jets went uncounted, and growing the work
-    # buffers held the old set beside the new one
+    # buffers held the old set beside the new one.  With f read off the
+    # ring of n p variables the estimate counts g's jets alone, and the
+    # inverse's p x p jets as it holds them
     verify_suite(SpaceConfig(1, 1), order=1)  # imports and one-off set-up, untraced
     monkeypatch.setattr(grastar.star, "_stacks", {})
     monkeypatch.setattr(grastar.jets, "_work", np.empty((3, 0), dtype=complex))
