@@ -11,18 +11,25 @@ Holomorphic and antiholomorphic arguments are passed separately (Z, Zbar)
 so that jet evaluation can differentiate them independently; for a plain
 numeric point Zbar is just the conjugate transpose of Z.
 
-Jets of the generators come by two independent routes.  Pi is unchanged
-by Z -> Z g, so with Zbar = zb constant and Z = z + V affine it depends
-only on the affine-chart coordinate K = S V (1 + W)^-1: ``chart_jets``,
-which the product calls by name, reads the generators off K, given the
-numeric z and zb and V's degree-1 coefficients, with no jet inverse and
-no jet matrix but K.  ``eval_function`` at any jet point forms
-Z (Zbar Z)^-1 Zbar as a jet matrix.  Only the second factor of
-``star.star_jet_series``, whose two sides both vary, needs it on a
-product path; it is the chart's reference in the tests, and serves the
-Wick product and the Poisson bracket.  Both routes multiply the
-generators of an expression alike: its terms of two generators in one
-table pass.
+Every point has a frame: the unitary Q of a complete QR decomposition
+z = Q [R; 0] (``frame``).  Pi(Q Z, Zbar Q^H) = Q Pi(Z, Zbar) Q^H, so f(Q Z)
+is the expression ``rotate``d by Q (B -> Q^H B Q), and Q^H z spans the
+column space of the base point e = sqrt(mu) [1_p; 0] (``base_point``).
+The product reads every factor at e, in its frame.
+
+Jets of the generators come by two independent routes.  With Zbar = e^H
+constant and Z = e + V, V the matrix of slot variables, Pi = [[1, 0],
+[K, 0]] with the chart coordinate K = X2 (sqrt(mu) + X1)^-1 of V's rows
+X1 (the first p) and X2 (the last q), which depends on no point:
+``base_chart`` expands each expression as a polynomial in the q p
+entries of K and maps it to the slot ring by one matrix product with the
+jets of K's monomials, built once per ring by ``linear_fraction`` and the
+ring's table.  ``eval_function`` at any jet point forms Z (Zbar Z)^-1 Zbar
+as a jet matrix.  Only the second factor of ``star.star_jet_series``,
+whose two sides both vary, needs it on a product path; it is the chart's
+reference in the tests, and serves the Wick product and the Poisson
+bracket.  Both routes multiply the generators of an expression alike:
+its terms of two generators in one table pass.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ from grastar.center import LambdaSeries
 from grastar.errors import GrastarError
 from grastar.jets import (
     Jet,
+    JetRing,
     MatrixJet,
-    conditioned_inverse,
     linear_fraction,
     mat_inverse,
     shared_ring,
@@ -267,35 +274,104 @@ def _trace_products(Bs: np.ndarray, X: MatrixJet) -> np.ndarray:
     return Bs.transpose(0, 2, 1).reshape(len(Bs), -1) @ X.coeffs.reshape(-1, X.ring.size)
 
 
-def chart_jets(fs, ring, z: np.ndarray, V1: np.ndarray, zb: np.ndarray) -> list:
-    """The jets of the expressions fs at (z + V, zb), V = sum_v x_v V1[v] linear and zb constant.
+def frame(z: PointZ) -> np.ndarray:
+    """The unitary n x n factor Q of a complete QR decomposition z = Q [R; 0], R p x p.
 
-    V1 is the (nvars, n, p) tensor of V's degree-1 coefficients over the
-    variables of ``ring``; no n x p jet matrix is formed.  Pi is unchanged
-    by Z -> Z g, so it depends only on the affine-chart coordinate K.  With
-    x0 = zb z, A = x0^-1 zb and W = A V, the rank-q projector 1 - z A
-    factors as U S, and
-    Pi = (z + V)(1 + W)^-1 A = z A + U K A,  K = S V (1 + W)^-1,
-    since V = z W + U S V.  So tr(B Pi) = tr(B z A) + tr((A B U) K), and
-    every distinct B of all of fs is read off one q x p K, from
-    ``linear_fraction``, in one matrix product: no jet inverse and no
-    n x n jet matrix.  Raises ``ConvergenceError`` when zb z is
-    ill-conditioned, with the message of ``mat_inverse``; expressions with
-    no generator at all build no K.
+    Q^H z = [R; 0] spans the column space of ``base_point``, so every
+    invariant f has f(z) = f_Q(e) with f_Q = ``rotate``(f, Q), and the
+    jets of f_Q at e are those of f at Q e in offsets rotated by Q.
     """
+    return np.linalg.qr(z.z, mode="complete")[0]
+
+
+def base_point(cfg: SpaceConfig) -> PointZ:
+    """e = sqrt(mu) [1_p; 0], on the level set e^t e = mu: the point every product is read at."""
+    e = np.zeros((cfg.n, cfg.p), dtype=complex)
+    e[range(cfg.p), range(cfg.p)] = np.sqrt(float(cfg.mu))
+    return PointZ(e)
+
+
+def rotate(fs, Q: np.ndarray) -> list:
+    """The expressions fs in the frame Q: every B replaced by Q^H B Q, so that f_Q(Z) = f(Q Z).
+
+    The distinct B of all of fs are rotated in one batched product.
+    """
+    distinct = _distinct_generators(fs)
+    moved = dict(zip(distinct, Q.conj().T @ np.array(list(distinct.values())) @ Q)) if distinct else {}
+    return [
+        FunctionExpr([(coeff, [moved[B.tobytes()] for B in factors]) for coeff, factors in fn.terms])
+        for fn in fs
+    ]
+
+
+def chart_degree(fs, order: int) -> int:
+    """The generator count of the longest term of fs, at most ``order``: their degree as polynomials in K."""
+    return min(order, max((len(factors) for fn in fs for _, factors in fn.terms), default=0))
+
+
+def _chart_table(ring: JetRing, p: int, mu: Fraction, degree: int):
+    """(small, M) for the chart at the base point, built once per ring, p and mu and kept on the ring.
+
+    ``small`` is the ring of the q p entries of K, entry (a, i) being
+    variable a p + i, at order ``degree`` or higher; row k of the
+    (small.size, ring.size) M is the jet on ``ring`` of its k-th monomial
+    at K = X2 (sqrt(mu) + X1)^-1, V's slot A p + i being variable A p + i
+    of ``ring``.  K is one ``linear_fraction``; a monomial of degree d >= 2
+    is one of degree d - 1 times an entry of K, one pass over the table.
+    A higher degree extends the kept rows.
+    """
+    kept = ring.kept.get((p, mu))
+    if kept is not None and kept[0].order >= degree:
+        return kept
+    n = ring.nvars // p
+    q = n - p
+    small = JetRing(q * p, degree).warm()
+    M = np.zeros((small.size, ring.size), dtype=complex)
+    M[0, 0] = 1.0
+    done = 1
+    if kept is not None:
+        done = len(kept[1])
+        M[:done] = kept[1]
+    if degree and done == 1:
+        # K = L V (1 + R V)^-1 with L V = X2 / sqrt(mu) and R V = X1 / sqrt(mu)
+        root = 1 / np.sqrt(float(mu))
+        V1 = np.eye(n * p).reshape(n * p, n, p)
+        L, R = root * np.eye(n)[p:], root * np.eye(n)[:p]
+        done = 1 + q * p
+        M[1:done] = linear_fraction(ring, L, V1, R).coeffs.reshape(q * p, ring.size)
+    for k in range(done, small.size):
+        M[k] = ring.multiply(M[small._parent[k]], M[small._up[0, small._last[k]]])
+    M.flags.writeable = False
+    ring.keep((p, mu), (small, M))
+    return small, M
+
+
+def base_chart(fs, ring: JetRing, p: int, mu) -> list:
+    """The jets of the expressions fs at (e + V, e^H), V the n x p matrix of the variables of ``ring``.
+
+    Slot A p + i, entry (A, i) of V, is variable A p + i, and e is
+    ``base_point``.  Pi = [[1, 0], [K, 0]], so tr(B Pi) = tr(B11) +
+    tr(B12 K) is affine in the entries of K, with B11 and B12 the first p
+    rows of B split after column p: an expression whose longest term has D
+    generators is a polynomial of degree D in them, and K has no constant
+    term, so monomials of degree above the ring's order vanish.  The
+    polynomials are expanded on the ring of K's entries (``_eval_jets``)
+    and mapped to ``ring`` by one matrix product with ``_chart_table``'s
+    jets of K's monomials: no point enters, and a warm call passes over no
+    table of ``ring``.
+    """
+    small, M = _chart_table(ring, p, Fraction(mu), chart_degree(fs, ring.order))
+    qp = small.nvars
 
     def traces(Bs):
-        n, p = z.shape
-        A = conditioned_inverse(zb @ z) @ zb
-        P = z @ A
-        u, s, vh = np.linalg.svd(np.eye(n) - P)
-        U, S = u[:, : n - p], s[: n - p, None] * vh[: n - p]
-        out = _trace_products(A @ Bs @ U, linear_fraction(ring, S, V1, A))
-        # tr(B z A) goes to the constant monomial, which leads every ring
-        out[:, 0] += Bs.reshape(len(Bs), -1) @ P.T.reshape(-1)
+        out = np.zeros((len(Bs), small.size), dtype=complex)
+        out[:, 0] = np.trace(Bs[:, :p, :p], axis1=1, axis2=2)
+        if small.order:  # tr(B12 K) = sum_(a, i) B[i, p + a] K[a, i]
+            out[:, 1 : 1 + qp] = Bs[:, :p, p:].transpose(0, 2, 1).reshape(len(Bs), qp)
         return out
 
-    return _eval_jets(fs, ring, traces)
+    polys = np.array([jet.coeffs for jet in _eval_jets(fs, small, traces)])
+    return [Jet(ring, coeffs) for coeffs in polys @ M]
 
 
 def eval_function(f, Z, Zbar=None):
@@ -313,7 +389,7 @@ def eval_function(f, Z, Zbar=None):
     product.  This generic route serves the second factor of
     ``star.star_jet_series``, whose two sides both vary, and is the
     reference for everything else: it never calls ``linear_fraction``,
-    which ``chart_jets`` reads where one side is constant.  It raises
+    whose K ``base_chart`` reads where one side is constant.  It raises
     ``ConvergenceError`` when the constant Gram matrix zb z is
     ill-conditioned.  Expressions with no generator at all form no Pi.
     """
@@ -342,6 +418,16 @@ def eval_function(f, Z, Zbar=None):
     return out[0] if isinstance(f, FunctionExpr) else out
 
 
+def _distinct_generators(fs) -> dict:
+    """The distinct B of all of the expressions fs, keyed by their bytes, in order of first occurrence."""
+    distinct = {}
+    for fn in fs:
+        for _, factors in fn.terms:
+            for B in factors:
+                distinct.setdefault(B.tobytes(), B)
+    return distinct
+
+
 def _eval_jets(fs, ring, traces) -> list:
     """The jets of the expressions fs, their distinct generators read in one batch.
 
@@ -350,11 +436,7 @@ def _eval_jets(fs, ring, traces) -> list:
     The terms of two generators of one expression, sum_t c_t g_t1 g_t2,
     are summed in one table pass; longer terms multiply pairwise.
     """
-    distinct = {}
-    for fn in fs:
-        for _, factors in fn.terms:
-            for B in factors:
-                distinct.setdefault(B.tobytes(), B)
+    distinct = _distinct_generators(fs)
     rows = traces(np.array(list(distinct.values()))) if distinct else ()
     generator = dict(zip(distinct, rows))
     out = []

@@ -28,8 +28,9 @@ the matrices a caller holds beside them, and raises ``RangeError`` above
 ``MEMORY_BUDGET`` before anything is allocated; every ring checks itself.
 Products and jet points share their rings, with everything cached on
 them, through ``shared_ring``, a small bounded cache whose rings ``star``
-counts against the budget.  All rings share one set of work buffers:
-products are not thread-safe.
+counts against the budget.  A ring keeps the bytes it holds in ``held``,
+current whenever it builds or keeps an array, so that count costs no scan.
+All rings share one set of work buffers: products are not thread-safe.
 """
 
 from __future__ import annotations
@@ -127,6 +128,10 @@ class JetRing:
     b = deg j inner; ``_offsets[a, b]`` is where block (a, b) starts and
     ``_offsets[a, order - a + 1]`` where the blocks of degree a end.  The
     blocks (a, b_lo) ... (a, b_hi) are therefore one contiguous range.
+
+    ``held`` is the bytes of every array the ring holds, added to as it
+    builds each lazily; ``nbytes`` recounts them.  ``kept`` holds what a
+    caller derives from the ring once and stores with ``keep``.
     """
 
     def __init__(self, nvars: int, order: int):
@@ -134,9 +139,22 @@ class JetRing:
         self.nvars = nvars
         self.order = order
         self.size = comb(nvars + order, order)
+        self.held = 0
         self._build_index()
         self._multisets: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, list, list]] = {}
         self._shift = self._table = self._offsets = self._targets = None
+        self.kept: dict = {}
+
+    def _hold(self, *arrays: np.ndarray) -> None:
+        self.held += sum(a.nbytes for a in arrays)
+
+    def keep(self, key, parts: tuple) -> None:
+        """Keep ``parts``, arrays or rings built from this ring, under ``key``, in place of what it held there.
+
+        A kept ring must be complete: ``held`` counts its bytes once, now.
+        """
+        self.held += sum(a.nbytes for a in parts) - sum(a.nbytes for a in self.kept.get(key, ()))
+        self.kept[key] = parts
 
     def _build_index(self) -> None:
         """The index map ``_up``, ``degree`` and ``dfact``, degree by degree.
@@ -174,6 +192,7 @@ class JetRing:
         self._starts = starts
         self.degree = np.repeat(np.arange(self.order + 1), np.diff(starts))
         self.dfact = dfact
+        self._hold(up, parent, last, self.degree, dfact)
 
     @cached_property
     def monos(self) -> np.ndarray:
@@ -184,6 +203,7 @@ class JetRing:
             k = np.arange(s[d], s[d + 1])
             monos[k] = monos[self._parent[k]]
             monos[k, self._last[k]] += 1
+        self._hold(monos)
         return monos
 
     def index_of(self, multidegree) -> int:
@@ -254,6 +274,7 @@ class JetRing:
             idx = np.concatenate([b.ravel() for b in blocks])
             weights = self.dfact[idx]
             idx.flags.writeable = weights.flags.writeable = False
+            self._hold(idx, weights)
             views = [idx[s:e].reshape(b.shape) for s, e, b in zip(bounds, bounds[1:], blocks)]
             self._multisets[key] = idx, weights, bounds, views
         return self._multisets[key]
@@ -299,6 +320,7 @@ class JetRing:
             self._targets = np.empty(2 * pairs, dtype=np.intp)
             self._targets[0::2] = 2 * tk
             self._targets[1::2] = 2 * tk + 1
+            self._hold(ti, tj, tk, offsets, self._targets)
         return self._table
 
     def degree_shift(self) -> list[tuple[slice, np.ndarray]]:
@@ -311,6 +333,7 @@ class JetRing:
         """
         if self._shift is None:
             self._shift = self._build_degree_shift()
+            self._hold(*(below for _, below in self._shift))
         return self._shift
 
     def _build_degree_shift(self) -> list[tuple[slice, np.ndarray]]:
@@ -447,11 +470,15 @@ class JetRing:
 
     @property
     def nbytes(self) -> int:
-        """The bytes of the arrays the ring holds, its table and cached indices included once built."""
+        """The bytes of the arrays the ring holds, its table, cached indices and kept parts included once built.
+
+        A recount, the reference for ``held``.
+        """
         held = [self._up, self._parent, self._last, self.degree, self.dfact, self.__dict__.get("monos")]
         held += [*(self._table or ()), self._offsets, self._targets]
         held += [below for _, below in self._shift or ()]
         held += [a for idx, weights, _, _ in self._multisets.values() for a in (idx, weights)]
+        held += [part for parts in self.kept.values() for part in parts]
         return sum(a.nbytes for a in held if a is not None)
 
     def warm(self) -> "JetRing":
@@ -488,8 +515,8 @@ def shared_ring(nvars: int, order: int) -> JetRing:
     """The ring of this shape, shared among the eight most recently used shapes.
 
     Products return fresh arrays, so callers may share a ring as long as
-    they do not run concurrently.  ``star`` counts the rings kept in
-    ``_rings`` against the memory budget, and may drop some.
+    they do not run concurrently.  ``star`` counts the ``held`` bytes of
+    the rings in ``_rings`` against the memory budget, and may drop some.
     """
     key = (nvars, order)
     ring = _rings.pop(key, None)
@@ -690,8 +717,9 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
     the inverse of a jet whose constant term is small has coefficients far
     larger than 1; the identity is subtracted in place from the constant
     term of M X, and each degree's sum is freed before the next.
-    ``geometry.chart_jets`` reads the generators where one side is
-    constant through ``linear_fraction`` instead.
+    ``geometry.base_chart`` reads the generators where one side is
+    constant off a chart coordinate built once by ``linear_fraction``
+    instead.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")

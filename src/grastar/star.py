@@ -32,23 +32,25 @@ amount to sum_A sum_{I,J} DF[A, I] C[I, J] DG[A, J], and the product
 reads its tensors at the C(n + r - 1, r) sorted row tuples only, each
 weighted by the size r! / prod mult! of its orbit, instead of at all n^r.
 
-Both factors are read from one affine chart, in holomorphic offsets of
-the slots at the level representative: ``geometry.chart_jets`` takes the
-numeric point and the unit slot tensor, so no jet point is built.  The
-invariant functions form a *-algebra: gbar = ``g.conjugate()``
-(coefficients conjugated, B -> its conjugate transpose) is the pointwise
-conjugate of g.  Since Pi(Z, Zbar) and Pi(Zbar^H, Z^H) are each other's
-conjugate transposes (H the conjugate transpose), with V the n x p matrix
-of offsets x_{A p + i}, the jets g(zeta, zetabar + V^T) (the plain
-transpose: ``antiholomorphic_jet_point``) and gbar(zeta + V, zetabar)
+Both factors are read at one point: the product at z of f and g is the
+product at the base point e = sqrt(mu) [1_p; 0] of f and g rotated into
+the frame of one complete QR decomposition of z (``geometry.frame``,
+``geometry.rotate``), since Pi(Q Z) = Q Pi(Z) Q^H and the product is
+invariant under the unitary group.  At e the affine-chart coordinate K of
+the holomorphic slot offsets has jets that depend on no point, built once
+per ring (``geometry.base_chart``).  The invariant functions form a
+*-algebra: gbar = ``g.conjugate()`` (coefficients conjugated, B -> its
+conjugate transpose) is the pointwise conjugate of g.  Since Pi(Z, Zbar)
+and Pi(Zbar^H, Z^H) are each other's conjugate transposes (H the
+conjugate transpose), with V the n x p matrix of offsets x_{A p + i}, the
+jets g(zeta, zetabar + V^T) (the plain transpose:
+``antiholomorphic_jet_point``) and gbar(zeta + V, zetabar)
 (``holomorphic_jet_point``) have complex conjugate coefficients.  So the
 antiholomorphic slot-(A, i) derivatives of g are the conjugates of the
-holomorphic slot-(A, i) derivatives of gbar, and ``geometry.chart_jets``
-reads every generator tr(B Pi) of f and gbar off one chart coordinate
-K = S V (1 + W)^-1: one SVD set-up, one ``linear_fraction`` and one matrix
-product for all of them, then one table pass per expression for its
-products of two generators, and one gather per factor for the tensors of
-every order.  With real weights and real symmetric P_[m], the
+holomorphic slot-(A, i) derivatives of gbar, and one ``base_chart`` call
+reads f and gbar: each a polynomial in the entries of K, mapped to the
+slot ring by one matrix product, then one gather per factor for the
+tensors of every order.  With real weights and real symmetric P_[m], the
 antiholomorphic jets of g*h are the conjugates of the holomorphic ones of
 hbar*gbar, so ``star_jet_series`` takes holomorphic outer offsets only,
 and re-indexes its f, a function of the outer and inner offsets' sum,
@@ -57,8 +59,9 @@ both vary, takes ``eval_function``, the generic route through
 Z (Zbar Z)^-1 Zbar.
 That route never reads the chart and is its reference: the Wick
 product, the Poisson bracket and the references in the tests read every
-factor through it, g at ``antiholomorphic_jet_point``, independently of
-the conjugation identity.
+factor through it, at the level representative and g at
+``antiholomorphic_jet_point``, independently of the frame and of the
+conjugation identity.
 
 Poles are checked up front, before any jet is built: some t_[m](c)
 vanishes exactly when c = -e for a content e, and the ``PoleError`` names
@@ -86,11 +89,15 @@ from grastar.geometry import (
     FunctionExpr,
     PointZ,
     SpaceConfig,
-    chart_jets,
+    base_chart,
+    base_point,
+    chart_degree,
     eval_function,
+    frame,
     level_representative,
     poisson_bracket,
     random_function_expr,
+    rotate,
     sample_point,
     wick_product,
 )
@@ -324,25 +331,26 @@ def multiset_tensors(jet: Jet, n: int, p: int, order: int) -> list[np.ndarray]:
 
 
 @cache
-def _memory_terms(n: int, p: int, order: int, series: bool) -> tuple:
+def _memory_terms(n: int, p: int, order: int, series: bool, degree: int) -> tuple:
     """The ``check_memory`` arguments (nvars, order, tensor, matrices) of a product at this size.
 
     ``star_eval`` reads tensors of C(n + order - 1, order) p^order entries
     from a ring of n p variables and keeps the projector stacks, F_r p^{2r}
     floats at order r (F_r the frames of weight r with at most p rows).
-    Beside them it holds one at a time the chart (K and a slice of its
-    gather; the jets Z and Zbar of a jet point are counted too, though the
-    chart is read at the numeric point: an over-count on the safe side),
+    The ring keeps the chart's jets of the monomials of degree <= ``degree``
+    in the q p entries of K (the factors' longest term has ``degree``
+    generators, at most ``order``).  Beside them it holds one at a time the
+    chart's build (K and a slice of its gather) and the jets of f and gbar,
     the build of one order by branching (X, its powers by J_r, one part)
     and the complex Gram matrix.  ``series`` adds ``star_jet_series``: its
-    jets of g's side on a ring of 2 n p variables (f is read off a chart
+    jets of g's side on a ring of 2 n p variables (f is read off the chart
     on the ring of n p variables before any of them is formed), the order-r
     tensor entries by the outer monomials of degree <= order - r, those
     once per frame as P_[m] DG, and the ring of its results.  No frame is
     listed, and the ring and the top order alone are checked first, so a
     large order is refused before any sum over orders is formed.
     """
-    nz = n * p
+    nz, qp = n * p, (n - p) * p
     check_memory(nz, order, comb(n + order - 1, order) * p**order, p ** (2 * order))
     # F_r: transposed, the frames of weight r with at most p rows are partitions into parts <= p
     frames = [1] + [0] * order
@@ -355,9 +363,12 @@ def _memory_terms(n: int, p: int, order: int, series: bool) -> tuple:
     addable = [min(p, (isqrt(8 * r - 7) + 1) // 2) for r in range(1, order + 1)]
     build = max((p ** (2 * r) * (1 + a) for r, a in enumerate(addable, 1)), default=0)
     transient = max(build, 2 * p ** (2 * order))
-    # the chart's complex jets, n x p, p x n and q x p, and a complex gather slice of at most _CHUNK entries
-    gather = (n - p) * p * nz * comb(nz + order - 1, order) if order > 1 else 0
-    chart = 2 * p * (3 * n - p) * comb(nz + order, order) + 2 * min(jets._CHUNK, gather)
+    # complex jets on the ring: the kept monomials of K, K itself while it is built
+    # (one more monomial) with a gather slice of at most _CHUNK entries, and f and gbar
+    size = comb(nz + order, order)
+    kept = 2 * comb(qp + degree, degree) * size
+    gather = qp * nz * comb(nz + order - 1, order) if order > 1 else 0
+    chart = kept + 2 * (qp * (size + 1) + min(jets._CHUNK, gather) if degree else 0) + 4 * size
     terms = [(nz, order, tensor[order], stacks + max(chart, transient))]
     if series:
         outer = [tensor[r] * comb(nz + order - r, order - r) for r in range(order + 1)]
@@ -365,18 +376,20 @@ def _memory_terms(n: int, p: int, order: int, series: bool) -> tuple:
         # complex zeta, zetabar0 and g's side, n x p, and g's generic route, which holds Z X
         # and Pi, or mat_inverse's complex p x p jets M, X, one degree's sum T and X0 T
         held = (6 * n * p + max(2 * n * p + 2 * n * n, 8 * p * p)) * comb(2 * nz + order, order)
-        held += stacks + transient + projected + check_memory(nz, order) // 8
+        held += stacks + transient + projected + kept + check_memory(nz, order) // 8
         terms.insert(0, (2 * nz, order, max(outer), held))
     return tuple(terms)
 
 
-def _check_memory(n: int, p: int, order: int, series: bool = False) -> None:
+def _check_memory(n: int, p: int, order: int, degree: int, series: bool = False) -> None:
     """Raise ``RangeError`` before allocating if a product at this size exceeds the budget.
 
-    Stacks and shared rings cached for other sizes count too.  When the
-    product fits only without them, the rings go first, then the stacks.
+    ``degree`` is the generator count of the factors' longest term, at
+    most ``order``.  Stacks and shared rings cached for other sizes count
+    too, the rings by the bytes they hold.  When the product fits only
+    without them, the rings go first, then the stacks.
     """
-    need = max(check_memory(*args) for args in _memory_terms(n, p, order, series))
+    need = max(check_memory(*args) for args in _memory_terms(n, p, order, series, degree))
     nz = n * p
     own = {(nz, order)}
     if series:  # star_jet_series' ring of outer and inner offsets
@@ -384,7 +397,7 @@ def _check_memory(n: int, p: int, order: int, series: bool = False) -> None:
     rings = [key for key in jets._rings if key not in own]
     stacks = [key for key in _stacks if key[1] != p or key[0] > order]
     held = sum(_stacks[key][2].nbytes for key in stacks)
-    if need + held + sum(jets._rings[key].nbytes for key in rings) > jets.MEMORY_BUDGET:
+    if need + held + sum(jets._rings[key].held for key in rings) > jets.MEMORY_BUDGET:
         for key in rings:
             del jets._rings[key]
         if need + held > jets.MEMORY_BUDGET:
@@ -416,25 +429,15 @@ def _deformation_c(p: int, mu, lam):
     return None if lam == 0 else complex(Fraction(mu)) / lam + p
 
 
-@cache
-def _unit_slots(n: int, p: int) -> np.ndarray:
-    """The read-only (n p, n, p) slot tensor: variable A p + i is matrix entry (A, i)."""
-    V1 = np.eye(n * p).reshape(n * p, n, p)
-    V1.flags.writeable = False
-    return V1
+def _derivative_tensors_at(f: FunctionExpr, gbar: FunctionExpr, cfg: SpaceConfig, order: int):
+    """f's holomorphic and g's antiholomorphic tensors at the base point, f and gbar given in its frame.
 
-
-def _derivative_tensors_at(f: FunctionExpr, g: FunctionExpr, zeta: PointZ, order: int):
-    """f's holomorphic and g's antiholomorphic tensors at the level representative.
-
-    Both come from one ``chart_jets`` call in holomorphic offsets of the
-    slots, read at the numeric point zeta with the unit slot tensor and no
-    jet point, at the sorted row tuples: g's are the conjugates of those of
-    ``g.conjugate()`` (see the module docstring).
+    Both come from one ``base_chart`` call in holomorphic offsets of the
+    slots, at the sorted row tuples: g's are the conjugates of those of
+    gbar = ``g.conjugate()`` (see the module docstring).
     """
-    n, p = zeta.z.shape
-    ring = shared_ring(n * p, order)
-    jf, jgbar = chart_jets((f, g.conjugate()), ring, zeta.z, _unit_slots(n, p), zeta.zbar)
+    n, p = cfg.n, cfg.p
+    jf, jgbar = base_chart((f, gbar), shared_ring(n * p, order), p, cfg.mu)
     DGs = [D.conj() for D in multiset_tensors(jgbar, n, p, order)]
     return multiset_tensors(jf, n, p, order), DGs
 
@@ -472,25 +475,25 @@ def star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
     resummed exactly and a single complex value is returned (raising
     ``PoleError`` if the parameter hits a coefficient pole).
 
-    f and g are read from one chart, at the numeric point: g's
-    antiholomorphic tensors are the conjugates of the holomorphic ones of
-    ``g.conjugate()`` (see the module docstring).  So f and g must be
-    ``FunctionExpr``s, which can be conjugated; any other factor raises
-    ``TypeError``.  Raises ``RangeError`` for an order that is not a
-    nonnegative integer and ``ValueError`` if z or a matrix of f or g does
-    not fit ``cfg``.
+    f and g are rotated into the frame of z and read from one chart at
+    the base point: g's antiholomorphic tensors are the conjugates of the
+    holomorphic ones of ``g.conjugate()`` (see the module docstring).  So f
+    and g must be ``FunctionExpr``s, which can be rotated and conjugated;
+    any other factor raises ``TypeError``.  Raises ``RangeError`` for an
+    order that is not a nonnegative integer and ``ValueError`` if z or a
+    matrix of f or g does not fit ``cfg``.
     """
     _check_order(order)
     for fn in (f, g):
         if not isinstance(fn, FunctionExpr):
             raise TypeError(f"star_eval takes FunctionExpr factors, got {type(fn).__name__}")
     _check_shapes(f, g, cfg, z)
-    _check_memory(cfg.n, cfg.p, order)
+    _check_memory(cfg.n, cfg.p, order, chart_degree((f, g), order))
     c = None if lam is None else _deformation_c(cfg.p, cfg.mu, lam)
     _check_poles(cfg.p, c, order)
     # the projectors first: their build temporaries meet neither the chart nor a Gram matrix
     _isotypic_projectors(order, cfg.p)
-    DFs, DGs = _derivative_tensors_at(f, g, level_representative(z, cfg.mu), order)
+    DFs, DGs = _derivative_tensors_at(*rotate((f, g.conjugate()), frame(z)), cfg, order)
     pairs = _frame_pairings(DFs, DGs, cfg.n, cfg.p, order)
     if lam is None:
         W = _series_weights(cfg.p, Fraction(cfg.mu), order)
@@ -539,46 +542,47 @@ def projective_star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None
 # the product with a jet-valued result (for associativity)
 
 
-def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
-    """The deformed product as jets in holomorphic offsets O around a base point on the level set.
+def star_jet_series(f, g, cfg: SpaceConfig, order: int):
+    """The deformed product as jets in holomorphic offsets O around the base point.
 
-    Returns (ring, [jet per lambda order]); the antiholomorphic jets of f*g
-    are the conjugates of those of gbar*fbar.  The lambda^t jet is exact up
-    to outer degree ``order - t`` and zero above it, all that a pairing
-    truncated at ``order`` reads, so g's jet lives in one ring of total
-    degree ``order`` in outer and inner offsets, f's in the ring of the
-    slots, and the order-r tensors on the outer monomials of degree
-    <= order - r.  Lower orders are
+    f and g are given in the frame of the base point e = sqrt(mu) [1_p; 0]
+    (``geometry.rotate``).  Returns (ring, [jet per lambda order]); the
+    antiholomorphic jets of f*g are the conjugates of those of gbar*fbar.
+    The lambda^t jet is exact up to outer degree ``order - t`` and zero
+    above it, all that a pairing truncated at ``order`` reads, so g's jet
+    lives in one ring of total degree ``order`` in outer and inner offsets,
+    f's in the ring of the slots, and the order-r tensors on the outer
+    monomials of degree <= order - r.  Lower orders are
     prefixes of the ring of outer offsets, so each lambda^t product runs
     on that ring's own table, over the degree blocks up to order - t, and
     the series opens no ring but its two.
 
     Pi = Z (Zbar Z)^-1 Zbar is unchanged by Zbar -> A Zbar; with
-    A = mu (zetabar0 zeta)^-1 the pair (zeta0 + O, A zetabar0) stays on the
-    level set, given zetabar0 zeta0 = mu.  So f, with holomorphic inner
-    offsets V, is read at (zeta0 + O + V, zetabar0), a function of O + V
-    alone: with c its jet at zeta0 + x in the slot variables x, its
-    coefficient at O^m V^s is c_(m+s) prod_v C(m_v + s_v, m_v), so its
-    inner tensors on the outer monomials m are c_(m+s) (m+s)! / m!, read
-    off a ``chart_jets`` call like ``star_eval``'s, on the outer ring.
-    g, with antiholomorphic inner offsets W, is read at
-    (zeta, zetabar0 + A^-1 W^T), A^-1 affine in O, by ``eval_function``
-    and its one p x p jet inverse.
+    A = mu (e^H zeta)^-1 the pair (e + O, A e^H) stays on the level set.
+    So f, with holomorphic inner offsets V, is read at (e + O + V, e^H), a
+    function of O + V alone: with c its jet at e + x in the slot variables
+    x, its coefficient at O^m V^s is c_(m+s) prod_v C(m_v + s_v, m_v), so
+    its inner tensors on the outer monomials m are c_(m+s) (m+s)! / m!,
+    read off a ``base_chart`` call like ``star_eval``'s, on the outer
+    ring.  g, with antiholomorphic inner offsets W, is read at
+    (zeta, e^H + A^-1 W^T), A^-1 affine in O, by ``eval_function`` and its
+    one p x p jet inverse.
     Raises ``RangeError`` for an order that is not a nonnegative integer
     and over the memory budget.
     """
     _check_order(order)
     n, p = cfg.n, cfg.p
     nz = n * p
-    _check_memory(n, p, order, series=True)
+    _check_memory(n, p, order, chart_degree([f], order), series=True)
     mu = Fraction(cfg.mu)
     slots = np.arange(nz).reshape(n, p)
     R_out = shared_ring(nz, order)
-    (jf,) = chart_jets([f], R_out, zeta0.z, _unit_slots(n, p), zeta0.zbar)
+    (jf,) = base_chart([f], R_out, p, mu)
     # variables 0..nz-1 are the outer offsets, nz..2nz-1 the inner ones
     total = shared_ring(2 * nz, order)
-    zeta = MatrixJet.from_numeric(total, zeta0.z) + MatrixJet.variables(total, slots)
-    Zbpt = MatrixJet.from_numeric(total, zeta0.zbar)
+    e = base_point(cfg)
+    zeta = MatrixJet.from_numeric(total, e.z) + MatrixJet.variables(total, slots)
+    Zbpt = MatrixJet.from_numeric(total, e.zbar)
     Zbg = Zbpt + (Zbpt @ zeta).scale(1 / float(mu)) @ MatrixJet.variables(total, nz + slots.T)
     jg = eval_function(g, zeta, Zbg)
 
@@ -619,18 +623,22 @@ def star_jet_series(f, g, zeta0: PointZ, cfg: SpaceConfig, order: int):
 def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
     """Per-lambda-order residual of ((f*g)*h - f*(g*h)) at a point.
 
-    The left association pairs the jets of f*g in holomorphic offsets with
-    h, the right one pairs f with those of g*h in antiholomorphic ones, the
-    conjugates of the jets of hbar*gbar.  The third factors are read as in
-    ``star_eval``: f's holomorphic and h's antiholomorphic tensors, from one chart.
+    f, g and h are rotated into the frame of z, in one batch, and every
+    product is read at the base point.  The left association pairs the jets
+    of f*g in holomorphic offsets with h, the right one pairs f with those
+    of g*h in antiholomorphic ones, the conjugates of the jets of
+    hbar*gbar.  The third factors are read as in ``star_eval``: f's
+    holomorphic and h's antiholomorphic tensors, from one chart.
     """
-    zeta0 = level_representative(z, cfg.mu)
     n, p = cfg.n, cfg.p
-    DF, DH = _derivative_tensors_at(f, h, zeta0, order)
+    f, g, h = rotate((f, g, h), frame(z))
+    hbar, gbar = h.conjugate(), g.conjugate()
+    _check_memory(n, p, order, chart_degree((f, g, h), order), series=True)
+    DF, DH = _derivative_tensors_at(f, hbar, cfg, order)
     W = _series_weights(p, Fraction(cfg.mu), order)
 
     def associate(a, b, DC, left: bool):
-        _, ab = star_jet_series(a, b, zeta0, cfg, order)
+        _, ab = star_jet_series(a, b, cfg, order)
         out = [0j] * (order + 1)
         for s in range(order + 1):
             D = multiset_tensors(ab[s], n, p, order)
@@ -640,7 +648,7 @@ def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
                 out[s + u] += ser[u]
         return out
 
-    right = associate(h.conjugate(), g.conjugate(), DF, False)
+    right = associate(hbar, gbar, DF, False)
     return [abs(a - b) for a, b in zip(associate(f, g, DH, True), right)]
 
 
@@ -669,7 +677,6 @@ def verify_suite(
         raise RangeError(f"verification needs order >= 1, got {order}")
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise RangeError(f"tolerance must be finite and nonnegative, got {tolerance}")
-    _check_memory(cfg.n, cfg.p, order, series=True)
     rng = np.random.default_rng(seed)
     checks = []
     params = {
@@ -696,6 +703,7 @@ def verify_suite(
     f = random_function_expr(cfg, rng)
     g = random_function_expr(cfg, rng)
     h = random_function_expr(cfg, rng)
+    _check_memory(cfg.n, cfg.p, order, chart_degree((f, g, h), order), series=True)
     zeta = level_representative(z, cfg.mu)
 
     one = FunctionExpr.one()

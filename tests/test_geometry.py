@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import grastar.jets
 from grastar import geometry
 from grastar.errors import ConvergenceError, GrastarError
 from grastar.geometry import (
@@ -13,15 +14,18 @@ from grastar.geometry import (
     PointZ,
     SpaceConfig,
     antiholomorphic_jet_point,
-    chart_jets,
+    base_chart,
+    base_point,
     check_invariant_u,
     eval_function,
+    frame,
     gram,
     holomorphic_jet_point,
     level_representative,
     momentum,
     poisson_bracket,
     random_function_expr,
+    rotate,
     sample_point,
     wick_product,
 )
@@ -219,13 +223,17 @@ def _one_sided_point(z, zb, order, holomorphic, mix):
     return MatrixJet.from_numeric(ring, z), MatrixJet.from_numeric(ring, zb) + MatrixJet(ring, V)
 
 
-def _chart(fs, Z, zb):
-    """``chart_jets`` at the affine jet matrix Z, read through its value and linear part."""
-    ring = Z.ring
-    V1 = np.zeros((ring.nvars, Z.rows, Z.cols), dtype=complex)
-    if ring.order:  # x_0, x_1, ... follow the constant, in variable order
-        V1[:] = Z.coeffs[:, :, 1 : 1 + ring.nvars].transpose(2, 0, 1)
-    return chart_jets(fs, ring, Z.value(), V1, zb)
+def _frame_point(z, Q, order, holomorphic):
+    """(Q Z, Zbar Q^H) for the jet point (Z, Zbar) at z with holomorphic or antiholomorphic offsets.
+
+    Pi(Q Z, Zbar Q^H) = Q Pi(Z, Zbar) Q^H, so an expression read there is
+    its ``rotate``d form read at (Z, Zbar).
+    """
+    Z, Zbar = _one_sided_point(z, z.conj().T, order, holomorphic, (np.eye(len(z)), np.eye(z.shape[1])))
+    return (
+        MatrixJet(Z.ring, np.einsum("ab,bck->ack", Q, Z.coeffs)),
+        MatrixJet(Z.ring, np.einsum("abk,cb->ack", Zbar.coeffs, Q.conj())),
+    )
 
 
 def _conjugate_transpose(M):
@@ -236,45 +244,77 @@ def _conjugate_transpose(M):
 @pytest.mark.parametrize("holomorphic", [True, False])
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
 def test_chart_route_matches_generic_route(p, q, holomorphic):
-    # chart_jets reads tr(B Pi) off the chart coordinate K at a point with Z
-    # affine and Zbar constant; generic eval_function forms
-    # Pi = Z (Zbar Z)^-1 Zbar with the jet inverse.  At a point whose
-    # antiholomorphic side is the affine one, Pi(Z, Zbar) is the conjugate
-    # transpose of Pi(Zbar^H, Z^H), so the chart of B^H there, conjugated,
-    # is the generic jet: the identity star_eval reads g's tensors by
-    cfg = SpaceConfig(p, q)
-    n = cfg.n
+    # base_chart reads tr(B Pi) off K = X2 (sqrt(mu) + X1)^-1 at the base
+    # point e, in the frame Q of a point; generic eval_function forms
+    # Pi = Z (Zbar Z)^-1 Zbar with the jet inverse at Q e, whose offsets are
+    # rotated by Q.  At a point whose antiholomorphic side is the affine one,
+    # Pi(Z, Zbar) is the conjugate transpose of Pi(Zbar^H, Z^H), so the
+    # chart of the conjugate expression, conjugated, is the generic jet: the
+    # identity star_eval reads g's tensors by.  Terms of up to three
+    # generators and a constant, orders 0 ... 5 (the chart's degree 0 ... 3)
+    # and three levels mu; the chart's K carries sqrt(mu)
     rng = np.random.default_rng(40 + 10 * p + q)
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    raw = sample_point(cfg, int(rng.integers(1000)))
-    zeta = level_representative(raw, cfg.mu).z
-    oblique = cplx(p, n)  # not z^t: 1 - z (zb z)^-1 zb is an oblique projector
-    bases = [(zeta, zeta.conj().T), (zeta, oblique), (raw.z, oblique)]
-    B = cplx(n, n)
-    f = FunctionExpr.generator(B)
-    for order in range(6):
-        for z, zb in bases:
-            Z, Zbar = _one_sided_point(z, zb, order, holomorphic, (cplx(n, n), cplx(p, p)))
-            ref = eval_function(f, Z, Zbar).coeffs
+    for mu in (Fraction(1), Fraction(3, 2), Fraction(2, 5)):
+        cfg = SpaceConfig(p, q, mu)
+        n = cfg.n
+        Q = frame(sample_point(cfg, int(rng.integers(1000))))
+        e = Q @ base_point(cfg).z
+        Bs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
+        f = FunctionExpr([(0.5 - 1j, Bs), (2.0, Bs[1:]), (1j, Bs[:1]), (-0.3, [])])
+        for order in range(6):
+            ref = eval_function(f, *_frame_point(base_point(cfg).z, Q, order, holomorphic)).coeffs
+            ring = shared_ring(n * p, order)
             if holomorphic:
-                (got,) = _chart([f], Z, Zbar.value())
+                (got,) = base_chart(rotate([f], Q), ring, p, mu)
             else:
-                (got,) = _chart([f.conjugate()], _conjugate_transpose(Zbar), Z.value().conj().T)
+                (got,) = base_chart(rotate([f.conjugate()], Q), ring, p, mu)
                 got.coeffs = got.coeffs.conj()
-            assert np.max(np.abs(got.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref)), (order, z is zeta)
+            assert got.coeffs[0] == pytest.approx(eval_function(f, PointZ(e)), rel=1e-13)
+            assert np.max(np.abs(got.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref)), (mu, order)
+
+
+def test_chart_table_is_built_once_per_ring_and_extended(monkeypatch):
+    # the jets of K's monomials depend on no point: one linear_fraction per
+    # ring, p and mu, kept on the ring and counted in its held bytes; a
+    # longer term extends the kept rows, which a fresh ring builds alike
+    charts = []
+    monkeypatch.setattr(geometry, "linear_fraction", lambda *a: charts.append(1) or linear_fraction(*a))
+    cfg = SpaceConfig(2, 2, Fraction(3, 2))
+    n, p, order = cfg.n, cfg.p, 4
+    rng = np.random.default_rng(41)
+    Bs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
+    short, long = FunctionExpr([(1.0, Bs[:1]), (2.0, [])]), FunctionExpr([(1j, Bs), (0.5, Bs[1:])])
+    ring = JetRing(n * p, order)
+    base_chart([short], ring, p, cfg.mu)
+    assert ring.kept[p, cfg.mu][0].order == 1 and ring.held == ring.nbytes
+    (got,) = base_chart([long], ring, p, cfg.mu)
+    assert ring.kept[p, cfg.mu][0].order == 3 and ring.held == ring.nbytes
+    base_chart([short, long], ring, p, cfg.mu)
+    assert charts == [1]
+    (fresh,) = base_chart([long], JetRing(n * p, order), p, cfg.mu)
+    assert np.array_equal(got.coeffs, fresh.coeffs)
+    # constants alone build no K, and the first generator on that ring does
+    ring = JetRing(n * p, order)
+    base_chart([FunctionExpr.constant(2.0)], ring, p, cfg.mu)
+    assert charts == [1, 1] and ring.kept[p, cfg.mu][1].shape == (1, ring.size)
+    (again,) = base_chart([long], ring, p, cfg.mu)
+    assert charts == [1, 1, 1] and np.array_equal(again.coeffs, fresh.coeffs)
+    # a ring of order 0 holds the constant monomial only
+    ring = JetRing(n * p, 0)
+    (value,) = base_chart([long], ring, p, cfg.mu)
+    assert charts == [1, 1, 1] and ring.kept[p, cfg.mu][1].shape == (1, 1)
+    assert value.value() == pytest.approx(eval_function(long, base_point(cfg)), rel=1e-13)
 
 
 @pytest.mark.parametrize("route", ["holomorphic", "antiholomorphic", "generic"])
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (3, 1)])
 def test_batched_generators_match_per_generator_reference(p, q, route, monkeypatch):
     # eval_function reads the distinct B of all its expressions off one Pi,
-    # with one jet inverse and no chart, at any jet point; chart_jets reads
-    # them off one K, with no inverse, where Zbar is constant.  Each must
-    # equal tr(B Pi) with Pi = Z (Zbar Z)^-1 Zbar formed on its own
+    # with one jet inverse and no chart, at any jet point; base_chart reads
+    # them off one K, with no inverse, at the base point in a frame.  Each
+    # must equal tr(B Pi) with Pi = Z (Zbar Z)^-1 Zbar formed on its own
     charts, inverses = [], []
+    monkeypatch.setattr(grastar.jets, "_rings", {})
     monkeypatch.setattr(geometry, "linear_fraction", lambda *a: charts.append(1) or linear_fraction(*a))
     monkeypatch.setattr(geometry, "mat_inverse", lambda M: inverses.append(1) or mat_inverse(M))
     cfg = SpaceConfig(p, q)
@@ -284,14 +324,17 @@ def test_batched_generators_match_per_generator_reference(p, q, route, monkeypat
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    zeta = level_representative(sample_point(cfg, int(rng.integers(1000))), cfg.mu).z
+    Q = frame(sample_point(cfg, int(rng.integers(1000))))
+    zeta = Q @ base_point(cfg).z
     mix = (cplx(n, n), cplx(p, p))
     if route == "generic":
         # both sides vary, in the same variables
         Z, _ = _one_sided_point(zeta, zeta.conj().T, order, True, mix)
         _, Zbar = _one_sided_point(zeta, zeta.conj().T, order, False, mix)
+    elif route == "holomorphic":
+        Z, Zbar = _frame_point(base_point(cfg).z, Q, order, True)
     else:
-        Z, Zbar = _one_sided_point(zeta, zeta.conj().T, order, route == "holomorphic", mix)
+        Z, Zbar = _one_sided_point(zeta, zeta.conj().T, order, False, mix)
     Bs = [cplx(n, n) for _ in range(4)]
     # B_0 occurs in every expression, B_1 twice in one term
     fs = [
@@ -302,7 +345,7 @@ def test_batched_generators_match_per_generator_reference(p, q, route, monkeypat
     results = [eval_function(fs, Z, Zbar)]
     assert (len(charts), len(inverses)) == (0, 1)
     if route == "holomorphic":
-        results.append(_chart(fs, Z, Zbar.value()))
+        results.append(base_chart(rotate(fs, Q), shared_ring(n * p, order), p, cfg.mu))
         assert (len(charts), len(inverses)) == (1, 1)
     Pi = Z @ mat_inverse(Zbar @ Z) @ Zbar
     ring = Z.ring
@@ -322,28 +365,29 @@ def test_batched_generators_match_per_generator_reference(p, q, route, monkeypat
 
 def test_two_generator_terms_sum_in_one_table_pass(monkeypatch):
     # sum_t c_t g_t1 g_t2 over the terms of two generators of one expression
-    # is one scatter through the table, however many terms there are; terms
-    # of one generator and constants take none
+    # is one scatter through a table, however many terms there are; terms
+    # of one generator and constants take none.  The chart expands it on the
+    # ring of K's entries and passes over no table of the slot ring once its
+    # monomials of K are built
     cfg = SpaceConfig(2, 2)
-    n, order = cfg.n, 3
+    n, p, order = cfg.n, cfg.p, 3
     rng = np.random.default_rng(19)
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    zeta = level_representative(sample_point(cfg, 19), cfg.mu).z
-    ring = shared_ring(n * cfg.p, order)
-    V1 = np.eye(n * cfg.p).reshape(-1, n, cfg.p)
+    ring = JetRing(n * p, order)
     Bs = [cplx(n, n) for _ in range(4)]
     terms = [(2 - 1j, [Bs[0], Bs[1]]), (0.5, [Bs[2], Bs[2]]), (1j, [Bs[3], Bs[0]])]
     f = FunctionExpr(terms + [(0.3, [Bs[1]]), (-1.0, [])])
+    gens = base_chart([FunctionExpr.generator(B) for B in Bs], ring, p, cfg.mu)
+    base_chart([f], ring, p, cfg.mu)
     dots = []
     dot = JetRing._dot
-    monkeypatch.setattr(JetRing, "_dot", lambda self, *args: dots.append(1) or dot(self, *args))
-    (got,) = chart_jets([f], ring, zeta, V1, zeta.conj().T)
-    assert len(dots) == 1
+    monkeypatch.setattr(JetRing, "_dot", lambda self, *args: dots.append(self.nvars) or dot(self, *args))
+    (got,) = base_chart([f], ring, p, cfg.mu)
+    assert dots == [cfg.q * p]
     monkeypatch.undo()
-    gens = chart_jets([FunctionExpr.generator(B) for B in Bs], ring, zeta, V1, zeta.conj().T)
     tr = {B.tobytes(): jet for B, jet in zip(Bs, gens)}
     want = tr[Bs[1].tobytes()] * 0.3 - 1.0
     for coeff, (B1, B2) in terms:
@@ -358,8 +402,8 @@ def test_eval_function_at_a_jet_point_never_reads_the_chart(route, monkeypatch):
     def refuse(*args):
         raise AssertionError("eval_function read the chart")
 
-    monkeypatch.setattr(geometry, "linear_fraction", refuse)
-    monkeypatch.setattr(geometry, "chart_jets", refuse)
+    for name in ("linear_fraction", "base_chart", "_chart_table", "frame", "rotate"):
+        monkeypatch.setattr(geometry, name, refuse)
     cfg = SpaceConfig(2, 1)
     rng = np.random.default_rng(17)
     zeta = level_representative(sample_point(cfg, 17), cfg.mu).z
@@ -381,24 +425,33 @@ def test_eval_function_of_several_expressions_at_a_numeric_point():
     assert eval_function([], z) == []
 
 
-@pytest.mark.parametrize("jet_point", [holomorphic_jet_point, antiholomorphic_jet_point])
-def test_chart_route_keeps_conditioning_check(jet_point):
+@pytest.mark.parametrize("holomorphic", [True, False])
+def test_frame_route_reads_a_point_the_jet_inverse_refuses(holomorphic):
     # singular values 1 and 1e-5 give the Gram matrix condition number 1e10,
-    # past the jet inverse's bound; the chart and the generic route refuse
-    # it with one message
+    # past the jet inverse's bound, which the generic route keeps; the frame
+    # of the point spans the same column space with orthonormal columns, so
+    # the chart at the base point reads the jets there that the generic
+    # route reads at the frame point
     rng = np.random.default_rng(13)
-    Q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-    z = PointZ(Q[:, :2] @ np.diag([1.0, 1e-5]))
-    _, Z, Zbar = jet_point(z, 2)
+    Q0 = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    z = PointZ(Q0[:, :2] @ np.diag([1.0, 1e-5]))
+    point = holomorphic_jet_point if holomorphic else antiholomorphic_jet_point
+    _, Z, Zbar = point(z, 2)
     with pytest.raises(ConvergenceError) as inverse:
         mat_inverse(Zbar @ Z)
     assert "cond 1.00e+10" in str(inverse.value)
-    f = FunctionExpr.generator(np.eye(3))
+    B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    f = FunctionExpr.generator(B)
     with pytest.raises(ConvergenceError) as generic:
         eval_function(f, Z, Zbar)
-    with pytest.raises(ConvergenceError) as chart:
-        _chart([f], Z, Zbar.value())
-    assert str(generic.value) == str(chart.value) == str(inverse.value)
+    assert str(generic.value) == str(inverse.value)
+    cfg = SpaceConfig(2, 1)
+    Q = frame(z)
+    ref = eval_function(f, *_frame_point(base_point(cfg).z, Q, 2, holomorphic)).coeffs
+    (got,) = base_chart(rotate([f if holomorphic else f.conjugate()], Q), shared_ring(6, 2), 2, cfg.mu)
+    got = got.coeffs if holomorphic else got.coeffs.conj()
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert got[0] == pytest.approx(eval_function(f, z), rel=1e-9)
 
 
 def test_eval_function_jet_needs_zbar():

@@ -392,12 +392,14 @@ def test_shared_ring_cache_is_bounded(monkeypatch):
 
 
 def test_ring_nbytes_counts_what_it_builds():
+    # held follows every build and every kept part; nbytes recounts them
     ring = JetRing(4, 3)
     maps = ring.nbytes
     assert maps == sum(a.nbytes for a in (ring._up, ring._parent, ring._last, ring.degree, ring.dfact))
+    assert ring.held == maps
     ring.warm()
     table = sum(a.nbytes for a in ring._table) + ring._offsets.nbytes + ring._targets.nbytes
-    assert ring.nbytes == maps + table
+    assert ring.nbytes == ring.held == maps + table
     ring.degree_shift()
     idx = ring.multiset_indices(2, 2, 2)
     # the shift map of every degree above 0, and the one gather of orders
@@ -405,7 +407,16 @@ def test_ring_nbytes_counts_what_it_builds():
     below = (ring.size - 1) * ring.nvars * np.dtype(np.intp).itemsize
     gather, weights, _, _ = ring.multiset_gather(2, 2)
     assert gather.size == weights.size == 1 + 2 * 2 + 3 * 4 + 4 * 8 and np.shares_memory(idx, gather)
-    assert ring.nbytes == maps + table + below + gather.nbytes + weights.nbytes
+    built = maps + table + below + gather.nbytes + weights.nbytes
+    assert ring.nbytes == ring.held == built
+    ring.monos
+    assert ring.nbytes == ring.held == built + ring.monos.nbytes
+    # a kept part replaces what was kept under its key; a kept ring counts whole
+    small = JetRing(2, 2).warm()
+    ring.keep("part", (small, np.zeros(5)))
+    assert ring.nbytes == ring.held == built + ring.monos.nbytes + small.nbytes + 40
+    ring.keep("part", (np.zeros(2),))
+    assert ring.nbytes == ring.held == built + ring.monos.nbytes + 16
 
 
 def test_table_multiply_allocates_only_its_result():

@@ -26,11 +26,15 @@ from grastar.geometry import (
     PointZ,
     SpaceConfig,
     antiholomorphic_jet_point,
+    base_chart,
+    base_point,
     eval_function,
+    frame,
     holomorphic_jet_point,
     level_representative,
     poisson_bracket,
     random_function_expr,
+    rotate,
     sample_point,
     wick_product,
 )
@@ -311,37 +315,66 @@ def test_star_eval_matches_full_tensor_reference(p, q, order):
         assert _close(got, _reference_star_eval(f, g, cfg, z, order, lam=lam))
 
 
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 1), (2, 2)])
+def test_star_eval_reads_long_terms_and_constants_off_the_chart(p, q):
+    # terms of three and four generators raise the chart's degree D in K to
+    # 3 and 4, a factor of constants alone has D = 0, and an order below D
+    # (order 0 among them) truncates K's monomials at the order
+    cfg = SpaceConfig(p, q, Fraction(3, 2))
+    n = cfg.n
+    rng = np.random.default_rng(30 + 10 * p + q)
+    z = sample_point(cfg, 30 + 10 * p + q)
+
+    def gen():
+        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+
+    three = FunctionExpr([(0.7 - 0.2j, [gen(), gen(), gen()]), (0.5, [gen()]), (-1.0, [])])
+    four = FunctionExpr([(1j, [gen(), gen(), gen(), gen()]), (0.3, [gen(), gen()])])
+    const = FunctionExpr.constant(2 - 1j)
+    for f, g in ((three, four), (four, three), (const, four), (three, const)):
+        for order in range(5):
+            want = _reference_star_eval(f, g, cfg, z, order)
+            assert _close(star_eval(f, g, cfg, z, order).coeffs, want), order
+            for lam in (Fraction(1, 10), 0.05 + 0.2j):
+                want = _reference_star_eval(f, g, cfg, z, order, lam=lam)
+                assert _close(star_eval(f, g, cfg, z, order, lam=lam), want), (order, lam)
+
+
 @pytest.mark.parametrize("outer_holomorphic", [True, False])
 @pytest.mark.parametrize("p,q,order", [(2, 1, 3), (1, 2, 3), (2, 2, 2)])
 def test_star_jet_series_matches_full_tensor_reference(p, q, order, outer_holomorphic):
+    # the series runs at the base point, its factors given in its frame
     cfg = SpaceConfig(p, q, Fraction(2))
     rng = np.random.default_rng(p + 5 * q)
     f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
-    zeta0 = level_representative(sample_point(cfg, p + 5 * q), cfg.mu)
     if outer_holomorphic:
-        got = [jet.coeffs for jet in star_jet_series(f, g, zeta0, cfg, order)[1]]
+        got = [jet.coeffs for jet in star_jet_series(f, g, cfg, order)[1]]
     else:
         # the antiholomorphic jets of f*g are the conjugates of the holomorphic ones of gbar*fbar
-        _, jets = star_jet_series(g.conjugate(), f.conjugate(), zeta0, cfg, order)
+        _, jets = star_jet_series(g.conjugate(), f.conjugate(), cfg, order)
         got = [jet.coeffs.conj() for jet in jets]
-    want = _reference_star_jet_series(f, g, zeta0, cfg, order, outer_holomorphic)
+    want = _reference_star_jet_series(f, g, base_point(cfg), cfg, order, outer_holomorphic)
     assert _close(np.array(got), np.array(want))
 
 
 @pytest.mark.parametrize("p,q,order", [(2, 1, 3), (1, 2, 3), (2, 2, 2)])
 def test_associativity_matches_full_tensor_reference(p, q, order):
     # the residuals are rounding errors of the two associations; both
-    # routes must leave them within 1e-12 of the associated values
-    cfg = SpaceConfig(p, q, Fraction(1))
-    rng = np.random.default_rng(7 * p + q)
-    z = sample_point(cfg, 7 * p + q)
-    f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
-    left, right = _reference_associations(f, g, h, cfg, z, order)
-    scale = np.max(np.abs(left))
-    want = np.abs(left - right)
-    got = np.array(associativity_residuals(f, g, h, cfg, z, order))
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
-    assert np.max(got) <= 1e-12 * scale
+    # routes must leave them within 1e-12 of the associated values.  The
+    # reference reads every factor at the level representative of z, the
+    # product in the frame of z at the base point, whose chart carries
+    # sqrt(mu): mu = 1 alone would not see it
+    for mu in (Fraction(1), Fraction(3, 2), Fraction(2, 5)):
+        cfg = SpaceConfig(p, q, mu)
+        rng = np.random.default_rng(7 * p + q)
+        z = sample_point(cfg, 7 * p + q)
+        f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
+        left, right = _reference_associations(f, g, h, cfg, z, order)
+        scale = np.max(np.abs(left))
+        want = np.abs(left - right)
+        got = np.array(associativity_residuals(f, g, h, cfg, z, order))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, mu
+        assert np.max(got) <= 1e-12 * scale, mu
 
 
 def test_unit_element():
@@ -508,13 +541,13 @@ def test_shape_mismatch_rejected():
 def test_antiholomorphic_tensors_are_conjugates_of_the_conjugate_function(p, q, order):
     # with V the offsets, g(z, zb + V^T) and gbar(z + V, zb) have complex
     # conjugate coefficients: star_eval reads g's antiholomorphic tensors as
-    # the conjugates of g.conjugate()'s holomorphic ones, at one jet point,
-    # from chart_jets.  Both that production route and the generic one at the
-    # holomorphic point must give the generic g at the antiholomorphic point
+    # the conjugates of g.conjugate()'s holomorphic ones, from one chart at
+    # the base point.  Both that production route and the generic one at
+    # the holomorphic point must give the generic g at the antiholomorphic point
     cfg = SpaceConfig(p, q, Fraction(3, 2))
     n = cfg.n
     rng = np.random.default_rng(70 + 10 * p + q)
-    zeta = level_representative(sample_point(cfg, 70 + p), cfg.mu)
+    zeta = base_point(cfg)
     gs = [random_function_expr(cfg, rng, nterms=3) + FunctionExpr.constant(0.3 - 2j)]
     gs.append(FunctionExpr.constant(0.3 - 2j))
     _, Z, Zbar = holomorphic_jet_point(zeta, order)
@@ -524,7 +557,7 @@ def test_antiholomorphic_tensors_are_conjugates_of_the_conjugate_function(p, q, 
         want = multiset_tensors(eval_function(g, Za, Zbara), n, p, order)
         generic = [D.conj() for D in multiset_tensors(gbar_jet, n, p, order)]
         # f = g: the first tensors are g's holomorphic ones, checked against the generic route too
-        DFs, chart = _derivative_tensors_at(g, g, zeta, order)
+        DFs, chart = _derivative_tensors_at(g, g.conjugate(), cfg, order)
         holomorphic = multiset_tensors(eval_function(g, Z, Zbar), n, p, order)
         for got, ref in ((generic, want), (chart, want), (DFs, holomorphic)):
             scale = max(np.max(np.abs(D)) for D in ref)
@@ -533,33 +566,61 @@ def test_antiholomorphic_tensors_are_conjugates_of_the_conjugate_function(p, q, 
 
 
 def test_star_eval_builds_one_chart(monkeypatch):
-    # f and the conjugate of g share one jet point and one K; no jet is
-    # inverted and no antiholomorphic jet point is made
-    charts = []
+    # f and the conjugate of g share one K, which depends on no point: a
+    # cold product builds it once, a warm one at another point reads the
+    # kept jets of its monomials, with no linear_fraction and no pass over
+    # the slot ring's table.  No jet is inverted, no antiholomorphic jet
+    # point is made and no level representative is formed
+    charts, dots = [], []
 
     def counting_fraction(*args):
         charts.append(1)
         return linear_fraction(*args)
 
     def refuse(*args):
-        raise AssertionError("a second jet point or a jet inverse on the star_eval path")
+        raise AssertionError("a second jet point, a jet inverse or a level representative on the star_eval path")
 
+    dot = JetRing._dot
+    monkeypatch.setattr(grastar.jets, "_rings", {})
     monkeypatch.setattr(grastar.geometry, "linear_fraction", counting_fraction)
+    monkeypatch.setattr(JetRing, "_dot", lambda self, *args: dots.append(self.nvars) or dot(self, *args))
     monkeypatch.setattr(grastar.geometry, "mat_inverse", refuse)
+    monkeypatch.setattr(grastar.star, "level_representative", refuse)
     for module in (grastar.geometry, grastar.star):
         monkeypatch.setattr(module, "antiholomorphic_jet_point", refuse, raising=False)
     cfg = SpaceConfig(2, 2, Fraction(1))
+    nz = cfg.n * cfg.p
     rng = np.random.default_rng(71)
     f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
-    z = sample_point(cfg, 71)
+    star_eval(f, g, cfg, sample_point(cfg, 71), 3)
+    assert charts == [1] and nz in dots
     for lam in (None, Fraction(1, 10)):
-        before = len(charts)
-        star_eval(f, g, cfg, z, 3, lam=lam)
-        assert len(charts) - before == 1
+        dots.clear()
+        star_eval(g, f, cfg, sample_point(cfg, 72), 3, lam=lam)
+        assert charts == [1] and nz not in dots
+
+
+def test_warm_star_eval_recounts_no_held_bytes(monkeypatch):
+    # the memory check reads each shared ring's held bytes, kept current as
+    # the ring builds or keeps something; a warm product recounts none
+    cfg = SpaceConfig(2, 2)
+    rng = np.random.default_rng(78)
+    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+    for order, lam in ((3, None), (2, Fraction(1, 10))):
+        star_eval(f, g, cfg, sample_point(cfg, 78), order, lam=lam)
+    recounts = []
+    nbytes = JetRing.nbytes
+    monkeypatch.setattr(JetRing, "nbytes", property(lambda self: recounts.append(1) or nbytes.fget(self)))
+    for order, lam in ((3, None), (2, Fraction(1, 10))):
+        star_eval(g, f, cfg, sample_point(cfg, 79), order, lam=lam)
+    assert recounts == []
+    monkeypatch.undo()
+    assert len(grastar.jets._rings) > 1
+    assert all(ring.held == ring.nbytes for ring in grastar.jets._rings.values())
 
 
 def test_product_path_builds_no_jet_point(monkeypatch):
-    # the chart is read at the numeric point with the unit slot tensor:
+    # the chart is read at the base point off the jets kept on the ring:
     # neither a jet point nor any n x p jet matrix is formed
     def refuse(*args):
         raise AssertionError("a jet point on the star_eval path")
@@ -574,7 +635,7 @@ def test_product_path_builds_no_jet_point(monkeypatch):
     z = sample_point(cfg, 74)
     series = star_eval(f, g, cfg, z, 3)
     value = star_eval(f, g, cfg, z, 3, lam=Fraction(1, 10))
-    DFs, DGs = _derivative_tensors_at(f, g, level_representative(z, cfg.mu), 3)
+    DFs, DGs = _derivative_tensors_at(*rotate((f, g.conjugate()), frame(z)), cfg, 3)
     monkeypatch.undo()
     assert series.coeffs == star_eval(f, g, cfg, z, 3).coeffs
     assert value == star_eval(f, g, cfg, z, 3, lam=Fraction(1, 10))
@@ -620,6 +681,7 @@ def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch):
     def refuse(*args):
         raise AssertionError("an antiholomorphic jet point on the associativity path")
 
+    monkeypatch.setattr(grastar.jets, "_rings", {})
     monkeypatch.setattr(grastar.geometry, "linear_fraction", counting_fraction)
     monkeypatch.setattr(grastar.geometry, "mat_inverse", counting_inverse)
     for module in (grastar.geometry, grastar.star):
@@ -628,18 +690,20 @@ def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch):
     rng = np.random.default_rng(72)
     f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
     assert max(associativity_residuals(f, g, h, cfg, sample_point(cfg, 72), 2)) < 1e-10
-    # one chart for the third factors f and hbar, and one for the first
-    # factor of each jet series, f*g and hbar*gbar, read with one side
-    # constant; their second factors g and gbar vary on both sides and take
-    # the generic route, one p x p jet inverse each
-    assert len(charts) == 3
+    # the third factors f and hbar, and the first factor of each jet
+    # series, f*g and hbar*gbar, are read with one side constant off one
+    # chart of the ring of slots, whose K is built once; the second factors
+    # g and gbar vary on both sides and take the generic route, one p x p
+    # jet inverse each
+    assert len(charts) == 1
     assert inverses == [cfg.p, cfg.p]
 
 
 def test_jet_series_reads_f_on_the_ring_of_slots(monkeypatch):
     # f of a jet series depends on O + V alone, so its tensors are re-indexed
-    # from the chart on the ring of n p variables: a cold check charts nothing
-    # and builds no degree-shift map on the ring of 2 n p outer and inner offsets
+    # from the chart on the ring of n p variables: a cold check builds K once,
+    # there, and no chart or degree-shift map on the ring of 2 n p outer and
+    # inner offsets
     charted, shifted = [], []
 
     def counting_fraction(ring, *args):
@@ -660,7 +724,7 @@ def test_jet_series_reads_f_on_the_ring_of_slots(monkeypatch):
     rng = np.random.default_rng(76)
     f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
     assert max(associativity_residuals(f, g, h, cfg, sample_point(cfg, 76), 3)) < 1e-10
-    assert charted == [nz] * 3
+    assert charted == [nz]
     assert shifted == [nz]
 
 
@@ -704,7 +768,7 @@ def test_order_must_be_a_nonnegative_integer(order):
     rng = np.random.default_rng(74)
     f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
     z = sample_point(cfg, 74)
-    zeta0 = level_representative(z, cfg.mu)
+    zeta = level_representative(z, cfg.mu)
     with pytest.raises(RangeError, match="nonnegative integer"):
         star_eval(f, g, cfg, z, order)
     with pytest.raises(RangeError, match="nonnegative integer"):
@@ -712,10 +776,10 @@ def test_order_must_be_a_nonnegative_integer(order):
     with pytest.raises(RangeError, match="nonnegative integer"):
         projective_star_eval(f, g, cfg, z, order)
     with pytest.raises(RangeError, match="nonnegative integer"):
-        star_jet_series(f, g, zeta0, cfg, order)
+        star_jet_series(f, g, cfg, order)
     # order 0 is the pointwise product
     assert star_eval(f, g, cfg, z, np.int64(0)).coeffs[0] == pytest.approx(
-        eval_function(f, zeta0) * eval_function(g, zeta0), rel=1e-12
+        eval_function(f, zeta) * eval_function(g, zeta), rel=1e-12
     )
 
 
@@ -1000,12 +1064,12 @@ def test_star_jet_series_first_order_matches_finite_differences(p, q, mu, outer_
     rng = np.random.default_rng(p + 2 * q)
     f = random_function_expr(cfg, rng)
     g = random_function_expr(cfg, rng)
-    zeta0 = level_representative(sample_point(cfg, 14), mu)
+    zeta0 = base_point(cfg)
     if outer_holomorphic:
-        ring, jets = star_jet_series(f, g, zeta0, cfg, order)
+        ring, jets = star_jet_series(f, g, cfg, order)
     else:
         # the antiholomorphic jets of f*g are the conjugates of the holomorphic ones of gbar*fbar
-        ring, jets = star_jet_series(g.conjugate(), f.conjugate(), zeta0, cfg, order)
+        ring, jets = star_jet_series(g.conjugate(), f.conjugate(), cfg, order)
         jets = [Jet(ring, jet.coeffs.conj()) for jet in jets]
     # the lambda^t jet is exact up to outer degree order - t and zero above
     for t, jet in enumerate(jets):
@@ -1036,11 +1100,10 @@ def test_star_jet_series_holds_tensors_on_the_graded_prefix():
     cfg = SpaceConfig(3, 1, Fraction(1))
     rng = np.random.default_rng(0)
     f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
-    zeta0 = level_representative(sample_point(cfg, 3), cfg.mu)
-    star_jet_series(f, g, zeta0, cfg, 3)
+    star_jet_series(f, g, cfg, 3)
     tracemalloc.start()
     try:
-        star_jet_series(f, g, zeta0, cfg, 3)
+        star_jet_series(f, g, cfg, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1076,11 +1139,12 @@ def test_memory_estimate_counts_the_frames_it_does_not_list(n, p, order):
     ]
     projected = max(2 * F * entries for F, entries in zip(frames, outer))
     # beside them, terms that list no frame: the jet point of star_jet_series,
-    # which reads g alone, and the ring of the returned jets
+    # which reads g alone, the chart's jets of K's monomials of degree <= 2
+    # that the ring of slots keeps, and the ring of the returned jets
     nz = n * p
     point = (6 * n * p + max(2 * n * p + 2 * n * n, 8 * p * p)) * comb(2 * nz + order, order)
-    point += check_memory(nz, order) // 8
-    (_, _, _, matrices), _ = _memory_terms(n, p, order, True)
+    point += 2 * comb((n - p) * p + 2, 2) * comb(nz + order, order) + check_memory(nz, order) // 8
+    (_, _, _, matrices), _ = _memory_terms(n, p, order, True, 2)
     assert matrices == stacks + max(build, 2 * p ** (2 * order)) + projected + point
 
 
@@ -1093,27 +1157,33 @@ def test_memory_estimate_refuses_a_large_order_listing_no_frame(monkeypatch):
     monkeypatch.setattr(grastar.star, "_frames", refuse)
     for n, p, order in ((9, 8, 100), (2, 1, 10**6)):
         with pytest.raises(RangeError, match="budget"):
-            _check_memory(n, p, order)
-    _check_memory(3, 2, 12)
+            _check_memory(n, p, order, 2)
+    _check_memory(3, 2, 12, 2)
 
 
 def test_memory_estimate_counts_the_chart_jet_point():
-    # the chart jet point holds dense complex Z, Zbar and K: at (24, 1, 2)
-    # Z alone is 1.6 GiB.  The gather that builds K goes in slices of at most
-    # _CHUNK entries, and one slice is counted: (7, 1, 4), whose one-shot
-    # gather was 2.66 GiB, peaked at 1.33 GiB resident against its 1.85 GiB
-    # estimate, and (2, 1, 12), whose order-12 stack is 0.88 GiB, at
-    # 1.57 GiB; both fit
+    # the chart's ring keeps the jets of K's monomials of degree <= D, the
+    # factors' longest term: C(q p + D, D) complex jets.  Beside them it
+    # holds, while they are built, K and one gather slice of at most _CHUNK
+    # entries, and the jets of f and gbar.  No jet point is formed: the old
+    # estimate's n x p and p x n jets Z and Zbar are gone.  (7, 1, 4) and
+    # (2, 1, 12) at lambda = 1/10 run; (24, 1, 2) is refused by its ring
     n, p, order = 8, 7, 4
+    qp, size = (n - p) * p, comb(n * p + order, order)
     stacks = sum(len(_frames(r, p)[0]) * p ** (2 * r) for r in range(order + 1))
-    gather = (n - p) * p * n * p * comb(n * p + order - 1, order)
-    point = 2 * p * (3 * n - p) * comb(n * p + order, order) + 2 * min(grastar.jets._CHUNK, gather)
-    ((_, _, _, matrices),) = _memory_terms(n, p, order, False)
-    assert matrices == stacks + point
-    _check_memory(n, p, order)
-    _check_memory(3, 2, 12)
+    # the build of the top order's projectors, held at another time
+    transient = p ** (2 * order) * (1 + max(map(len, _frames(order, p)[2])))
+    gather = qp * n * p * comb(n * p + order - 1, order)
+    for degree in range(order + 1):
+        kept = 2 * comb(qp + degree, degree) * size
+        build = 2 * (qp * (size + 1) + min(grastar.jets._CHUNK, gather)) if degree else 0
+        ((_, _, _, matrices),) = _memory_terms(n, p, order, False, degree)
+        assert matrices == stacks + max(kept + build + 4 * size, transient)
+        assert degree < 2 or kept + build > transient
+    _check_memory(n, p, order, 2)
+    _check_memory(3, 2, 12, 2)
     with pytest.raises(RangeError, match="budget"):
-        _check_memory(25, 24, 2)
+        _check_memory(25, 24, 2, 2)
 
 
 def test_memory_check_counts_and_drops_the_stacks_of_other_sizes(monkeypatch):
@@ -1127,21 +1197,21 @@ def test_memory_check_counts_and_drops_the_stacks_of_other_sizes(monkeypatch):
     own = {(r, 2) for r in range(4)}
     others = {(r, 3) for r in range(6)} | {(4, 2)}
     held = sum(grastar.star._stacks[key][2].nbytes for key in others)
-    need = max(check_memory(*args) for args in _memory_terms(3, 2, 3, False))
+    need = max(check_memory(*args) for args in _memory_terms(3, 2, 3, False, 2))
     # under the default budget, as when star-fixed-high alternates p, nothing goes
-    _check_memory(3, 2, 3)
+    _check_memory(3, 2, 3, 2)
     assert set(grastar.star._stacks) == own | others
     monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + held)
-    _check_memory(3, 2, 3)
+    _check_memory(3, 2, 3, 2)
     assert set(grastar.star._stacks) == own | others
     monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + held - 1)
-    _check_memory(3, 2, 3)
+    _check_memory(3, 2, 3, 2)
     assert set(grastar.star._stacks) == own
     # a product over the budget on its own is refused and drops nothing
     _isotypic_projectors(2, 1)
     monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need - 1)
     with pytest.raises(RangeError, match="budget"):
-        _check_memory(3, 2, 3)
+        _check_memory(3, 2, 3, 2)
     assert set(grastar.star._stacks) == own | {(0, 1), (1, 1), (2, 1)}
 
 
@@ -1161,32 +1231,33 @@ def test_memory_check_counts_and_drops_the_rings_of_other_shapes(monkeypatch):
     for key in own | series | others:
         shared_ring(*key).warm()
     stacks = sum(grastar.star._stacks[key][2].nbytes for key in grastar.star._stacks if key[0] > 3)
-    # the series rings are other shapes to star_eval
+    # the series rings are other shapes to star_eval; a chart kept on a ring counts with it
+    base_chart([FunctionExpr.generator(np.eye(4))], shared_ring(4, 5), 1, Fraction(1))
     held = sum(grastar.jets._rings[key].nbytes for key in series | others)
-    need = max(check_memory(*args) for args in _memory_terms(3, 2, 3, False))
-    _check_memory(3, 2, 3)
+    need = max(check_memory(*args) for args in _memory_terms(3, 2, 3, False, 2))
+    _check_memory(3, 2, 3, 2)
     assert set(grastar.jets._rings) == own | series | others
     monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + stacks + held)
-    _check_memory(3, 2, 3)
+    _check_memory(3, 2, 3, 2)
     assert set(grastar.jets._rings) == own | series | others
     # one byte less: the rings go, the stacks stay
     monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + stacks + held - 1)
-    _check_memory(3, 2, 3)
+    _check_memory(3, 2, 3, 2)
     assert set(grastar.jets._rings) == own
     assert (4, 2) in grastar.star._stacks
     # a star_jet_series keeps its own rings and drops the others
     monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", MEMORY_BUDGET)
     for key in series | others:
         shared_ring(*key)
-    need = max(check_memory(*args) for args in _memory_terms(3, 2, 3, True))
+    need = max(check_memory(*args) for args in _memory_terms(3, 2, 3, True, 2))
     monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + stacks)
-    _check_memory(3, 2, 3, series=True)
+    _check_memory(3, 2, 3, 2, series=True)
     assert set(grastar.jets._rings) == own | series
     assert (4, 2) in grastar.star._stacks
     # the rings and then the stacks go when the product fits only without both
     shared_ring(4, 5)
     monkeypatch.setattr(grastar.jets, "MEMORY_BUDGET", need + stacks - 1)
-    _check_memory(3, 2, 3, series=True)
+    _check_memory(3, 2, 3, 2, series=True)
     assert set(grastar.jets._rings) == own | series
     assert (4, 2) not in grastar.star._stacks
 
@@ -1225,7 +1296,8 @@ def test_series_memory_estimate_covers_the_cold_peak(monkeypatch, p, q, order):
     for cached in (sorted_tuples, _frames, _series_weights, grastar.star._box_indices):
         cached.cache_clear()
     cfg = SpaceConfig(p, q)
-    estimate = max(check_memory(*args) for args in _memory_terms(cfg.n, p, order, True))
+    # verify_suite's functions have terms of one or two generators
+    estimate = max(check_memory(*args) for args in _memory_terms(cfg.n, p, order, True, 2))
     tracemalloc.start()
     try:
         verify_suite(cfg, order=order)
