@@ -24,12 +24,14 @@ X1 (the first p) and X2 (the last q), which depends on no point:
 ``base_chart`` expands each expression as a polynomial in the q p
 entries of K and maps it to the slot ring by one matrix product with the
 jets of K's monomials, built once per ring by ``linear_fraction`` and the
-ring's table.  ``eval_function`` at any jet point forms Z (Zbar Z)^-1 Zbar
-as a jet matrix.  Only the second factor of ``star.star_jet_series``,
-whose two sides both vary, needs it on a product path; it is the chart's
-reference in the tests, and serves the Wick product and the Poisson
-bracket.  Both routes multiply the generators of an expression alike:
-its terms of two generators in one table pass.
+ring's table.  ``series_charts`` reads the factors of a jet series off
+the same jets, as polynomials in the chart coordinates of its outer and
+inner offsets.  ``eval_function`` at any jet point forms Z (Zbar Z)^-1
+Zbar as a jet matrix, with ``jets.mat_inverse``.  No product path takes
+it: it is the chart's reference in the tests, and serves the Wick
+product and the Poisson bracket, which the verification suite holds the
+product against.  Both routes multiply the generators of an expression
+alike: its terms of two generators in one table pass.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -265,13 +268,13 @@ def random_function_expr(cfg: SpaceConfig, rng, nterms: int = 2, maxdeg: int = 2
     return FunctionExpr(terms)
 
 
-def _trace_products(Bs: np.ndarray, X: MatrixJet) -> np.ndarray:
-    """tr(B X) for every B of a (k, a, b) stack and a b x a jet matrix X, as (k, size) coefficients.
+def _trace_products(Bs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """tr(B X) for every B of a (k, a, b) stack and the (b, a, size) coefficients X of a jet matrix, as (k, size).
 
     tr(B X) = sum_{c,a} B^t[c, a] X[c, a], so the whole stack is one
     (k, b a) @ (b a, size) matrix product.
     """
-    return Bs.transpose(0, 2, 1).reshape(len(Bs), -1) @ X.coeffs.reshape(-1, X.ring.size)
+    return Bs.transpose(0, 2, 1).reshape(len(Bs), -1) @ X.reshape(-1, X.shape[-1])
 
 
 def frame(z: PointZ) -> np.ndarray:
@@ -309,41 +312,41 @@ def chart_degree(fs, order: int) -> int:
     return min(order, max((len(factors) for fn in fs for _, factors in fn.terms), default=0))
 
 
-def _chart_table(ring: JetRing, p: int, mu: Fraction, degree: int):
-    """(small, M) for the chart at the base point, built once per ring, p and mu and kept on the ring.
+def _chart_table(ring: JetRing, p: int, mu: Fraction, small: JetRing, degree: int) -> np.ndarray:
+    """The (C(q p + degree, degree), ring.size) jets on ``ring`` of the monomials of degree <= ``degree`` in K's entries.
 
-    ``small`` is the ring of the q p entries of K, entry (a, i) being
-    variable a p + i, at order ``degree`` or higher; row k of the
-    (small.size, ring.size) M is the jet on ``ring`` of its k-th monomial
-    at K = X2 (sqrt(mu) + X1)^-1, V's slot A p + i being variable A p + i
-    of ``ring``.  K is one ``linear_fraction``; a monomial of degree d >= 2
+    The monomials are those of ``small``, a ring of the q p entries of K,
+    entry (a, i) being variable a p + i, of order ``degree`` or higher, and
+    row k is the jet of the k-th of them at K = X2 (sqrt(mu) + X1)^-1, V's
+    slot A p + i being variable A p + i of ``ring``.  Every such ring lists
+    its monomials by degree in one order, so the rows of one ring, p and mu
+    serve every ``small``: they are kept on ``ring``, and a higher degree
+    extends them.  K is one ``linear_fraction``; a monomial of degree d >= 2
     is one of degree d - 1 times an entry of K, one pass over the table.
-    A higher degree extends the kept rows.
     """
-    kept = ring.kept.get((p, mu))
-    if kept is not None and kept[0].order >= degree:
-        return kept
-    n = ring.nvars // p
-    q = n - p
-    small = JetRing(q * p, degree).warm()
-    M = np.zeros((small.size, ring.size), dtype=complex)
-    M[0, 0] = 1.0
-    done = 1
-    if kept is not None:
-        done = len(kept[1])
-        M[:done] = kept[1]
-    if degree and done == 1:
+    rows = comb(small.nvars + degree, degree)
+    (kept,) = ring.kept.get((p, mu), ((),))
+    if len(kept) >= rows:
+        return kept[:rows]
+    done, M = len(kept), np.empty((rows, ring.size), dtype=complex)
+    if done:
+        M[:done] = kept
+    else:
+        M[0] = np.eye(1, ring.size)  # the constant monomial leads every ring
+        done = 1
+    if done == 1 < rows:
         # K = L V (1 + R V)^-1 with L V = X2 / sqrt(mu) and R V = X1 / sqrt(mu)
+        n, qp = ring.nvars // p, small.nvars
         root = 1 / np.sqrt(float(mu))
         V1 = np.eye(n * p).reshape(n * p, n, p)
         L, R = root * np.eye(n)[p:], root * np.eye(n)[:p]
-        done = 1 + q * p
-        M[1:done] = linear_fraction(ring, L, V1, R).coeffs.reshape(q * p, ring.size)
-    for k in range(done, small.size):
+        done = 1 + qp
+        M[1:done] = linear_fraction(ring, L, V1, R).coeffs.reshape(qp, ring.size)
+    for k in range(done, rows):
         M[k] = ring.multiply(M[small._parent[k]], M[small._up[0, small._last[k]]])
     M.flags.writeable = False
-    ring.keep((p, mu), (small, M))
-    return small, M
+    ring.keep((p, mu), (M,))
+    return M
 
 
 def base_chart(fs, ring: JetRing, p: int, mu) -> list:
@@ -355,12 +358,19 @@ def base_chart(fs, ring: JetRing, p: int, mu) -> list:
     rows of B split after column p: an expression whose longest term has D
     generators is a polynomial of degree D in them, and K has no constant
     term, so monomials of degree above the ring's order vanish.  The
-    polynomials are expanded on the ring of K's entries (``_eval_jets``)
-    and mapped to ``ring`` by one matrix product with ``_chart_table``'s
-    jets of K's monomials: no point enters, and a warm call passes over no
-    table of ``ring``.
+    polynomials are expanded on a ring of K's entries kept on ``ring`` per
+    p, of the highest D asked for so far (``_eval_jets``), and mapped to
+    ``ring`` by one matrix product with ``_chart_table``'s jets of K's
+    monomials: no point enters, and a warm call passes over no table of
+    ``ring``.  A jet series that reads those rows to a higher degree leaves
+    that ring alone.
     """
-    small, M = _chart_table(ring, p, Fraction(mu), chart_degree(fs, ring.order))
+    degree = chart_degree(fs, ring.order)
+    (small,) = ring.kept.get(p, (None,))
+    if small is None or small.order < degree:
+        small = JetRing((ring.nvars // p - p) * p, degree).warm()
+        ring.keep(p, (small,))
+    M = _chart_table(ring, p, Fraction(mu), small, small.order)
     qp = small.nvars
 
     def traces(Bs):
@@ -372,6 +382,64 @@ def base_chart(fs, ring: JetRing, p: int, mu) -> list:
 
     polys = np.array([jet.coeffs for jet in _eval_jets(fs, small, traces)])
     return [Jet(ring, coeffs) for coeffs in polys @ M]
+
+
+def _offset_ring(n: int, p: int, order: int):
+    """(S, small, pairs, Pis) on which the factors of a jet series expand, built once per S and p and kept on S.
+
+    S is the shared ring of the 2 q p entries of K_O, variables 0 ... qp - 1,
+    and of K, variables qp ... 2 qp - 1, each entry (a, i) at a p + i;
+    ``small`` the ring of q p variables at S's order, whose monomials index
+    both; ``pairs[a, b]`` the index on S of K_O^a K^b, or S.size beyond the
+    truncation; and Pis the (n, n, S.size) coefficients of L Pi L^-1 with
+    L = 1 + [0; K_O] [1, 0], for Pi = [[1, 0], [K, 0]] and [[1, K^t], [0, 0]].
+    """
+    q, qp = n - p, (n - p) * p
+    S = shared_ring(2 * qp, order)
+    key = ("series", p)
+    if key not in S.kept:
+        small = JetRing(qp, order)
+        pairs = np.empty((small.size, small.size), dtype=np.intp)
+        pairs[:, 0] = S.leading(qp, order)  # the monomials of K_O lead S
+        for d in range(1, order + 1):
+            b = np.arange(small._starts[d], small._starts[d + 1])
+            pairs[:, b] = S._up[pairs[:, small._parent[b]], qp + small._last[b]]
+        # [1; 0], [0; K_O] and [0; K] as n x p jet matrices, and [1, 0]
+        E, Et = MatrixJet.from_numeric(S, np.eye(n, p)), MatrixJet.from_numeric(S, np.eye(p, n))
+        KO, K = (MatrixJet.from_numeric(S, np.zeros((n, p))) for _ in range(2))
+        KO.coeffs[p:], K.coeffs[p:] = (np.eye(qp, S.size, 1 + v).reshape(q, p, -1) for v in (0, qp))
+        one, shear = MatrixJet.identity(S, n), KO @ Et
+        L, Linv = one + shear, one - shear
+        Kt = MatrixJet(S, K.coeffs.transpose(1, 0, 2))
+        Pis = [(L @ X @ Linv).coeffs for X in ((E + K) @ Et, E @ (Et + Kt))]
+        S.keep(key, (small, pairs, *Pis))
+    small, pairs, *Pis = S.kept[key]
+    return S, small, pairs, Pis
+
+
+def series_charts(f, g, ring: JetRing, p: int, mu, degree: int):
+    """(M, Cf, Cg): the factors of a jet series at (e + O, e^H) as polynomials in K_O and K.
+
+    O is the n x p matrix of the variables of ``ring`` and K_O its chart
+    coordinate, K that of the inner offsets, and L = [[1, 0], [K_O, 1]]:
+    f^L (every B replaced by L^-1 B L) reads L [[1, 0], [K, 0]] L^-1 with
+    holomorphic inner offsets, and g^L reads L [[1, K^t], [0, 0]] L^-1 with
+    antiholomorphic ones (see ``star.star_jet_series``).  Both expand on
+    ``_offset_ring``'s ring of K_O's and K's entries.  ``Cf[a, b]`` and
+    ``Cg[a, b]`` are the coefficients of K_O^a K^b over the monomials of
+    degree <= ``degree`` in K's entries, and M is ``_chart_table``'s jets
+    of those monomials on ``ring``: K_O^a is the jet M[a] in O, and K^b has
+    the inner tensors of M[b].  ``degree`` must be at least f's generator
+    count and twice g's, or ``ring``'s order.
+    """
+    S, small, pairs, Pis = _offset_ring(ring.nvars // p, p, ring.order)
+    M = _chart_table(ring, p, Fraction(mu), small, degree)
+    pick = pairs[: len(M), : len(M)]
+    charts = [M]
+    for fn, Pi in zip((f, g), Pis):
+        (jet,) = _eval_jets([fn], S, lambda Bs: _trace_products(Bs, Pi))
+        charts.append(np.append(jet.coeffs, 0)[pick])
+    return charts
 
 
 def eval_function(f, Z, Zbar=None):
@@ -386,10 +454,10 @@ def eval_function(f, Z, Zbar=None):
     expressions share one Pi: at a jet point it is formed as the jet
     matrix Z @ mat_inverse(Zbar @ Z) @ Zbar, whatever the degrees of Z and
     Zbar, and the distinct B of all of them are read off it in one matrix
-    product.  This generic route serves the second factor of
-    ``star.star_jet_series``, whose two sides both vary, and is the
-    reference for everything else: it never calls ``linear_fraction``,
-    whose K ``base_chart`` reads where one side is constant.  It raises
+    product.  This generic route is an oracle, on no product path: it
+    serves the Wick product and the Poisson bracket, and is the reference
+    for the charts; it never calls ``linear_fraction``, whose K
+    ``base_chart`` and ``series_charts`` read.  It raises
     ``ConvergenceError`` when the constant Gram matrix zb z is
     ill-conditioned.  Expressions with no generator at all form no Pi.
     """
@@ -400,7 +468,7 @@ def eval_function(f, Z, Zbar=None):
     if isinstance(Z, MatrixJet):
         if Zbar is None:
             raise ValueError("a jet point needs Zbar, its antiholomorphic matrix jet")
-        out = _eval_jets(fs, Z.ring, lambda Bs: _trace_products(Bs, Z @ mat_inverse(Zbar @ Z) @ Zbar))
+        out = _eval_jets(fs, Z.ring, lambda Bs: _trace_products(Bs, (Z @ mat_inverse(Zbar @ Z) @ Zbar).coeffs))
     else:
         Z = np.asarray(Z, dtype=complex)
         if Zbar is None:

@@ -717,9 +717,9 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
     the inverse of a jet whose constant term is small has coefficients far
     larger than 1; the identity is subtracted in place from the constant
     term of M X, and each degree's sum is freed before the next.
-    ``geometry.base_chart`` reads the generators where one side is
-    constant off a chart coordinate built once by ``linear_fraction``
-    instead.
+    It serves ``geometry.eval_function``'s jet route, an oracle: every
+    product reads its factors off a chart coordinate built once by
+    ``linear_fraction`` instead.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")

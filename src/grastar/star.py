@@ -52,16 +52,18 @@ reads f and gbar: each a polynomial in the entries of K, mapped to the
 slot ring by one matrix product, then one gather per factor for the
 tensors of every order.  With real weights and real symmetric P_[m], the
 antiholomorphic jets of g*h are the conjugates of the holomorphic ones of
-hbar*gbar, so ``star_jet_series`` takes holomorphic outer offsets only,
-and re-indexes its f, a function of the outer and inner offsets' sum,
-from the same chart by binomial weights.  Only its g, whose two sides
-both vary, takes ``eval_function``, the generic route through
-Z (Zbar Z)^-1 Zbar.
-That route never reads the chart and is its reference: the Wick
-product, the Poisson bracket and the references in the tests read every
-factor through it, at the level representative and g at
-``antiholomorphic_jet_point``, independently of the frame and of the
-conjugation identity.
+hbar*gbar, so ``star_jet_series`` takes holomorphic outer offsets O only.
+It reads both of its factors at e too: the product at e + O is the
+product at e of the factors with every B replaced by L^-1 B L, L = [[1, 0],
+[K_O, 1]] and K_O the chart coordinate of O, and both are polynomials in
+K_O and the inner K, mapped by the same kept jets of K's monomials
+(``geometry.series_charts``).  No product path forms Z (Zbar Z)^-1 Zbar:
+``eval_function``'s jet route and its jet inverse ``jets.mat_inverse`` are
+oracles.  That route never reads the chart and is its reference: the
+Wick product, the Poisson bracket and the references in the tests read
+every factor through it, at the level representative and g at
+``antiholomorphic_jet_point``, independently of the frame, the chart and
+the conjugation identity.
 
 Poles are checked up front, before any jet is built: some t_[m](c)
 vanishes exactly when c = -e for a content e, and the ``PoleError`` names
@@ -90,7 +92,6 @@ from grastar.geometry import (
     PointZ,
     SpaceConfig,
     base_chart,
-    base_point,
     chart_degree,
     eval_function,
     frame,
@@ -99,10 +100,11 @@ from grastar.geometry import (
     random_function_expr,
     rotate,
     sample_point,
+    series_charts,
     wick_product,
 )
 from grastar import jets
-from grastar.jets import Jet, MatrixJet, check_memory, shared_ring, sorted_tuples
+from grastar.jets import Jet, check_memory, shared_ring, sorted_tuples
 from grastar.partitions import Frame, partitions_of
 
 
@@ -339,16 +341,19 @@ def _memory_terms(n: int, p: int, order: int, series: bool, degree: int) -> tupl
     floats at order r (F_r the frames of weight r with at most p rows).
     The ring keeps the chart's jets of the monomials of degree <= ``degree``
     in the q p entries of K (the factors' longest term has ``degree``
-    generators, at most ``order``).  Beside them it holds one at a time the
-    chart's build (K and a slice of its gather) and the jets of f and gbar,
-    the build of one order by branching (X, its powers by J_r, one part)
-    and the complex Gram matrix.  ``series`` adds ``star_jet_series``: its
-    jets of g's side on a ring of 2 n p variables (f is read off the chart
-    on the ring of n p variables before any of them is formed), the order-r
-    tensor entries by the outer monomials of degree <= order - r, those
-    once per frame as P_[m] DG, and the ring of its results.  No frame is
-    listed, and the ring and the top order alone are checked first, so a
-    large order is refused before any sum over orders is formed.
+    generators, at most ``order``; a jet series passes its own, up to twice
+    that).  Beside them it holds one at a time the chart's build (K and a
+    slice of its gather) and the jets of f and gbar, the build of one order
+    by branching (X, its powers by J_r, one part) and the complex Gram
+    matrix.  ``series`` adds ``star_jet_series`` on the same ring: the ring
+    of the 2 q p entries of K_O and K with the pairs of K's monomials that
+    index it and the jet matrices Pi of both factors, the chart's rows to
+    ``degree`` with the rows they extend or one order's gather of their
+    inner tensors, the order-r tensor entries by the outer monomials of
+    degree <= order - r, those once per frame as P_[m] DG, and the returned
+    jets.  No frame is listed, and the ring and the top order alone are
+    checked first, so a large order is refused before any sum over orders
+    is formed.
     """
     nz, qp = n * p, (n - p) * p
     check_memory(nz, order, comb(n + order - 1, order) * p**order, p ** (2 * order))
@@ -366,18 +371,21 @@ def _memory_terms(n: int, p: int, order: int, series: bool, degree: int) -> tupl
     # complex jets on the ring: the kept monomials of K, K itself while it is built
     # (one more monomial) with a gather slice of at most _CHUNK entries, and f and gbar
     size = comb(nz + order, order)
-    kept = 2 * comb(qp + degree, degree) * size
+    monomials = comb(qp + degree, degree)
+    kept = 2 * monomials * size
     gather = qp * nz * comb(nz + order - 1, order) if order > 1 else 0
     chart = kept + 2 * (qp * (size + 1) + min(jets._CHUNK, gather) if degree else 0) + 4 * size
     terms = [(nz, order, tensor[order], stacks + max(chart, transient))]
     if series:
         outer = [tensor[r] * comb(nz + order - r, order - r) for r in range(order + 1)]
         projected = max(2 * frames[r] * outer[r] for r in range(order + 1))
-        # complex zeta, zetabar0 and g's side, n x p, and g's generic route, which holds Z X
-        # and Pi, or mat_inverse's complex p x p jets M, X, one degree's sum T and X0 T
-        held = (6 * n * p + max(2 * n * p + 2 * n * n, 8 * p * p)) * comb(2 * nz + order, order)
-        held += stacks + transient + projected + kept + check_memory(nz, order) // 8
-        terms.insert(0, (2 * nz, order, max(outer), held))
+        # the ring of K_O and K, the pairs of K's monomials, and the complex n x n Pi of f and g
+        offsets = check_memory(2 * qp, order) // 8 + comb(qp + order, order) ** 2
+        offsets += 4 * n * n * comb(2 * qp + order, order)
+        # complex: the kept rows, beside the rows they extend or an order's inner gather, and the returned jets
+        charts = 2 * monomials * (2 * size + tensor[order]) + 2 * (order + 1) * size
+        held = stacks + transient + projected + offsets + charts
+        terms.insert(0, (nz, order, max(outer), held))
     return tuple(terms)
 
 
@@ -385,15 +393,15 @@ def _check_memory(n: int, p: int, order: int, degree: int, series: bool = False)
     """Raise ``RangeError`` before allocating if a product at this size exceeds the budget.
 
     ``degree`` is the generator count of the factors' longest term, at
-    most ``order``.  Stacks and shared rings cached for other sizes count
-    too, the rings by the bytes they hold.  When the product fits only
-    without them, the rings go first, then the stacks.
+    most ``order``, or a jet series' ``_series_degree``.  Stacks and shared
+    rings cached for other sizes count too, the rings by the bytes they
+    hold.  When the product fits only without them, the rings go first,
+    then the stacks.
     """
     need = max(check_memory(*args) for args in _memory_terms(n, p, order, series, degree))
-    nz = n * p
-    own = {(nz, order)}
-    if series:  # star_jet_series' ring of outer and inner offsets
-        own.add((2 * nz, order))
+    own = {(n * p, order)}
+    if series:  # star_jet_series' ring of K_O's and K's entries
+        own.add((2 * (n - p) * p, order))
     rings = [key for key in jets._rings if key not in own]
     stacks = [key for key in _stacks if key[1] != p or key[0] > order]
     held = sum(_stacks[key][2].nbytes for key in stacks)
@@ -542,65 +550,74 @@ def projective_star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None
 # the product with a jet-valued result (for associativity)
 
 
+def _series_degree(fs, gs, order: int) -> int:
+    """The chart degree of jet series with first factors fs and second factors gs, at most ``order``.
+
+    f^L is a polynomial of f's generator count D in K_O and K together, and
+    g^L one of degree 2 D in K_O (``star_jet_series``).
+    """
+    return min(order, max(chart_degree(fs, order), 2 * chart_degree(gs, order)))
+
+
 def star_jet_series(f, g, cfg: SpaceConfig, order: int):
     """The deformed product as jets in holomorphic offsets O around the base point.
 
     f and g are given in the frame of the base point e = sqrt(mu) [1_p; 0]
-    (``geometry.rotate``).  Returns (ring, [jet per lambda order]); the
-    antiholomorphic jets of f*g are the conjugates of those of gbar*fbar.
-    The lambda^t jet is exact up to outer degree ``order - t`` and zero
-    above it, all that a pairing truncated at ``order`` reads, so g's jet
-    lives in one ring of total degree ``order`` in outer and inner offsets,
-    f's in the ring of the slots, and the order-r tensors on the outer
-    monomials of degree <= order - r.  Lower orders are
-    prefixes of the ring of outer offsets, so each lambda^t product runs
-    on that ring's own table, over the degree blocks up to order - t, and
-    the series opens no ring but its two.
+    (``geometry.rotate``).  Returns (ring, [jet per lambda order]) on the
+    ring of the n p slots; the antiholomorphic jets of f*g are the
+    conjugates of those of gbar*fbar.  The lambda^t jet is exact up to
+    outer degree ``order - t`` and zero above it, all that a pairing
+    truncated at ``order`` reads, so the order-r tensors live on the outer
+    monomials of degree <= order - r, a prefix of the ring, and each
+    lambda^t product runs on the ring's own table, over the degree blocks
+    up to order - t.
 
-    Pi = Z (Zbar Z)^-1 Zbar is unchanged by Zbar -> A Zbar; with
-    A = mu (e^H zeta)^-1 the pair (e + O, A e^H) stays on the level set.
-    So f, with holomorphic inner offsets V, is read at (e + O + V, e^H), a
-    function of O + V alone: with c its jet at e + x in the slot variables
-    x, its coefficient at O^m V^s is c_(m+s) prod_v C(m_v + s_v, m_v), so
-    its inner tensors on the outer monomials m are c_(m+s) (m+s)! / m!,
-    read off a ``base_chart`` call like ``star_eval``'s, on the outer
-    ring.  g, with antiholomorphic inner offsets W, is read at
-    (zeta, e^H + A^-1 W^T), A^-1 affine in O, by ``eval_function`` and its
-    one p x p jet inverse.
+    Both factors are read at e.  Let K_O = O2 (sqrt(mu) + O1)^-1 be the
+    chart coordinate of O, L = [[1, 0], [K_O, 1]] and P = 1 + O1 / sqrt(mu),
+    and let f^L replace every B of f by L^-1 B L.  Then:
+    - Pi is unchanged by Zbar -> A Zbar, and the point (e + O, P^-1 e^H)
+      of the level set is (L e P, P^-1 e^H L^-1);
+    - the row pairing sum_A d/dV_A d/dW_A is unchanged by V -> L^-1 V,
+      W -> L^t W, so (f*g)(L Z, Zbar L^-1) = (f^L * g^L)(Z, Zbar);
+    - P drops out, since every P_[m] commutes with P^{x r}.
+    So the lambda^t jet of f*g at e + O is the product at e of f^L and g^L.
+    With holomorphic inner offsets f^L reads Pi = L [[1, 0], [K, 0]] L^-1
+    = [[1, 0], [K_O + K, 0]], and with antiholomorphic ones g^L reads
+    [1; K_O] ([1, 0] + K^t [-K_O, 1]), K the chart coordinate of the inner
+    offsets.  Both are polynomials in K_O and K (``geometry.series_charts``);
+    K_O's monomials are the chart's jets in O, and K's inner tensors the
+    gather of the same jets: no jet inverse, no jet point and no ring of
+    outer and inner offsets.
     Raises ``RangeError`` for an order that is not a nonnegative integer
     and over the memory budget.
     """
     _check_order(order)
     n, p = cfg.n, cfg.p
     nz = n * p
-    _check_memory(n, p, order, chart_degree([f], order), series=True)
+    degree = _series_degree([f], [g], order)
+    _check_memory(n, p, order, degree, series=True)
     mu = Fraction(cfg.mu)
-    slots = np.arange(nz).reshape(n, p)
     R_out = shared_ring(nz, order)
-    (jf,) = base_chart([f], R_out, p, mu)
-    # variables 0..nz-1 are the outer offsets, nz..2nz-1 the inner ones
-    total = shared_ring(2 * nz, order)
-    e = base_point(cfg)
-    zeta = MatrixJet.from_numeric(total, e.z) + MatrixJet.variables(total, slots)
-    Zbpt = MatrixJet.from_numeric(total, e.zbar)
-    Zbg = Zbpt + (Zbpt @ zeta).scale(1 / float(mu)) @ MatrixJet.variables(total, nz + slots.T)
-    jg = eval_function(g, zeta, Zbg)
-
-    # f's coefficients c_k times k!, read at the monomials m + s below
-    jf_k = jf.coeffs * R_out.dfact
+    M, Cf, Cg = series_charts(f, g, R_out, p, mu, degree)
+    idx, factorials, bounds, _ = R_out.multiset_gather(n, p)
+    qp = nz - p * p
     W = _series_weights(p, mu, order)
     first = 0
     out = [R_out.zero() for _ in range(order + 1)]
     for r in range(order + 1):
-        # per sorted row tuple and column tuple: outer-jet coefficient
-        # vectors of the r-th inner partials on the outer monomials m of
-        # degree <= order - r, DF[row tuple, column tuple, m]; DF's rows
-        # carry their orbit sizes.  Those m are R_out's first monomials
-        outer = np.arange(comb(nz + order - r, order - r))
-        DF = jf_k[R_out.multiset_indices(r, n, p, start=outer)]
-        DF *= sorted_tuples(n, r)[1][:, None, None] / R_out.dfact[outer]
-        tidx = total.multiset_indices(r, n, p, first=nz, start=total.leading(nz, order - r))
-        DG = jg.coeffs[tidx] * R_out.dfact[R_out.multiset_indices(r, n, p)][..., None]
+        # per sorted row tuple and column tuple, the outer jets of the r-th
+        # inner partials on the outer monomials of degree <= order - r, R_out's
+        # first k.  Only the monomials K^b of degree <= r have order-r
+        # partials, the gather T of their rows of M, and the outer jet of
+        # f^L at K^b is sum_a Cf[a, b] M[a]
+        k = comb(nz + order - r, order - r)
+        b = comb(qp + min(r, degree), min(r, degree))
+        s, e = bounds[r], bounds[r + 1]
+        T = M[:b].take(idx[s:e], axis=1)
+        T *= factorials[s:e]
+        # DF's rows carry their orbit sizes
+        DF = (T.T @ (Cf[:, :b].T @ M[:, :k])).reshape(-1, p**r, k) * sorted_tuples(n, r)[1][:, None, None]
+        DG = (T.T @ (Cg[:, :b].T @ M[:, :k])).reshape(-1, p**r, k)
         # P_[m] DG per frame m, as one real product with DG's real and imaginary parts
         stack = _isotypic_projectors(r, p)[2]
         PG = (stack[:, None] @ DG.view(float)[None]).view(complex)
@@ -633,7 +650,7 @@ def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
     n, p = cfg.n, cfg.p
     f, g, h = rotate((f, g, h), frame(z))
     hbar, gbar = h.conjugate(), g.conjugate()
-    _check_memory(n, p, order, chart_degree((f, g, h), order), series=True)
+    _check_memory(n, p, order, _series_degree((f, h), (g,), order), series=True)
     DF, DH = _derivative_tensors_at(f, hbar, cfg, order)
     W = _series_weights(p, Fraction(cfg.mu), order)
 
@@ -703,7 +720,7 @@ def verify_suite(
     f = random_function_expr(cfg, rng)
     g = random_function_expr(cfg, rng)
     h = random_function_expr(cfg, rng)
-    _check_memory(cfg.n, cfg.p, order, chart_degree((f, g, h), order), series=True)
+    _check_memory(cfg.n, cfg.p, order, _series_degree((f, h), (g,), order), series=True)
     zeta = level_representative(z, cfg.mu)
 
     one = FunctionExpr.one()

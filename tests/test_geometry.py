@@ -275,8 +275,9 @@ def test_chart_route_matches_generic_route(p, q, holomorphic):
 
 def test_chart_table_is_built_once_per_ring_and_extended(monkeypatch):
     # the jets of K's monomials depend on no point: one linear_fraction per
-    # ring, p and mu, kept on the ring and counted in its held bytes; a
-    # longer term extends the kept rows, which a fresh ring builds alike
+    # ring, p and mu, kept on the ring and counted in its held bytes, beside
+    # the ring of K's entries that the polynomials expand on; a longer term
+    # extends both, and a fresh ring builds the rows alike
     charts = []
     monkeypatch.setattr(geometry, "linear_fraction", lambda *a: charts.append(1) or linear_fraction(*a))
     cfg = SpaceConfig(2, 2, Fraction(3, 2))
@@ -286,9 +287,9 @@ def test_chart_table_is_built_once_per_ring_and_extended(monkeypatch):
     short, long = FunctionExpr([(1.0, Bs[:1]), (2.0, [])]), FunctionExpr([(1j, Bs), (0.5, Bs[1:])])
     ring = JetRing(n * p, order)
     base_chart([short], ring, p, cfg.mu)
-    assert ring.kept[p, cfg.mu][0].order == 1 and ring.held == ring.nbytes
+    assert ring.kept[p][0].order == 1 and ring.held == ring.nbytes
     (got,) = base_chart([long], ring, p, cfg.mu)
-    assert ring.kept[p, cfg.mu][0].order == 3 and ring.held == ring.nbytes
+    assert ring.kept[p][0].order == 3 and ring.held == ring.nbytes
     base_chart([short, long], ring, p, cfg.mu)
     assert charts == [1]
     (fresh,) = base_chart([long], JetRing(n * p, order), p, cfg.mu)
@@ -296,13 +297,13 @@ def test_chart_table_is_built_once_per_ring_and_extended(monkeypatch):
     # constants alone build no K, and the first generator on that ring does
     ring = JetRing(n * p, order)
     base_chart([FunctionExpr.constant(2.0)], ring, p, cfg.mu)
-    assert charts == [1, 1] and ring.kept[p, cfg.mu][1].shape == (1, ring.size)
+    assert charts == [1, 1] and ring.kept[p, cfg.mu][0].shape == (1, ring.size)
     (again,) = base_chart([long], ring, p, cfg.mu)
     assert charts == [1, 1, 1] and np.array_equal(again.coeffs, fresh.coeffs)
     # a ring of order 0 holds the constant monomial only
     ring = JetRing(n * p, 0)
     (value,) = base_chart([long], ring, p, cfg.mu)
-    assert charts == [1, 1, 1] and ring.kept[p, cfg.mu][1].shape == (1, 1)
+    assert charts == [1, 1, 1] and ring.kept[p, cfg.mu][0].shape == (1, 1)
     assert value.value() == pytest.approx(eval_function(long, base_point(cfg)), rel=1e-13)
 
 

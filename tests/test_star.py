@@ -341,20 +341,27 @@ def test_star_eval_reads_long_terms_and_constants_off_the_chart(p, q):
 
 
 @pytest.mark.parametrize("outer_holomorphic", [True, False])
-@pytest.mark.parametrize("p,q,order", [(2, 1, 3), (1, 2, 3), (2, 2, 2)])
+@pytest.mark.parametrize("p,q,order", [(2, 1, 3), (1, 2, 3), (2, 2, 2), (1, 1, 5), (2, 1, 4)])
 def test_star_jet_series_matches_full_tensor_reference(p, q, order, outer_holomorphic):
-    # the series runs at the base point, its factors given in its frame
-    cfg = SpaceConfig(p, q, Fraction(2))
-    rng = np.random.default_rng(p + 5 * q)
-    f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
-    if outer_holomorphic:
-        got = [jet.coeffs for jet in star_jet_series(f, g, cfg, order)[1]]
-    else:
-        # the antiholomorphic jets of f*g are the conjugates of the holomorphic ones of gbar*fbar
-        _, jets = star_jet_series(g.conjugate(), f.conjugate(), cfg, order)
-        got = [jet.coeffs.conj() for jet in jets]
-    want = _reference_star_jet_series(f, g, base_point(cfg), cfg, order, outer_holomorphic)
-    assert _close(np.array(got), np.array(want))
+    # the series runs at the base point, its factors given in its frame.  Its
+    # chart carries sqrt(mu), which mu = 1 alone would not see, and a g with
+    # a term of three generators has degree up to 6 in K_O, cut at the order
+    for mu in (Fraction(2), Fraction(3, 2), Fraction(2, 5)):
+        cfg = SpaceConfig(p, q, mu)
+        n = cfg.n
+        rng = np.random.default_rng(p + 5 * q)
+        f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
+        gens = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n for _ in range(3)]
+        long = g + FunctionExpr([(0.6 - 0.3j, gens)])
+        for second in (g, long):
+            if outer_holomorphic:
+                got = [jet.coeffs for jet in star_jet_series(f, second, cfg, order)[1]]
+            else:
+                # the antiholomorphic jets of f*g are the conjugates of the holomorphic ones of gbar*fbar
+                _, jets = star_jet_series(second.conjugate(), f.conjugate(), cfg, order)
+                got = [jet.coeffs.conj() for jet in jets]
+            want = _reference_star_jet_series(f, second, base_point(cfg), cfg, order, outer_holomorphic)
+            assert _close(np.array(got), np.array(want)), mu
 
 
 @pytest.mark.parametrize("p,q,order", [(2, 1, 3), (1, 2, 3), (2, 2, 2)])
@@ -690,20 +697,18 @@ def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch):
     rng = np.random.default_rng(72)
     f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
     assert max(associativity_residuals(f, g, h, cfg, sample_point(cfg, 72), 2)) < 1e-10
-    # the third factors f and hbar, and the first factor of each jet
-    # series, f*g and hbar*gbar, are read with one side constant off one
-    # chart of the ring of slots, whose K is built once; the second factors
-    # g and gbar vary on both sides and take the generic route, one p x p
-    # jet inverse each
+    # the third factors f and hbar, and both factors of each jet series,
+    # f*g and hbar*gbar, are read off one chart of the ring of slots, whose
+    # K is built once; no jet is inverted
     assert len(charts) == 1
-    assert inverses == [cfg.p, cfg.p]
+    assert inverses == []
 
 
 def test_jet_series_reads_f_on_the_ring_of_slots(monkeypatch):
-    # f of a jet series depends on O + V alone, so its tensors are re-indexed
-    # from the chart on the ring of n p variables: a cold check builds K once,
-    # there, and no chart or degree-shift map on the ring of 2 n p outer and
-    # inner offsets
+    # both factors of a jet series are polynomials in the chart coordinates
+    # K_O and K of the outer and inner offsets, mapped by the jets of K's
+    # monomials on the ring of n p variables: a cold check builds K once,
+    # there, and no chart or degree-shift map on any other ring
     charted, shifted = [], []
 
     def counting_fraction(ring, *args):
@@ -726,6 +731,65 @@ def test_jet_series_reads_f_on_the_ring_of_slots(monkeypatch):
     assert max(associativity_residuals(f, g, h, cfg, sample_point(cfg, 76), 3)) < 1e-10
     assert charted == [nz]
     assert shifted == [nz]
+
+
+def test_associativity_takes_no_generic_route_and_no_ring_of_outer_and_inner_offsets(monkeypatch):
+    # both factors of each jet series are read off the chart at the base
+    # point: a cold and a warm check call neither eval_function nor a jet
+    # inverse, and construct no ring of the 2 n p outer and inner offsets
+    def refuse(*args):
+        raise AssertionError("the generic route on the associativity path")
+
+    built = []
+    init = JetRing.__init__
+
+    def counting_init(self, nvars, order):
+        built.append(nvars)
+        init(self, nvars, order)
+
+    monkeypatch.setattr(grastar.jets, "_rings", {})
+    for module in (grastar.geometry, grastar.star):
+        monkeypatch.setattr(module, "eval_function", refuse)
+    for module in (grastar.jets, grastar.geometry):
+        monkeypatch.setattr(module, "mat_inverse", refuse)
+    monkeypatch.setattr(JetRing, "__init__", counting_init)
+    for p, q, order in ((2, 1, 3), (1, 2, 4), (2, 2, 2)):
+        cfg = SpaceConfig(p, q, Fraction(3, 2))
+        rng = np.random.default_rng(80 + p + q)
+        f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
+        built.clear()
+        for seed in (1, 2):  # cold, then warm
+            assert max(associativity_residuals(f, g, h, cfg, sample_point(cfg, seed), order)) < 1e-10
+        assert built and 2 * cfg.n * p not in built
+
+
+def test_jet_series_leaves_star_eval_its_chart_ring(monkeypatch):
+    # a jet series reads the chart's rows to degree 2 D, twice g's generator
+    # count.  The rows are graded, so star_eval reads its own, of degree <= D,
+    # as their prefix, and keeps expanding on its ring of K's entries at
+    # order D: a warm product passes over that ring's table alone, as before
+    cfg = SpaceConfig(2, 1, Fraction(3, 2))
+    n, p, order = cfg.n, cfg.p, 4
+    monkeypatch.setattr(grastar.jets, "_rings", {})
+    rng = np.random.default_rng(81)
+
+    def two():
+        B = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n for _ in range(2)]
+        return FunctionExpr([(1.0, B)])
+
+    f, g = two(), two()
+    z = sample_point(cfg, 81)
+    want = star_eval(f, g, cfg, z, order).coeffs
+    ring = shared_ring(n * p, order)
+    (small,) = ring.kept[p]
+    assert small.order == 2
+    star_jet_series(f, g, cfg, order)
+    assert len(ring.kept[p, cfg.mu][0]) == comb(cfg.q * p + 4, 4)
+    passes = []
+    dot = JetRing._dot
+    monkeypatch.setattr(JetRing, "_dot", lambda self, *args: passes.append(self) or dot(self, *args))
+    assert star_eval(f, g, cfg, z, order).coeffs == want
+    assert ring.kept[p] == (small,) and passes and set(passes) == {small}
 
 
 def test_star_eval_scans_no_degrees(monkeypatch):
@@ -1138,14 +1202,17 @@ def test_memory_estimate_counts_the_frames_it_does_not_list(n, p, order):
         comb(n + r - 1, r) * p**r * comb(n * p + order - r, order - r) for r in range(order + 1)
     ]
     projected = max(2 * F * entries for F, entries in zip(frames, outer))
-    # beside them, terms that list no frame: the jet point of star_jet_series,
-    # which reads g alone, the chart's jets of K's monomials of degree <= 2
-    # that the ring of slots keeps, and the ring of the returned jets
-    nz = n * p
-    point = (6 * n * p + max(2 * n * p + 2 * n * n, 8 * p * p)) * comb(2 * nz + order, order)
-    point += 2 * comb((n - p) * p + 2, 2) * comb(nz + order, order) + check_memory(nz, order) // 8
+    # beside them, terms that list no frame: the ring of the 2 q p entries of
+    # K_O and K with its pairs of K's monomials and both factors' Pi, and the
+    # chart's jets of K's monomials of degree <= 2 that the ring of slots
+    # keeps, with the rows they extend or an order's gather, and the returned jets
+    nz, qp = n * p, (n - p) * p
+    size = comb(nz + order, order)
+    offsets = check_memory(2 * qp, order) // 8 + comb(qp + order, order) ** 2
+    offsets += 4 * n * n * comb(2 * qp + order, order)
+    charts = 2 * comb(qp + 2, 2) * (2 * size + comb(n + order - 1, order) * p**order) + 2 * (order + 1) * size
     (_, _, _, matrices), _ = _memory_terms(n, p, order, True, 2)
-    assert matrices == stacks + max(build, 2 * p ** (2 * order)) + projected + point
+    assert matrices == stacks + max(build, 2 * p ** (2 * order)) + projected + offsets + charts
 
 
 def test_memory_estimate_refuses_a_large_order_listing_no_frame(monkeypatch):
@@ -1224,9 +1291,10 @@ def test_memory_check_counts_and_drops_the_rings_of_other_shapes(monkeypatch):
     monkeypatch.setattr(grastar.jets, "_rings", {})
     _isotypic_projectors(4, 2)
     own = {(6, 3)}
-    # a star_jet_series at (3, 2, 3) reads the ring of 12 variables at order 3 beside (6, 3);
-    # it opens no ring of 6 variables below order 3, so those are other shapes
-    series = {(12, 3)}
+    # a star_jet_series at (3, 2, 3) reads the ring of the 4 entries of K_O and K at
+    # order 3 beside (6, 3); it opens no ring of 6 variables below order 3, so
+    # those are other shapes
+    series = {(4, 3)}
     others = {(4, 5), (3, 2), (6, 2), (6, 0)}
     for key in own | series | others:
         shared_ring(*key).warm()
@@ -1286,9 +1354,10 @@ def test_series_memory_estimate_covers_the_cold_peak(monkeypatch, p, q, order):
     # a cold associativity check once traced 8.5 MiB against 7.2 MiB
     # estimated at (3, 1, 3) and 51.1 against 43.8 MiB at (4, 1, 3): the jet
     # point's n x p and p x p jets went uncounted, and growing the work
-    # buffers held the old set beside the new one.  With f read off the
-    # ring of n p variables the estimate counts g's jets alone, and the
-    # inverse's p x p jets as it holds them
+    # buffers held the old set beside the new one.  The series now reads
+    # both factors off the chart of the ring of n p variables, whose rows
+    # verify_suite reads to degree min(order, 4): its functions have terms
+    # of one or two generators, and g^L twice g's degree in K_O
     verify_suite(SpaceConfig(1, 1), order=1)  # imports and one-off set-up, untraced
     monkeypatch.setattr(grastar.star, "_stacks", {})
     monkeypatch.setattr(grastar.jets, "_work", np.empty((3, 0), dtype=complex))
@@ -1296,8 +1365,7 @@ def test_series_memory_estimate_covers_the_cold_peak(monkeypatch, p, q, order):
     for cached in (sorted_tuples, _frames, _series_weights, grastar.star._box_indices):
         cached.cache_clear()
     cfg = SpaceConfig(p, q)
-    # verify_suite's functions have terms of one or two generators
-    estimate = max(check_memory(*args) for args in _memory_terms(cfg.n, p, order, True, 2))
+    estimate = max(check_memory(*args) for args in _memory_terms(cfg.n, p, order, True, min(order, 4)))
     tracemalloc.start()
     try:
         verify_suite(cfg, order=order)
@@ -1384,7 +1452,7 @@ def test_warm_verify_suite_at_order_seven_builds_no_ring(monkeypatch):
 
 
 def test_second_associativity_check_builds_no_ring(monkeypatch):
-    # both jet series take their ring of outer and inner offsets from the
+    # both jet series take their ring of K_O's and K's entries from the
     # shared cache, so a repeated check at one size reuses every table
     cfg = SpaceConfig(2, 1)
     rng = np.random.default_rng(22)
