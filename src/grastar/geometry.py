@@ -23,15 +23,16 @@ constant and Z = e + V, V the matrix of slot variables, Pi = [[1, 0],
 X1 (the first p) and X2 (the last q), which depends on no point:
 ``base_chart`` expands each expression as a polynomial in the q p
 entries of K and maps it to the slot ring by one matrix product with the
-jets of K's monomials, built once per ring by ``linear_fraction`` and the
-ring's table.  ``series_charts`` reads the factors of a jet series off
-the same jets, as polynomials in the chart coordinates of its outer and
-inner offsets.  ``eval_function`` at any jet point forms Z (Zbar Z)^-1
-Zbar as a jet matrix, with ``jets.mat_inverse``.  No product path takes
-it: it is the chart's reference in the tests, and serves the Wick
-product and the Poisson bracket, which the verification suite holds the
-product against.  Both routes multiply the generators of an expression
-alike: its terms of two generators in one table pass.
+jets of K's monomials, built once per ring on the ring's table.
+``series_charts`` reads the factors of a jet series off the same jets,
+as polynomials in the chart coordinates of its outer and inner offsets.
+``eval_function`` at any jet point forms Z (Zbar Z)^-1 Zbar as a jet
+matrix, with ``jets.mat_inverse``.  No product path takes it: it is the
+chart's reference in the tests, and serves the Wick product and the
+Poisson bracket, which the verification suite holds the product against.
+Every route expands expressions alike, by ``_eval_jets`` over the
+``_trace_products`` of a jet matrix Pi: the terms of two generators of
+an expression in one table pass.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from grastar.jets import (
     Jet,
     JetRing,
     MatrixJet,
-    linear_fraction,
     mat_inverse,
     shared_ring,
 )
@@ -321,8 +321,10 @@ def _chart_table(ring: JetRing, p: int, mu: Fraction, small: JetRing, degree: in
     slot A p + i being variable A p + i of ``ring``.  Every such ring lists
     its monomials by degree in one order, so the rows of one ring, p and mu
     serve every ``small``: they are kept on ``ring``, and a higher degree
-    extends them.  K is one ``linear_fraction``; a monomial of degree d >= 2
-    is one of degree d - 1 times an entry of K, one pass over the table.
+    extends them.  K is built in place by its Neumann series, K_1 = X2 /
+    sqrt(mu) and K_d = -K_{d-1} X1 / sqrt(mu), one table product with the
+    linear X1 per degree; a monomial of degree d >= 2 is one of degree
+    d - 1 times an entry of K, one pass over the table.
     """
     rows = comb(small.nvars + degree, degree)
     (kept,) = ring.kept.get((p, mu), ((),))
@@ -335,13 +337,16 @@ def _chart_table(ring: JetRing, p: int, mu: Fraction, small: JetRing, degree: in
         M[0] = np.eye(1, ring.size)  # the constant monomial leads every ring
         done = 1
     if done == 1 < rows:
-        # K = L V (1 + R V)^-1 with L V = X2 / sqrt(mu) and R V = X1 / sqrt(mu)
-        n, qp = ring.nvars // p, small.nvars
-        root = 1 / np.sqrt(float(mu))
-        V1 = np.eye(n * p).reshape(n * p, n, p)
-        L, R = root * np.eye(n)[p:], root * np.eye(n)[:p]
+        # variable v is the degree-1 monomial 1 + v, and X2's entries follow
+        # X1's p p.  X1 / sqrt(mu) is given by its coefficients of degree <= 1,
+        # all that the block (d - 1, 1) reads
+        nz, qp, root = ring.nvars, small.nvars, 1 / np.sqrt(float(mu))
         done = 1 + qp
-        M[1:done] = linear_fraction(ring, L, V1, R).coeffs.reshape(qp, ring.size)
+        M[1:done] = root * np.eye(qp, ring.size, 1 + p * p)
+        K = M[1:done].reshape(qp // p, p, ring.size)
+        X1 = root * np.eye(p * p, 1 + nz, 1, dtype=complex).reshape(p, p, 1 + nz)
+        for d in range(2, ring.order + 1):
+            K -= ring._matmul(K, X1, [(d - 1, 1, 1)])
     for k in range(done, rows):
         M[k] = ring.multiply(M[small._parent[k]], M[small._up[0, small._last[k]]])
     M.flags.writeable = False
@@ -359,28 +364,24 @@ def base_chart(fs, ring: JetRing, p: int, mu) -> list:
     generators is a polynomial of degree D in them, and K has no constant
     term, so monomials of degree above the ring's order vanish.  The
     polynomials are expanded on a ring of K's entries kept on ``ring`` per
-    p, of the highest D asked for so far (``_eval_jets``), and mapped to
-    ``ring`` by one matrix product with ``_chart_table``'s jets of K's
-    monomials: no point enters, and a warm call passes over no table of
-    ``ring``.  A jet series that reads those rows to a higher degree leaves
-    that ring alone.
+    p, of the highest D asked for so far, beside Pi's coefficients on it
+    (``_eval_jets``), and mapped to ``ring`` by one matrix product with
+    ``_chart_table``'s jets of K's monomials: no point enters, and a warm
+    call passes over no table of ``ring``.  A jet series that reads those
+    rows to a higher degree leaves that ring alone.
     """
     degree = chart_degree(fs, ring.order)
-    (small,) = ring.kept.get(p, (None,))
+    small, Pi = ring.kept.get(p, (None, None))
     if small is None or small.order < degree:
-        small = JetRing((ring.nvars // p - p) * p, degree).warm()
-        ring.keep(p, (small,))
+        n, qp = ring.nvars // p, ring.nvars - p * p
+        small = JetRing(qp, degree).warm()
+        Pi = np.zeros((n, n, small.size), dtype=complex)
+        Pi[range(p), range(p), 0] = 1
+        if degree:  # K's entry (a, i) is the degree-1 monomial 1 + a p + i
+            Pi[p:, :p] = np.eye(qp, small.size, 1).reshape(n - p, p, -1)
+        ring.keep(p, (small, Pi))
     M = _chart_table(ring, p, Fraction(mu), small, small.order)
-    qp = small.nvars
-
-    def traces(Bs):
-        out = np.zeros((len(Bs), small.size), dtype=complex)
-        out[:, 0] = np.trace(Bs[:, :p, :p], axis1=1, axis2=2)
-        if small.order:  # tr(B12 K) = sum_(a, i) B[i, p + a] K[a, i]
-            out[:, 1 : 1 + qp] = Bs[:, :p, p:].transpose(0, 2, 1).reshape(len(Bs), qp)
-        return out
-
-    polys = np.array([jet.coeffs for jet in _eval_jets(fs, small, traces)])
+    polys = np.array([jet.coeffs for jet in _eval_jets(fs, small, lambda Bs: _trace_products(Bs, Pi))])
     return [Jet(ring, coeffs) for coeffs in polys @ M]
 
 
@@ -456,7 +457,7 @@ def eval_function(f, Z, Zbar=None):
     Zbar, and the distinct B of all of them are read off it in one matrix
     product.  This generic route is an oracle, on no product path: it
     serves the Wick product and the Poisson bracket, and is the reference
-    for the charts; it never calls ``linear_fraction``, whose K
+    for the charts; it never reads ``_chart_table``'s jets of K, which
     ``base_chart`` and ``series_charts`` read.  It raises
     ``ConvergenceError`` when the constant Gram matrix zb z is
     ill-conditioned.  Expressions with no generator at all form no Pi.

@@ -13,11 +13,11 @@ monomials of degree <= D are a prefix, the basis of the ring of order D,
 and within a degree those in the first k variables lead, in the order of a
 ring of k variables.  One index map, built with the ring, gives the index
 of m x_v for every monomial m and variable v; ``index_of``, the
-multiplication table, the degree-shift map that inverts it and the
-indices of slot-tuple monomials, one per sorted row tuple of a matrix of
-variables (every order concatenated, for one gather; the one row of a
-1 x k matrix lists every tuple), all derive from it.  The table lists the
-pairs whose product lies in the truncation in blocks of their degrees.
+multiplication table and the indices of slot-tuple monomials, one per
+sorted row tuple of a matrix of variables (every order concatenated, for
+one gather; the one row of a 1 x k matrix lists every tuple), all derive
+from it.  The table lists the pairs whose product lies in the truncation
+in blocks of their degrees.
 A product, or a sum of products, of expression jets, which fill every
 degree, reads the whole table; a product of jet matrices reads only the
 rectangle of blocks its entries' degrees occupy.
@@ -61,17 +61,17 @@ def check_memory(nvars: int, order: int, tensor_entries: int = 0, matrix_entries
     nothing.  It counts 40 B per pair of the ring's table (three indices
     and two scatter targets; C(2 nvars + order, order) pairs), 64 B per
     pair of a product's largest chunk (at most ``_CHUNK``) for the shared
-    work buffers and its targets, copied when it spans several ranges, 16 B
-    per monomial and variable for the index map and its inverse, 96 B per
-    entry of the largest tensor array a caller reads
-    from the ring (its index, the gathered coefficients, their weights,
-    the products formed from them and the lower orders held beside it)
-    and 8 B per entry of the float64 matrices a caller holds beside them.
+    work buffers and its targets, copied when it spans several ranges, 8 B
+    per monomial and variable for the index map, 96 B per entry of the
+    largest tensor array a caller reads from the ring (its index, the
+    gathered coefficients, their weights, the products formed from them
+    and the lower orders held beside it) and 8 B per entry of the float64
+    matrices a caller holds beside them.
     """
     if nvars < 0 or order < 0:
         raise ValueError("nvars and order must be nonnegative")
     pairs = comb(2 * nvars + order, order)
-    need = 40 * pairs + 64 * min(pairs, _CHUNK) + 16 * (comb(nvars + order, order) + 1) * nvars
+    need = 40 * pairs + 64 * min(pairs, _CHUNK) + 8 * (comb(nvars + order, order) + 1) * nvars
     need += 96 * tensor_entries + 8 * matrix_entries
     if need > MEMORY_BUDGET:
         raise RangeError(
@@ -142,7 +142,7 @@ class JetRing:
         self.held = 0
         self._build_index()
         self._multisets: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, list, list]] = {}
-        self._shift = self._table = self._offsets = self._targets = None
+        self._table = self._offsets = self._targets = None
         self.kept: dict = {}
 
     def _hold(self, *arrays: np.ndarray) -> None:
@@ -323,27 +323,6 @@ class JetRing:
             self._hold(ti, tj, tk, offsets, self._targets)
         return self._table
 
-    def degree_shift(self) -> list[tuple[slice, np.ndarray]]:
-        """The degree-shift map, built on first use and kept on the ring.
-
-        One pair (mons, below) per degree d = 1 ... order: ``mons`` is the
-        slice of the degree-d monomials m, and ``below[k, v]`` is the index
-        of m - e_v for the k-th of them, or ``size`` where m has no factor
-        x_v.  The degree-1 monomials are x_0, x_1, ... in variable order.
-        """
-        if self._shift is None:
-            self._shift = self._build_degree_shift()
-            self._hold(*(below for _, below in self._shift))
-        return self._shift
-
-    def _build_degree_shift(self) -> list[tuple[slice, np.ndarray]]:
-        # the inverse of the index map: m x_v = k gives k - e_v = m
-        below = np.full((self.size, self.nvars), self.size, dtype=np.intp)
-        m, v = np.nonzero(self._up[:-1] < self.size)
-        below[self._up[m, v], v] = m
-        s = self._starts
-        return [(slice(s[d], s[d + 1]), below[s[d] : s[d + 1]]) for d in range(1, self.order + 1)]
-
     def _degree_range(self, coeffs: np.ndarray):
         """Lowest and highest degree at which any vector of a stack is nonzero.
 
@@ -476,7 +455,6 @@ class JetRing:
         """
         held = [self._up, self._parent, self._last, self.degree, self.dfact, self.__dict__.get("monos")]
         held += [*(self._table or ()), self._offsets, self._targets]
-        held += [below for _, below in self._shift or ()]
         held += [a for idx, weights, _, _ in self._multisets.values() for a in (idx, weights)]
         held += [part for parts in self.kept.values() for part in parts]
         return sum(a.nbytes for a in held if a is not None)
@@ -718,8 +696,8 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
     larger than 1; the identity is subtracted in place from the constant
     term of M X, and each degree's sum is freed before the next.
     It serves ``geometry.eval_function``'s jet route, an oracle: every
-    product reads its factors off a chart coordinate built once by
-    ``linear_fraction`` instead.
+    product reads its factors off a chart coordinate built once per ring
+    by products with a linear jet on the ring's table instead.
     """
     if M.rows != M.cols:
         raise ValueError("matrix must be square")
@@ -741,38 +719,3 @@ def mat_inverse(M: MatrixJet) -> MatrixJet:
         raise ConvergenceError(f"jet matrix inverse misses its residual bound ({resid:.2e})")
     return X
 
-
-def linear_fraction(ring: JetRing, L: np.ndarray, V1: np.ndarray, R: np.ndarray) -> MatrixJet:
-    """K = Y (1 + W)^-1 with Y = L V and W = R V, for the linear jet matrix V = sum_v x_v V1[v].
-
-    V1 is the (nvars, n, m) tensor of V's degree-1 coefficients, one n x m
-    matrix per variable of ``ring``; L (rows x n) and R (m x n) are
-    constant.  K = Y - K W, and W is linear, so the degree-d block of K is
-    Y for d = 1 and -K_{d-1} W above it: the coefficient of a degree-d
-    monomial m is -sum_v K_{d-1}[m - e_v] W_v, with W_v = R V1[v].  Each
-    degree is gathered through the ring's degree-shift map in slices of at
-    most ``_CHUNK`` entries, each summed over (v, i) by one matrix product;
-    no table product or inverse is involved.
-    """
-    n, m = V1.shape[1:]
-    rows = L.shape[0]
-    if V1.shape[0] != ring.nvars or L.shape[1] != n or R.shape != (m, n):
-        raise ValueError("shape mismatch")
-    # K[a, k, b] is entry (a, b) at monomial k; the extra monomial ``size``
-    # stays zero, so the gather reads 0 where x_v does not divide m
-    K = np.zeros((rows, ring.size + 1, m), dtype=complex)
-    shift = ring.degree_shift()
-    if shift:
-        lin = shift[0][0]
-        K[:, lin, :] = (L @ V1).transpose(1, 0, 2)
-        # rows (v, i) against the v-major, i-minor columns of the gather
-        Wv = (R @ V1).reshape(-1, m)
-        # a monomial gathers rows x nvars x m entries: at most _CHUNK of them a slice
-        step = max(1, _CHUNK // (rows * ring.nvars * m))
-        for mons, below in shift[1:]:
-            for lo in range(0, len(below), step):
-                # take, not fancy indexing: several times faster on the middle axis
-                G = K.take(below[lo : lo + step], axis=1).reshape(-1, len(Wv))
-                K[:, mons][:, lo : lo + step] = -(G @ Wv).reshape(rows, -1, m)
-                del G  # one slice at a time
-    return MatrixJet(ring, K[:, :-1, :].transpose(0, 2, 1))

@@ -342,10 +342,10 @@ def _memory_terms(n: int, p: int, order: int, series: bool, degree: int) -> tupl
     The ring keeps the chart's jets of the monomials of degree <= ``degree``
     in the q p entries of K (the factors' longest term has ``degree``
     generators, at most ``order``; a jet series passes its own, up to twice
-    that).  Beside them it holds one at a time the chart's build (K and a
-    slice of its gather) and the jets of f and gbar, the build of one order
-    by branching (X, its powers by J_r, one part) and the complex Gram
-    matrix.  ``series`` adds ``star_jet_series`` on the same ring: the ring
+    that).  Beside them it holds one at a time the chart's build (the
+    product of K, built in place among them, by X1 and one jet) and the
+    jets of f and gbar, the build of one order by branching (X, its powers
+    by J_r, one part) and the complex Gram matrix.  ``series`` adds ``star_jet_series`` on the same ring: the ring
     of the 2 q p entries of K_O and K with the pairs of K's monomials that
     index it and the jet matrices Pi of both factors, the chart's rows to
     ``degree`` with the rows they extend or one order's gather of their
@@ -368,13 +368,12 @@ def _memory_terms(n: int, p: int, order: int, series: bool, degree: int) -> tupl
     addable = [min(p, (isqrt(8 * r - 7) + 1) // 2) for r in range(1, order + 1)]
     build = max((p ** (2 * r) * (1 + a) for r, a in enumerate(addable, 1)), default=0)
     transient = max(build, 2 * p ** (2 * order))
-    # complex jets on the ring: the kept monomials of K, K itself while it is built
-    # (one more monomial) with a gather slice of at most _CHUNK entries, and f and gbar
+    # complex jets on the ring: the kept monomials of K, while K is built the
+    # product K X1 and one jet of it, and f and gbar
     size = comb(nz + order, order)
     monomials = comb(qp + degree, degree)
     kept = 2 * monomials * size
-    gather = qp * nz * comb(nz + order - 1, order) if order > 1 else 0
-    chart = kept + 2 * (qp * (size + 1) + min(jets._CHUNK, gather) if degree else 0) + 4 * size
+    chart = kept + (2 * (qp + 1) * size if degree else 0) + 4 * size
     terms = [(nz, order, tensor[order], stacks + max(chart, transient))]
     if series:
         outer = [tensor[r] * comb(nz + order - r, order - r) for r in range(order + 1)]
@@ -456,14 +455,14 @@ def _check_order(order) -> None:
         raise RangeError(f"order must be a nonnegative integer, got {order!r}")
 
 
-def _check_shapes(f, g, cfg: SpaceConfig, z: PointZ) -> None:
-    """Raise ``ValueError`` unless z is n x p and every generator matrix n x n."""
+def _check_shapes(fs, cfg: SpaceConfig, z: PointZ) -> None:
+    """Raise ``ValueError`` unless z is n x p and every generator matrix of the expressions fs n x n."""
     n, p = cfg.n, cfg.p
     if z.z.shape != (n, p):
         raise ValueError(
             f"point has shape {z.z.shape}, expected {(n, p)} for p = {p}, q = {cfg.q}"
         )
-    for fn in (f, g):
+    for fn in fs:
         if isinstance(fn, FunctionExpr):
             for _, factors in fn.terms:
                 for B in factors:
@@ -495,7 +494,7 @@ def star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None):
     for fn in (f, g):
         if not isinstance(fn, FunctionExpr):
             raise TypeError(f"star_eval takes FunctionExpr factors, got {type(fn).__name__}")
-    _check_shapes(f, g, cfg, z)
+    _check_shapes((f, g), cfg, z)
     _check_memory(cfg.n, cfg.p, order, chart_degree((f, g), order))
     c = None if lam is None else _deformation_c(cfg.p, cfg.mu, lam)
     _check_poles(cfg.p, c, order)
@@ -519,7 +518,7 @@ def projective_star_eval(f, g, cfg: SpaceConfig, z: PointZ, order: int, lam=None
     _check_order(order)
     if cfg.p != 1:
         raise ValueError("closed form only applies to p = 1")
-    _check_shapes(f, g, cfg, z)
+    _check_shapes((f, g), cfg, z)
     mu = Fraction(cfg.mu)
     if lam is not None:
         # mu + s lam = 0 exactly when c = mu/lam + 1 meets the content s - 1
@@ -645,8 +644,12 @@ def associativity_residuals(f, g, h, cfg: SpaceConfig, z: PointZ, order: int):
     of f*g in holomorphic offsets with h, the right one pairs f with those
     of g*h in antiholomorphic ones, the conjugates of the jets of
     hbar*gbar.  The third factors are read as in ``star_eval``: f's
-    holomorphic and h's antiholomorphic tensors, from one chart.
+    holomorphic and h's antiholomorphic tensors, from one chart.  Raises
+    ``RangeError`` for an order that is not a nonnegative integer and
+    ``ValueError`` if z or a matrix of f, g or h does not fit ``cfg``.
     """
+    _check_order(order)
+    _check_shapes((f, g, h), cfg, z)
     n, p = cfg.n, cfg.p
     f, g, h = rotate((f, g, h), frame(z))
     hbar, gbar = h.conjugate(), g.conjugate()
@@ -686,10 +689,11 @@ def verify_suite(
     its parameters, the residual, the tolerance and a pass flag.  Fully
     deterministic for a fixed seed.  A rational ``lam`` adds a check that
     f*g is finite there, or raises ``PoleError``.  Raises ``RangeError`` for
-    an order below 1, which has no commutator to check, for a tolerance that
-    is negative or not finite, and before allocating for a size whose memory
-    estimate exceeds the budget.
+    an order that is not an integer or is below 1, which has no commutator
+    to check, for a tolerance that is negative or not finite, and before
+    allocating for a size whose memory estimate exceeds the budget.
     """
+    _check_order(order)
     if order < 1:
         raise RangeError(f"verification needs order >= 1, got {order}")
     if not (np.isfinite(tolerance) and tolerance >= 0):

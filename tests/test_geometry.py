@@ -29,7 +29,7 @@ from grastar.geometry import (
     sample_point,
     wick_product,
 )
-from grastar.jets import Jet, JetRing, MatrixJet, linear_fraction, mat_inverse, shared_ring
+from grastar.jets import Jet, JetRing, MatrixJet, mat_inverse, shared_ring
 
 
 def _cfg(p=2, q=2, mu=Fraction(2)):
@@ -273,13 +273,12 @@ def test_chart_route_matches_generic_route(p, q, holomorphic):
             assert np.max(np.abs(got.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref)), (mu, order)
 
 
-def test_chart_table_is_built_once_per_ring_and_extended(monkeypatch):
-    # the jets of K's monomials depend on no point: one linear_fraction per
+def test_chart_table_is_built_once_per_ring_and_extended(k_builds):
+    # the jets of K's monomials depend on no point: K is built once per
     # ring, p and mu, kept on the ring and counted in its held bytes, beside
     # the ring of K's entries that the polynomials expand on; a longer term
     # extends both, and a fresh ring builds the rows alike
-    charts = []
-    monkeypatch.setattr(geometry, "linear_fraction", lambda *a: charts.append(1) or linear_fraction(*a))
+    charts = k_builds
     cfg = SpaceConfig(2, 2, Fraction(3, 2))
     n, p, order = cfg.n, cfg.p, 4
     rng = np.random.default_rng(41)
@@ -291,32 +290,31 @@ def test_chart_table_is_built_once_per_ring_and_extended(monkeypatch):
     (got,) = base_chart([long], ring, p, cfg.mu)
     assert ring.kept[p][0].order == 3 and ring.held == ring.nbytes
     base_chart([short, long], ring, p, cfg.mu)
-    assert charts == [1]
+    assert len(charts) == 1
     (fresh,) = base_chart([long], JetRing(n * p, order), p, cfg.mu)
     assert np.array_equal(got.coeffs, fresh.coeffs)
     # constants alone build no K, and the first generator on that ring does
     ring = JetRing(n * p, order)
     base_chart([FunctionExpr.constant(2.0)], ring, p, cfg.mu)
-    assert charts == [1, 1] and ring.kept[p, cfg.mu][0].shape == (1, ring.size)
+    assert len(charts) == 2 and ring.kept[p, cfg.mu][0].shape == (1, ring.size)
     (again,) = base_chart([long], ring, p, cfg.mu)
-    assert charts == [1, 1, 1] and np.array_equal(again.coeffs, fresh.coeffs)
+    assert len(charts) == 3 and np.array_equal(again.coeffs, fresh.coeffs)
     # a ring of order 0 holds the constant monomial only
     ring = JetRing(n * p, 0)
     (value,) = base_chart([long], ring, p, cfg.mu)
-    assert charts == [1, 1, 1] and ring.kept[p, cfg.mu][0].shape == (1, 1)
+    assert len(charts) == 3 and ring.kept[p, cfg.mu][0].shape == (1, 1)
     assert value.value() == pytest.approx(eval_function(long, base_point(cfg)), rel=1e-13)
 
 
 @pytest.mark.parametrize("route", ["holomorphic", "antiholomorphic", "generic"])
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (3, 1)])
-def test_batched_generators_match_per_generator_reference(p, q, route, monkeypatch):
+def test_batched_generators_match_per_generator_reference(p, q, route, monkeypatch, k_builds):
     # eval_function reads the distinct B of all its expressions off one Pi,
     # with one jet inverse and no chart, at any jet point; base_chart reads
     # them off one K, with no inverse, at the base point in a frame.  Each
     # must equal tr(B Pi) with Pi = Z (Zbar Z)^-1 Zbar formed on its own
-    charts, inverses = [], []
+    charts, inverses = k_builds, []
     monkeypatch.setattr(grastar.jets, "_rings", {})
-    monkeypatch.setattr(geometry, "linear_fraction", lambda *a: charts.append(1) or linear_fraction(*a))
     monkeypatch.setattr(geometry, "mat_inverse", lambda M: inverses.append(1) or mat_inverse(M))
     cfg = SpaceConfig(p, q)
     n, order = cfg.n, 3
@@ -403,7 +401,7 @@ def test_eval_function_at_a_jet_point_never_reads_the_chart(route, monkeypatch):
     def refuse(*args):
         raise AssertionError("eval_function read the chart")
 
-    for name in ("linear_fraction", "base_chart", "_chart_table", "frame", "rotate"):
+    for name in ("base_chart", "_chart_table", "frame", "rotate"):
         monkeypatch.setattr(geometry, name, refuse)
     cfg = SpaceConfig(2, 1)
     rng = np.random.default_rng(17)

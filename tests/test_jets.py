@@ -19,7 +19,6 @@ from grastar.jets import (
     MatrixJet,
     check_memory,
     extract_partial,
-    linear_fraction,
     mat_inverse,
     shared_ring,
     sorted_tuples,
@@ -177,6 +176,9 @@ def test_index_of_inverts_the_basis(ring):
     assert ring.index_of((0,) * ring.nvars) == 0
     assert np.array_equal(ring.degree, ring.monos.sum(axis=1))
     assert np.all(np.diff(ring.degree) >= 0)
+    if ring.order:
+        # the degree-1 monomials are the variables, in order: x_v is monomial 1 + v
+        assert np.array_equal(ring.monos[1 : 1 + ring.nvars], np.eye(ring.nvars, dtype=int))
     if ring.nvars:
         for bad in [(ring.order + 1,) + (0,) * (ring.nvars - 1), (-1,) + (0,) * (ring.nvars - 1)]:
             with pytest.raises(KeyError):
@@ -200,22 +202,6 @@ def test_index_map_matches_brute_force(ring):
     if ring.nvars:
         with pytest.raises(KeyError):
             ring.multiset_indices(1, 1, ring.nvars, 0, [ring.size - 1])
-
-
-@pytest.mark.parametrize("ring", _INDEX_RINGS, ids=repr)
-def test_degree_shift_matches_brute_force(ring):
-    index = {tuple(int(d) for d in m): k for k, m in enumerate(ring.monos)}
-    shift = ring.degree_shift()
-    assert len(shift) == ring.order
-    for d, (mons, below) in enumerate(shift, start=1):
-        assert np.array_equal(np.arange(ring.size)[mons], np.flatnonzero(ring.degree == d))
-        for k, m in zip(range(ring.size)[mons], below):
-            for v in range(ring.nvars):
-                down = tuple(int(e) - (w == v) for w, e in enumerate(ring.monos[k]))
-                assert m[v] == index.get(down, ring.size)
-    if ring.order and ring.nvars:
-        # the degree-1 monomials are the variables, in order
-        assert np.array_equal(ring.monos[shift[0][0]], np.eye(ring.nvars, dtype=int))
 
 
 @pytest.mark.parametrize("ring", _INDEX_RINGS, ids=repr)
@@ -400,14 +386,12 @@ def test_ring_nbytes_counts_what_it_builds():
     ring.warm()
     table = sum(a.nbytes for a in ring._table) + ring._offsets.nbytes + ring._targets.nbytes
     assert ring.nbytes == ring.held == maps + table
-    ring.degree_shift()
     idx = ring.multiset_indices(2, 2, 2)
-    # the shift map of every degree above 0, and the one gather of orders
-    # 0 ... 3 with its weights, of which the indices of one order are a view
-    below = (ring.size - 1) * ring.nvars * np.dtype(np.intp).itemsize
+    # the one gather of orders 0 ... 3 with its weights, of which the
+    # indices of one order are a view
     gather, weights, _, _ = ring.multiset_gather(2, 2)
     assert gather.size == weights.size == 1 + 2 * 2 + 3 * 4 + 4 * 8 and np.shares_memory(idx, gather)
-    built = maps + table + below + gather.nbytes + weights.nbytes
+    built = maps + table + gather.nbytes + weights.nbytes
     assert ring.nbytes == ring.held == built
     ring.monos
     assert ring.nbytes == ring.held == built + ring.monos.nbytes
@@ -437,31 +421,6 @@ def test_table_multiply_allocates_only_its_result():
     assert peak < 2 * 16 * ring.size
 
 
-def test_linear_fraction_gathers_in_bounded_slices(monkeypatch):
-    # each degree of K is gathered in slices of at most _CHUNK entries; in
-    # one shot the top degree's gather here is twelve times K itself
-    n, m, rows = 4, 3, 2
-    ring = shared_ring(n * m, 5)
-    ring.degree_shift()
-    rng = np.random.default_rng(5)
-    L = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-    R = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    # V = sum_v x_v V1[v], variable A m + i the entry (A, i)
-    V1 = np.eye(n * m).reshape(n * m, n, m)
-    monkeypatch.setattr(grastar.jets, "_CHUNK", 1 << 40)
-    whole = linear_fraction(ring, L, V1, R).coeffs
-    monkeypatch.setattr(grastar.jets, "_CHUNK", 1000)
-    tracemalloc.start()
-    try:
-        sliced = linear_fraction(ring, L, V1, R).coeffs
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.max(np.abs(sliced - whole)) <= 1e-14 * np.max(np.abs(whole))
-    # K and a few slices of 16-byte entries, not the 7 MB of the one-shot gather
-    assert peak < whole.nbytes + 4 * 16 * 1000
-
-
 def test_var_at_order_zero_is_constant():
     ring = JetRing(2, 0)
     x = ring.var(1, 2.5)
@@ -476,12 +435,11 @@ def test_var_out_of_range():
 
 
 def test_ring_freed_without_cyclic_gc():
-    # a ring, with its table, shift map and work buffers, must not wait for
-    # a cyclic collection
+    # a ring, with its table and work buffers, must not wait for a cyclic
+    # collection
     gc.disable()
     try:
         ring = JetRing(4, 3).warm()
-        ring.degree_shift()
         ref = weakref.ref(ring)
         del ring
         assert ref() is None

@@ -45,7 +45,6 @@ from grastar.jets import (
     MatrixJet,
     check_memory,
     extract_partial,
-    linear_fraction,
     mat_inverse,
     shared_ring,
     sorted_tuples,
@@ -539,9 +538,16 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="point has shape"):
         star_eval(f, f, cfg, wide, 1)
     small = random_function_expr(SpaceConfig(1, 1), rng)
+    with pytest.raises(ValueError, match="point has shape"):
+        associativity_residuals(f, f, f, cfg, wide, 1)
     for left, right in ((small, f), (f, small)):
         with pytest.raises(ValueError, match="function matrix has shape"):
             star_eval(left, right, cfg, z, 1, lam=Fraction(1, 10))
+    # a 4 x 4 B at (p, q) = (2, 1), in any of the three factors
+    big = random_function_expr(SpaceConfig(2, 2), rng)
+    for fgh in ((big, f, f), (f, big, f), (f, f, big)):
+        with pytest.raises(ValueError, match="function matrix has shape"):
+            associativity_residuals(*fgh, cfg, z, 1)
 
 
 @pytest.mark.parametrize("p,q,order", [(1, 2, 4), (2, 2, 3), (3, 1, 4)])
@@ -572,24 +578,19 @@ def test_antiholomorphic_tensors_are_conjugates_of_the_conjugate_function(p, q, 
                 assert np.max(np.abs(G - W)) <= 1e-13 * scale
 
 
-def test_star_eval_builds_one_chart(monkeypatch):
+def test_star_eval_builds_one_chart(monkeypatch, k_builds):
     # f and the conjugate of g share one K, which depends on no point: a
     # cold product builds it once, a warm one at another point reads the
-    # kept jets of its monomials, with no linear_fraction and no pass over
-    # the slot ring's table.  No jet is inverted, no antiholomorphic jet
-    # point is made and no level representative is formed
-    charts, dots = [], []
-
-    def counting_fraction(*args):
-        charts.append(1)
-        return linear_fraction(*args)
+    # kept jets of its monomials, with no build of K and no pass over the
+    # slot ring's table.  No jet is inverted, no antiholomorphic jet point
+    # is made and no level representative is formed
+    charts, dots = k_builds, []
 
     def refuse(*args):
         raise AssertionError("a second jet point, a jet inverse or a level representative on the star_eval path")
 
     dot = JetRing._dot
     monkeypatch.setattr(grastar.jets, "_rings", {})
-    monkeypatch.setattr(grastar.geometry, "linear_fraction", counting_fraction)
     monkeypatch.setattr(JetRing, "_dot", lambda self, *args: dots.append(self.nvars) or dot(self, *args))
     monkeypatch.setattr(grastar.geometry, "mat_inverse", refuse)
     monkeypatch.setattr(grastar.star, "level_representative", refuse)
@@ -600,11 +601,11 @@ def test_star_eval_builds_one_chart(monkeypatch):
     rng = np.random.default_rng(71)
     f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
     star_eval(f, g, cfg, sample_point(cfg, 71), 3)
-    assert charts == [1] and nz in dots
+    assert charts == [nz] and nz in dots
     for lam in (None, Fraction(1, 10)):
         dots.clear()
         star_eval(g, f, cfg, sample_point(cfg, 72), 3, lam=lam)
-        assert charts == [1] and nz not in dots
+        assert charts == [nz] and nz not in dots
 
 
 def test_warm_star_eval_recounts_no_held_bytes(monkeypatch):
@@ -674,12 +675,8 @@ def test_multiset_tensors_read_every_order_in_one_gather():
         multiset_tensors(jf, n, p, order + 1)
 
 
-def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch):
-    charts, inverses = [], []
-
-    def counting_fraction(*args):
-        charts.append(1)
-        return linear_fraction(*args)
+def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch, k_builds):
+    charts, inverses = k_builds, []
 
     def counting_inverse(M):
         inverses.append(M.rows)
@@ -689,7 +686,6 @@ def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch):
         raise AssertionError("an antiholomorphic jet point on the associativity path")
 
     monkeypatch.setattr(grastar.jets, "_rings", {})
-    monkeypatch.setattr(grastar.geometry, "linear_fraction", counting_fraction)
     monkeypatch.setattr(grastar.geometry, "mat_inverse", counting_inverse)
     for module in (grastar.geometry, grastar.star):
         monkeypatch.setattr(module, "antiholomorphic_jet_point", refuse, raising=False)
@@ -704,33 +700,18 @@ def test_associativity_reads_its_third_factors_from_one_chart(monkeypatch):
     assert inverses == []
 
 
-def test_jet_series_reads_f_on_the_ring_of_slots(monkeypatch):
+def test_jet_series_reads_f_on_the_ring_of_slots(monkeypatch, k_builds):
     # both factors of a jet series are polynomials in the chart coordinates
     # K_O and K of the outer and inner offsets, mapped by the jets of K's
     # monomials on the ring of n p variables: a cold check builds K once,
-    # there, and no chart or degree-shift map on any other ring
-    charted, shifted = [], []
-
-    def counting_fraction(ring, *args):
-        charted.append(ring.nvars)
-        return linear_fraction(ring, *args)
-
-    shift = JetRing._build_degree_shift
-
-    def counting_shift(self):
-        shifted.append(self.nvars)
-        return shift(self)
-
+    # there, and no chart on any other ring
     monkeypatch.setattr(grastar.jets, "_rings", {})
-    monkeypatch.setattr(grastar.geometry, "linear_fraction", counting_fraction)
-    monkeypatch.setattr(JetRing, "_build_degree_shift", counting_shift)
     cfg = SpaceConfig(2, 1)
     nz = cfg.n * cfg.p
     rng = np.random.default_rng(76)
     f, g, h = (random_function_expr(cfg, rng) for _ in range(3))
     assert max(associativity_residuals(f, g, h, cfg, sample_point(cfg, 76), 3)) < 1e-10
-    assert charted == [nz]
-    assert shifted == [nz]
+    assert k_builds == [nz]
 
 
 def test_associativity_takes_no_generic_route_and_no_ring_of_outer_and_inner_offsets(monkeypatch):
@@ -781,7 +762,9 @@ def test_jet_series_leaves_star_eval_its_chart_ring(monkeypatch):
     z = sample_point(cfg, 81)
     want = star_eval(f, g, cfg, z, order).coeffs
     ring = shared_ring(n * p, order)
-    (small,) = ring.kept[p]
+    # the ring of K's entries, beside Pi's coefficients on it
+    kept = ring.kept[p]
+    small = kept[0]
     assert small.order == 2
     star_jet_series(f, g, cfg, order)
     assert len(ring.kept[p, cfg.mu][0]) == comb(cfg.q * p + 4, 4)
@@ -789,7 +772,7 @@ def test_jet_series_leaves_star_eval_its_chart_ring(monkeypatch):
     dot = JetRing._dot
     monkeypatch.setattr(JetRing, "_dot", lambda self, *args: passes.append(self) or dot(self, *args))
     assert star_eval(f, g, cfg, z, order).coeffs == want
-    assert ring.kept[p] == (small,) and passes and set(passes) == {small}
+    assert ring.kept[p] is kept and passes and set(passes) == {small}
 
 
 def test_star_eval_scans_no_degrees(monkeypatch):
@@ -826,7 +809,7 @@ def test_star_eval_rejects_a_callable_factor():
             star_eval(left, right, cfg, z, 2)
 
 
-@pytest.mark.parametrize("order", [-1, -5, 2.0, True])
+@pytest.mark.parametrize("order", [-1, -5, 2.0, 2.5, True])
 def test_order_must_be_a_nonnegative_integer(order):
     cfg = SpaceConfig(1, 1, Fraction(1))
     rng = np.random.default_rng(74)
@@ -841,6 +824,8 @@ def test_order_must_be_a_nonnegative_integer(order):
         projective_star_eval(f, g, cfg, z, order)
     with pytest.raises(RangeError, match="nonnegative integer"):
         star_jet_series(f, g, cfg, order)
+    with pytest.raises(RangeError, match="nonnegative integer"):
+        associativity_residuals(f, g, f, cfg, z, order)
     # order 0 is the pointwise product
     assert star_eval(f, g, cfg, z, np.int64(0)).coeffs[0] == pytest.approx(
         eval_function(f, zeta) * eval_function(g, zeta), rel=1e-12
@@ -1231,26 +1216,26 @@ def test_memory_estimate_refuses_a_large_order_listing_no_frame(monkeypatch):
 def test_memory_estimate_counts_the_chart_jet_point():
     # the chart's ring keeps the jets of K's monomials of degree <= D, the
     # factors' longest term: C(q p + D, D) complex jets.  Beside them it
-    # holds, while they are built, K and one gather slice of at most _CHUNK
-    # entries, and the jets of f and gbar.  No jet point is formed: the old
+    # holds, while K is built in place among them, the product K X1 and one
+    # jet of it, and the jets of f and gbar.  No jet point is formed: the old
     # estimate's n x p and p x n jets Z and Zbar are gone.  (7, 1, 4) and
-    # (2, 1, 12) at lambda = 1/10 run; (24, 1, 2) is refused by its ring
+    # (2, 1, 12) at lambda = 1/10 run; (26, 1, 2) is refused by its ring
+    # and the jets of K's monomials on it
     n, p, order = 8, 7, 4
     qp, size = (n - p) * p, comb(n * p + order, order)
     stacks = sum(len(_frames(r, p)[0]) * p ** (2 * r) for r in range(order + 1))
     # the build of the top order's projectors, held at another time
     transient = p ** (2 * order) * (1 + max(map(len, _frames(order, p)[2])))
-    gather = qp * n * p * comb(n * p + order - 1, order)
     for degree in range(order + 1):
         kept = 2 * comb(qp + degree, degree) * size
-        build = 2 * (qp * (size + 1) + min(grastar.jets._CHUNK, gather)) if degree else 0
+        build = 2 * (qp + 1) * size if degree else 0
         ((_, _, _, matrices),) = _memory_terms(n, p, order, False, degree)
         assert matrices == stacks + max(kept + build + 4 * size, transient)
         assert degree < 2 or kept + build > transient
     _check_memory(n, p, order, 2)
     _check_memory(3, 2, 12, 2)
     with pytest.raises(RangeError, match="budget"):
-        _check_memory(25, 24, 2, 2)
+        _check_memory(27, 26, 2, 2)
 
 
 def test_memory_check_counts_and_drops_the_stacks_of_other_sizes(monkeypatch):
@@ -1387,7 +1372,8 @@ def test_associativity_small():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"order": 0}, {"tolerance": float("nan")}, {"tolerance": float("inf")}, {"tolerance": -1e-7}]
+    "kwargs",
+    [{"order": 0}, {"order": 2.5}, {"tolerance": float("nan")}, {"tolerance": float("inf")}, {"tolerance": -1e-7}],
 )
 def test_verify_suite_rejects_bad_parameters(kwargs):
     with pytest.raises(RangeError):
@@ -1406,9 +1392,9 @@ def test_verify_suite_passes_and_serializes():
     assert report == report2
 
 
-def test_second_star_eval_builds_no_ring(monkeypatch):
-    # jet points take their ring from the shared cache, table and degree
-    # shift map and all
+def test_second_star_eval_builds_no_ring(monkeypatch, k_builds):
+    # jet points take their ring from the shared cache, table and chart
+    # coordinate K and all
     cfg = SpaceConfig(2, 1)
     rng = np.random.default_rng(21)
     f, g = random_function_expr(cfg, rng), random_function_expr(cfg, rng)
@@ -1420,17 +1406,11 @@ def test_second_star_eval_builds_no_ring(monkeypatch):
         built.append(args)
         init(self, *args, **kwargs)
 
-    shift = JetRing._build_degree_shift
-
-    def counting_shift(self):
-        built.append(("degree shift", self.nvars, self.order))
-        return shift(self)
-
     monkeypatch.setattr(JetRing, "__init__", counting_init)
-    monkeypatch.setattr(JetRing, "_build_degree_shift", counting_shift)
+    k_builds.clear()
     star_eval(g, f, cfg, sample_point(cfg, 2), 3)
     star_eval(f, g, cfg, sample_point(cfg, 3), 3, lam=Fraction(1, 7))
-    assert built == []
+    assert built == [] and k_builds == []
 
 
 def test_warm_verify_suite_at_order_seven_builds_no_ring(monkeypatch):
