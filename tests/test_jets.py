@@ -176,9 +176,6 @@ def test_index_of_inverts_the_basis(ring):
     assert ring.index_of((0,) * ring.nvars) == 0
     assert np.array_equal(ring.degree, ring.monos.sum(axis=1))
     assert np.all(np.diff(ring.degree) >= 0)
-    if ring.order:
-        # the degree-1 monomials are the variables, in order: x_v is monomial 1 + v
-        assert np.array_equal(ring.monos[1 : 1 + ring.nvars], np.eye(ring.nvars, dtype=int))
     if ring.nvars:
         for bad in [(ring.order + 1,) + (0,) * (ring.nvars - 1), (-1,) + (0,) * (ring.nvars - 1)]:
             with pytest.raises(KeyError):
@@ -202,6 +199,27 @@ def test_index_map_matches_brute_force(ring):
     if ring.nvars:
         with pytest.raises(KeyError):
             ring.multiset_indices(1, 1, ring.nvars, 0, [ring.size - 1])
+
+
+@pytest.mark.parametrize("ring", _INDEX_RINGS, ids=repr)
+def test_degree_shift_matches_brute_force(ring):
+    # the block (d - 1, 1) of a product with the linear x_v, the one table
+    # product per degree of K's Neumann series, moves the coefficient of each
+    # monomial m of degree d - 1 to m x_v
+    index = {tuple(int(d) for d in m): k for k, m in enumerate(ring.monos)}
+    c = (1 + np.arange(ring.size)) * (1 + 1j)
+    for v in range(ring.nvars):
+        x = np.eye(1, 1 + ring.nvars, 1 + v, dtype=complex)  # x_v by its coefficients of degree <= 1
+        for d in range(1, ring.order + 1):
+            got = ring._matmul(c[None, None], x[None], [(d - 1, 1, 1)])[0, 0]
+            expect = np.zeros(ring.size, dtype=complex)
+            for k in np.flatnonzero(ring.degree == d - 1):
+                up = tuple(int(e) + (w == v) for w, e in enumerate(ring.monos[k]))
+                expect[index[up]] = c[k]
+            assert np.array_equal(got, expect)
+    if ring.order:
+        # the degree-1 monomials are the variables, in order: x_v is monomial 1 + v
+        assert np.array_equal(ring.monos[1 : 1 + ring.nvars], np.eye(ring.nvars, dtype=int))
 
 
 @pytest.mark.parametrize("ring", _INDEX_RINGS, ids=repr)
